@@ -15,11 +15,14 @@ All files go through a temp-and-rename so readers never observe a partial
 write.  Randomness enters only through the seed, so identical configs with
 identical seeds produce identical summaries.
 
-The output directory resolves in precedence order: the --out-dir flag, the
-STEFANLAB_OUT_DIR environment variable, the config's own out_dir, then
-`runs/<scenario>`.  A sweep runs its entries on a bounded worker pool,
-collects one row per run into `sweep.csv`, keeps going past individual
-failures, and exits nonzero if any row failed.
+The output directory of `run` resolves in precedence order: the --out-dir
+flag, the STEFANLAB_OUT_DIR environment variable, the config's own out_dir,
+then `runs/<scenario>`.  A sweep puts every run in `<root>/<config-stem>`
+under its root (--out-dir, then STEFANLAB_OUT_DIR, then `sweeps`), whatever
+out_dir the config sets, and refuses configs that share a stem.  It runs
+its entries on a bounded worker pool, collects one row per run into
+`sweep.csv`, keeps going past individual failures, and exits nonzero if any
+row failed.
 
 Exit codes: 0 success, 1 scenario failure, 2 configuration or usage error.
 """
@@ -230,8 +233,7 @@ def _scheme_from(raw: dict) -> SchemeConfig:
 
 
 def _hum_from(raw: dict) -> HUMConfig:
-    body = _section(raw, "hum", ("epsilon", "variant", "cg_tol", "cg_max_iter",
-                                 "prox_tol", "prox_max_iter"))
+    body = _section(raw, "hum", ("epsilon", "variant", "prox_tol", "prox_max_iter"))
     variant = body.get("variant", "quadratic")
     if not isinstance(variant, str):
         raise ConfigError("hum.variant", f"expected a string, got {variant!r}")
@@ -239,8 +241,6 @@ def _hum_from(raw: dict) -> HUMConfig:
         return HUMConfig(
             epsilon=_number(body, "hum", "epsilon", 1e-4),
             variant=variant,
-            cg_tol=_number(body, "hum", "cg_tol", 1e-10),
-            cg_max_iter=_number(body, "hum", "cg_max_iter", 500, integer=True),
             prox_tol=_number(body, "hum", "prox_tol", 1e-11),
             prox_max_iter=_number(body, "hum", "prox_max_iter", 4000, integer=True),
         )
@@ -278,13 +278,9 @@ def _carleman_from(raw: dict) -> dict:
 
 
 def _observability_from(raw: dict) -> ObservabilityConfig:
-    body = _section(raw, "observability",
-                    ("tol", "max_iter", "block_size", "relative_floor"))
+    body = _section(raw, "observability", ("relative_floor",))
     try:
         return ObservabilityConfig(
-            tol=_number(body, "observability", "tol", 1e-6),
-            max_iter=_number(body, "observability", "max_iter", 40, integer=True),
-            block_size=_number(body, "observability", "block_size", 12, integer=True),
             relative_floor=_number(body, "observability", "relative_floor", 1e-4),
         )
     except GridError as exc:
@@ -441,7 +437,7 @@ def _scenario_hum(ec: ExperimentConfig) -> dict:
     _atomic_json(os.path.join(ec.out_dir, "hum-summary.json"), {
         "epsilon": ec.hum.epsilon,
         "variant": ec.hum.variant,
-        "cg_iters": outcome.iterations,
+        "iterations": outcome.iterations,
         "J_value": outcome.J_value,
         "final_norm": outcome.final_norm,
         "cost": outcome.cost,
@@ -453,7 +449,7 @@ def _scenario_hum(ec: ExperimentConfig) -> dict:
         "final_norm": outcome.final_norm,
         "cost": outcome.cost,
         "cost_ratio": outcome.cost_ratio,
-        "cg_iters": outcome.iterations,
+        "iterations": outcome.iterations,
         "J_value": outcome.J_value,
         "optimality_residual": outcome.optimality_residual,
         "eps_identity_defect": outcome.eps_identity_defect,
@@ -565,7 +561,6 @@ def _scenario_observability(ec: ExperimentConfig) -> dict:
         "potential": "zero",
         "iterations": estimate.iterations,
         "residual": estimate.residual,
-        "trace": list(estimate.trace),
     }
     if cfg.n <= 32 and cfg.m <= 64:
         dense = dense_constant(path, None, setup, cfg, ec.observability)
@@ -636,8 +631,7 @@ def _sweep_row(path: str, base: str) -> dict:
     row = {"config": path, "scenario": "", "status": "ok", "exit_code": 0, "error": ""}
     try:
         raw = load_config(path)
-        default_dir = raw.get("out_dir") or os.path.join(base, stem)
-        ec = resolve_config(raw, out_dir=str(default_dir))
+        ec = resolve_config(raw, out_dir=os.path.join(base, stem))
         row["scenario"] = ec.scenario
     except ConfigError as exc:
         row.update(status="error", exit_code=2, error=str(exc))
@@ -657,6 +651,12 @@ def _cmd_sweep(args) -> int:
     paths = sorted(globmod.glob(args.configs))
     if not paths:
         print(f"no configs match {args.configs!r}", file=sys.stderr)
+        return 2
+    stems = [os.path.splitext(os.path.basename(p))[0] for p in paths]
+    shared = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if shared:
+        print(f"configs share the output stem(s) {', '.join(shared)}; "
+              f"each sweep entry needs its own", file=sys.stderr)
         return 2
     base = args.out_dir or os.environ.get(_ENV_OUT) or "sweeps"
     workers = max(1, min(args.workers, len(paths)))

@@ -7,12 +7,14 @@ quadratic variant minimizes
 
     J(phiT) = 1/2 <Lambda phiT, phiT> + eps/2 ||phiT||^2 + <y_free(T), phiT>
 
-by conjugate gradient on (Lambda + eps I) phiT = -y_free(T); the exact
-variant keeps the nonsmooth penalty eps ||phiT|| and runs an accelerated
-proximal gradient loop, which drives the final state norm to eps itself
-whenever the minimizer is nonzero.  All inner products are taken in
-L2(0, R(T)); the Gramian is symmetric positive semidefinite in that pairing
-by construction, so plain Euclidean conjugate gradient applies verbatim.
+through one Cholesky factorization of (Lambda + eps I) phiT = -y_free(T);
+the exact variant keeps the nonsmooth penalty eps ||phiT|| and runs an
+accelerated proximal gradient loop, which drives the final state norm to
+eps itself whenever the minimizer is nonzero.  All inner products are taken
+in L2(0, R(T)); the Gramian is symmetric positive semidefinite in that
+pairing by construction, and at desk grid sizes it is a small dense matrix,
+assembled on interior nodes by one blocked adjoint sweep
+(`Propagator.assemble_forms`).
 
 The controlled final state, the optimality residual, and the identity
 y(T) = -eps phiT (quadratic variant) are cheap a posteriori checks; the
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .domain import (
     ROLE_CONTROL,
@@ -43,8 +46,6 @@ VARIANT_EXACT = "exact"
 class HUMConfig:
     epsilon: float = 1e-4
     variant: str = VARIANT_QUADRATIC
-    cg_tol: float = 1e-10
-    cg_max_iter: int = 500
     prox_tol: float = 1e-11
     prox_max_iter: int = 4000
 
@@ -53,6 +54,8 @@ class HUMConfig:
             raise GridError(f"penalty must be positive, got {self.epsilon}")
         if self.variant not in (VARIANT_QUADRATIC, VARIANT_EXACT):
             raise GridError(f"unknown variant {self.variant!r}")
+        if self.prox_max_iter < 1:
+            raise GridError(f"prox_max_iter must be positive, got {self.prox_max_iter}")
 
 
 @dataclass(frozen=True)
@@ -101,55 +104,6 @@ def dense_gramian(path: BoundaryPath, potential, control_radius: float,
     return G
 
 
-def _cg(apply_op, rhs, tol, max_iter):
-    """Plain conjugate gradient; returns (x, iterations, residual_history)."""
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    r0 = np.sqrt(rs)
-    history = [r0]
-    if r0 == 0.0:
-        return x, 0, history
-    for k in range(1, max_iter + 1):
-        Ap = apply_op(p)
-        curv = float(p @ Ap)
-        if curv <= 0.0:
-            raise ConvergenceError(
-                f"conjugate gradient met nonpositive curvature at iteration {k}",
-                history=history,
-            )
-        alpha = rs / curv
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        history.append(np.sqrt(rs_new))
-        if np.sqrt(rs_new) <= tol * r0:
-            return x, k, history
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise ConvergenceError(
-        f"conjugate gradient did not reach tol={tol:g} in {max_iter} iterations "
-        f"(last residual {history[-1]:.3e}, start {r0:.3e})",
-        history=history,
-    )
-
-
-def _power_estimate(apply_op, n_interior, iters=25):
-    """Crude largest-eigenvalue estimate for the prox step size."""
-    v = np.sin(np.pi * np.arange(1, n_interior + 1) / (n_interior + 1))
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = apply_op(v)
-        lam = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return max(lam, 0.0)
-
-
 def solve_hum(u0, path: BoundaryPath, potential, control_radius: float,
               hum: HUMConfig, cfg: SchemeConfig) -> HUMOutcome:
     """Synthesize the control for initial line field u0 on a frozen path.
@@ -161,23 +115,19 @@ def solve_hum(u0, path: BoundaryPath, potential, control_radius: float,
     prop = Propagator(path, potential, cfg, control_radius=control_radius)
     n, m = cfg.n, cfg.m
     y_free = prop.run_forward(u0)[:, -1]
+    G, _ = prop.assemble_forms()
 
-    def op(v):
-        full = np.zeros(n + 1)
-        full[1:-1] = v
-        return prop.apply_gramian(full)[1:-1] + hum.epsilon * v
-
-    def gram(v):
-        full = np.zeros(n + 1)
-        full[1:-1] = v
-        return prop.apply_gramian(full)[1:-1]
-
-    if hum.variant == VARIANT_QUADRATIC:
-        sol, iters, _ = _cg(op, -y_free[1:-1], hum.cg_tol, hum.cg_max_iter)
-    else:
-        # interior Euclidean norm times this factor is the physical norm at T
-        norm_scale = np.sqrt(path.radii[-1] * cfg.grid.spacing)
-        sol, iters = _prox_loop(gram, y_free[1:-1], hum, norm_scale)
+    try:
+        if hum.variant == VARIANT_QUADRATIC:
+            factor = cho_factor(G + hum.epsilon * np.eye(n - 1))
+            sol, iters = cho_solve(factor, -y_free[1:-1]), 0
+        else:
+            # interior Euclidean norm times this factor is the physical norm at T
+            norm_scale = np.sqrt(path.radii[-1] * cfg.grid.spacing)
+            sol, iters = _prox_loop(G, y_free[1:-1], hum, norm_scale)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"Gramian factorization failed at ({n}, {m}): {exc}") from exc
 
     phiT = np.zeros(n + 1)
     phiT[1:-1] = sol
@@ -196,14 +146,14 @@ def solve_hum(u0, path: BoundaryPath, potential, control_radius: float,
     if hum.variant == VARIANT_QUADRATIC:
         J_value = 0.5 * cost * cost + 0.5 * hum.epsilon * phi_norm * phi_norm + lin
         # optimality: Lambda phiT + eps phiT + y_free = 0, and y(T) = -eps phiT
-        grad = gram(sol) + hum.epsilon * sol + y_free[1:-1]
+        grad = G @ sol + hum.epsilon * sol + y_free[1:-1]
         gnorm = prop.slice_norm(np.pad(grad, 1), m)
         scale = max(prop.slice_norm(y_free, m), 1e-300)
         optimality = gnorm / scale
         defect = prop.slice_norm(y_final + hum.epsilon * phiT, m) / max(final_norm, hum.epsilon * phi_norm, 1e-300)
     else:
         J_value = 0.5 * cost * cost + hum.epsilon * phi_norm + lin
-        grad = gram(sol) + y_free[1:-1]
+        grad = G @ sol + y_free[1:-1]
         if phi_norm > 0.0:
             grad = grad + hum.epsilon * sol / phi_norm
             subgrad = prop.slice_norm(np.pad(grad, 1), m)
@@ -230,23 +180,26 @@ def solve_hum(u0, path: BoundaryPath, potential, control_radius: float,
     )
 
 
-def _prox_loop(gram, y_free_int, hum: HUMConfig, norm_scale: float):
+def _prox_loop(G, y_free_int, hum: HUMConfig, norm_scale: float):
     """Accelerated proximal gradient for the nonsmooth penalty eps ||phiT||.
 
-    The loop works on interior vectors in Euclidean arithmetic; the penalty
-    measured in the physical final-slice norm equals eps_eff ||.||_2 with
-    eps_eff = eps / norm_scale, so the minimizer coincides with that of the
-    physical objective.
+    The loop works on interior vectors in Euclidean arithmetic with the
+    assembled Gramian G; the penalty measured in the physical final-slice
+    norm equals eps_eff ||.||_2 with eps_eff = eps / norm_scale, so the
+    minimizer coincides with that of the physical objective.  The step is
+    the inverse of the largest eigenvalue of G.  Reaching prox_max_iter
+    raises with the history of iterate moves.
     """
     eps_eff = hum.epsilon / norm_scale
-    L = _power_estimate(gram, y_free_int.size, iters=30)
+    L = float(np.linalg.eigvalsh(G)[-1])
     step = 1.0 / max(L, 1e-14)
     x = np.zeros_like(y_free_int)
     y = x.copy()
     t_par = 1.0
     J_prev = np.inf
+    history = []
     for k in range(1, hum.prox_max_iter + 1):
-        grad = gram(y) + y_free_int
+        grad = G @ y + y_free_int
         v = y - step * grad
         nv = np.linalg.norm(v)
         shrink = max(1.0 - step * eps_eff / nv, 0.0) if nv > 0 else 0.0
@@ -255,15 +208,20 @@ def _prox_loop(gram, y_free_int, hum: HUMConfig, norm_scale: float):
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_par * t_par))
         y = x_new + ((t_par - 1.0) / t_new) * (x_new - x)
         x, t_par = x_new, t_new
-        Gx = gram(x)
+        Gx = G @ x
         J = 0.5 * float(x @ Gx) + eps_eff * np.linalg.norm(x) + float(y_free_int @ x)
         if J > J_prev + 1e-15 * max(1.0, abs(J_prev)):
             y = x.copy()   # momentum restart on objective increase
             t_par = 1.0
         J_prev = min(J_prev, J)
+        history.append(move)
         if move <= hum.prox_tol * max(1.0, np.linalg.norm(x)) and k > 2:
             return x, k
-    return x, hum.prox_max_iter
+    raise ConvergenceError(
+        f"proximal loop did not settle in {hum.prox_max_iter} iterations "
+        f"(last move {history[-1]:.3e}, tol {hum.prox_tol:g})",
+        history=history,
+    )
 
 
 def cost_report(outcome: HUMOutcome, u0, setup, path: BoundaryPath, potential,

@@ -6,16 +6,19 @@ The constant is the supremum over terminal data of
     -----------------------------------
     integral of phi^2 over the observation cylinder r < b
 
-with phi the backward solution.  On the grid both quadratic forms are
-realized matrix-free through the transpose-exact sweeps: the numerator form
-applies a backward sweep to t = 0 followed by a free forward sweep (the
-radius ratio factors of the backward steps absorb the change of slice inner
-products exactly, so the composition is Euclidean-symmetric on interior
-nodes), and the denominator form is the control Gramian whose pairing with
-the terminal datum is the time-by-space quadrature of the masked backward
-samples.  The supremum is the dominant eigenvalue of the generalized
-symmetric problem A x = mu B x; a dense assembly of both operators feeds
-scipy.linalg.eigh as a brute-force oracle at small grid sizes.
+with phi the backward solution.  On the grid both quadratic forms are small
+dense matrices on interior nodes, and one blocked adjoint sweep from the
+identity (`Propagator.assemble_forms`) builds both: the denominator form is
+the control Gramian, accumulated from the masked observation levels of the
+sweep, and the numerator form is (R(0)/R(T)) P^T P with P the sweep's t = 0
+slice (the radius ratio factors of the backward steps absorb the change of
+slice inner products exactly, so backward sweep followed by free forward
+sweep is Euclidean-symmetric on interior nodes).  The supremum is the
+dominant eigenvalue of the generalized symmetric problem A x = mu B x,
+solved by scipy.linalg.eigh.  A column-by-column assembly of both forms
+through single-column sweeps (two per column for the numerator, the
+Gramian apply for the denominator) is kept as a brute-force oracle at small
+grid sizes.
 
 A numerical hazard shapes both paths, verified against exact-arithmetic
 replicas of the discrete pair: terminal data built from the highest grid
@@ -27,17 +30,9 @@ orders of magnitude below the form's scale, far outside double precision.
 The reported constant is therefore the dominant eigenvalue of
 (A, B + floor * I) with a fixed relative floor: the supremum restricted to
 terminal data whose observation energy is at least `relative_floor` of a
-reference datum's.  The floor scalar is derived from one application of B
-to a deterministic seed vector through the same code in the iterative and
-dense paths, so both paths solve the identical regularized problem.
-
-The matrix-free path never solves with B, whose condition number is
-hopeless even after the floor.  Instead it exploits the numerator's
-numerically low rank (two smoothing sweeps): every direction with a
-nonnegligible quotient lies in A's resolvable range, which a block Krylov
-ascent captures, padded with canonical impulse probes because A maps
-smooth seeds to smooth images and its Krylov space alone can stall short
-of the rough directions a dense assembly would see.
+reference datum's.  The floor scalar is the denominator form evaluated at a
+deterministic seed vector, so both paths solve the same regularized
+problem up to rounding.
 
 The discrete constant approximates the continuous one with no claimed rate;
 refinement and geometry trends are reported, not limits.
@@ -48,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, qr
+from scipy.linalg import eigh
 
 from .domain import BoundaryPath, PhysicalSetup
 from .errors import ConvergenceError, GridError
@@ -60,20 +55,11 @@ _DENSE_STEP_CAP = 64
 
 @dataclass(frozen=True)
 class ObservabilityConfig:
-    """Knobs for the range-projected Rayleigh-quotient ascent."""
+    """Relative floor of the denominator form (see the module docstring)."""
 
-    tol: float = 1e-6
-    max_iter: int = 40
-    block_size: int = 12
     relative_floor: float = 1e-4
 
     def __post_init__(self):
-        if not 0.0 < self.tol < 1.0:
-            raise GridError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.max_iter < 1:
-            raise GridError("iteration cap must be positive")
-        if self.block_size < 2:
-            raise GridError(f"block_size must be at least 2, got {self.block_size}")
         if not 0.0 < self.relative_floor < 1.0:
             raise GridError(
                 f"relative_floor must lie in (0, 1), got {self.relative_floor}")
@@ -83,8 +69,9 @@ class ObservabilityConfig:
 class ObservabilityEstimate:
     """Dominant generalized eigenvalue with the run that produced it.
 
-    trace records the Ritz value after each sweep (empty for the dense
-    path, whose answer is a single factorization).
+    iterations counts the assembly's passes: one blocked sweep for
+    estimate_constant, one column per interior node for dense_constant.
+    residual is zero: both paths solve the small pencil directly.
     """
 
     constant: float
@@ -92,7 +79,6 @@ class ObservabilityEstimate:
     residual: float
     nodes: int
     steps: int
-    trace: tuple = ()
 
 
 def _seed(n_int: int) -> np.ndarray:
@@ -100,48 +86,12 @@ def _seed(n_int: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _columnwise(fn):
-    """Accept (n,), (n, 1), or (n, k) inputs; eigensolvers pass blocks."""
-    def wrapped(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return fn(x)
-        return np.column_stack([fn(x[:, i]) for i in range(x.shape[1])])
-    return wrapped
-
-
-def _operators(path: BoundaryPath, potential, setup: PhysicalSetup,
-               cfg: SchemeConfig, b: float | None, relative_floor: float):
-    """Interior-node applies of the numerator and floored denominator forms."""
+def _propagator(path: BoundaryPath, potential, setup: PhysicalSetup,
+                cfg: SchemeConfig, b: float | None) -> Propagator:
     radius = setup.b if b is None else float(b)
     if radius <= 0.0:
         raise GridError(f"observation radius must be positive, got {radius}")
-    prop = Propagator(path, potential, cfg, control_radius=radius)
-    n = cfg.n
-
-    def pad(x):
-        full = np.zeros(n + 1)
-        full[1:-1] = x
-        return full
-
-    def apply_a(x):
-        phi = prop.run_adjoint(pad(x))
-        w = prop.run_forward(phi[:, 0])
-        return w[1:-1, -1]
-
-    def apply_b_raw(x):
-        return prop.apply_gramian(pad(x))[1:-1]
-
-    s = _seed(n - 1)
-    scale = float(s @ apply_b_raw(s))
-    if not scale > 0.0:
-        raise ConvergenceError(_refinement_hint(cfg))
-    floor = relative_floor * scale
-
-    def apply_b(x):
-        return apply_b_raw(x) + floor * x
-
-    return _columnwise(apply_a), _columnwise(apply_b)
+    return Propagator(path, potential, cfg, control_radius=radius)
 
 
 def _refinement_hint(cfg: SchemeConfig) -> str:
@@ -149,129 +99,68 @@ def _refinement_hint(cfg: SchemeConfig) -> str:
             f"refine to ({2 * cfg.n}, {2 * cfg.m}) or enlarge the observation radius")
 
 
-def _new_directions(block: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
-    """Orthonormalize block against basis and itself; drop what vanishes."""
-    work = block.copy()
-    for _ in range(2):
-        if basis is not None:
-            work -= basis @ (basis.T @ work)
-    qmat, rmat, _ = qr(work, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(rmat))
-    ref = float(np.max(np.abs(block), initial=0.0)) * np.sqrt(block.shape[0])
-    keep = int(np.sum(diag > 1e-13 * max(ref, 1e-300)))
-    return qmat[:, :keep]
+def _dominant(amat: np.ndarray, bmat: np.ndarray, seed_value: float,
+              relative_floor: float, cfg: SchemeConfig) -> float:
+    """Top eigenvalue of (A, B + floor I), floor = relative_floor * seed_value.
+
+    seed_value is the denominator form at the seed vector.
+    """
+    if not seed_value > 0.0:
+        raise ConvergenceError(_refinement_hint(cfg))
+    bmat = bmat + relative_floor * seed_value * np.eye(bmat.shape[0])
+    try:
+        vals = eigh(amat, bmat, eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(_refinement_hint(cfg)) from exc
+    return float(vals[-1])
 
 
 def estimate_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
                       cfg: SchemeConfig, obs: ObservabilityConfig | None = None,
                       b: float | None = None) -> ObservabilityEstimate:
-    """Dominant mu of the generalized pair by range-projected ascent.
+    """Dominant mu of the generalized pair, both forms from one blocked sweep.
 
     b overrides the observation radius of the setup; pass np.inf for the
     degenerate full-window variant (observation everywhere).
-
-    The numerator form is numerically low rank (two smoothing sweeps), so
-    every direction with nonnegligible quotient lies in its resolvable
-    range.  The ascent grows a block Krylov basis of that range: each sweep
-    applies the numerator to the newest block, orthogonalizes against
-    everything collected, projects both forms onto the basis, and solves
-    the small dense pencil.  The spaces are nested, so the dominant Ritz
-    value grows monotonically; the sweep stops when the value settles or
-    the range is exhausted, and no inner solves of the denominator are
-    needed, which sidesteps its enormous condition number.
     """
     obs = obs or ObservabilityConfig()
-    apply_a, apply_b = _operators(path, potential, setup, cfg, b,
-                                  obs.relative_floor)
-    n_int = cfg.n - 1
-    width = min(obs.block_size, n_int)
-    rho_int = np.arange(1, n_int + 1) / (n_int + 1)
-    seeds = np.column_stack([np.sin(k * np.pi * rho_int)
-                             for k in range(1, width + 1)])
-    fresh = _new_directions(seeds, None)
-    basis = np.empty((n_int, 0))
-    abasis = np.empty((n_int, 0))
-    bbasis = np.empty((n_int, 0))
-    probe_at = 0
-    mu = 0.0
-    mu_prev = np.inf
-    residual = np.inf
-    stable = 0
-    trace: list[float] = []
-    for it in range(1, obs.max_iter + 1):
-        anew = apply_a(fresh)
-        basis = np.column_stack([basis, fresh])
-        abasis = np.column_stack([abasis, anew])
-        bbasis = np.column_stack([bbasis, apply_b(fresh)])
-        proj_a = basis.T @ abasis
-        proj_a = 0.5 * (proj_a + proj_a.T)
-        proj_b = basis.T @ bbasis
-        proj_b = 0.5 * (proj_b + proj_b.T)
-        try:
-            theta, s = eigh(proj_a, proj_b)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(_refinement_hint(cfg)) from exc
-        mu = float(theta[-1])
-        trace.append(mu)
-        top = s[:, -1]
-        ay = abasis @ top
-        by = bbasis @ top
-        scale = float(np.linalg.norm(ay))
-        residual = float(np.linalg.norm(ay - mu * by)) / scale if scale > 0.0 else 0.0
-        if residual <= obs.tol:
-            return ObservabilityEstimate(constant=mu, iterations=it,
-                                         residual=residual, nodes=cfg.n,
-                                         steps=cfg.m, trace=tuple(trace))
-        stable = stable + 1 if abs(mu - mu_prev) <= 1e-9 * max(abs(mu), 1e-300) else 0
-        settled = stable >= 2
-        mu_prev = mu
-        # the numerator maps smooth seeds to smooth images, so its Krylov
-        # space alone can stall short of the full resolvable range; impulse
-        # probes restore the rough directions a dense assembly would see
-        if probe_at < n_int:
-            hi = min(probe_at + width, n_int)
-            probes = np.zeros((n_int, hi - probe_at))
-            probes[np.arange(probe_at, hi), np.arange(hi - probe_at)] = 1.0
-            probe_at = hi
-            fresh = _new_directions(np.column_stack([anew, probes]), basis)
-        else:
-            fresh = _new_directions(anew, basis)
-        exhausted = fresh.shape[1] == 0 and probe_at >= n_int
-        full = basis.shape[1] >= n_int
-        # nested spaces make the Ritz value monotone, so a settled value or
-        # an exhausted range is a completed ascent even when the residual
-        # rides a rounding floor in the numerator's trailing directions
-        if settled or exhausted or full:
-            return ObservabilityEstimate(constant=mu, iterations=it,
-                                         residual=residual, nodes=cfg.n,
-                                         steps=cfg.m, trace=tuple(trace))
-    raise ConvergenceError(
-        f"range ascent stagnated after {obs.max_iter} sweeps "
-        f"(constant {mu:.6e}, residual {residual:.3e}, tol {obs.tol:g})")
+    prop = _propagator(path, potential, setup, cfg, b)
+    gram, slice0 = prop.assemble_forms()
+    amat = (path.radii[0] / path.radii[-1]) * (slice0.T @ slice0)
+    s = _seed(cfg.n - 1)
+    mu = _dominant(amat, gram, float(s @ gram @ s), obs.relative_floor, cfg)
+    return ObservabilityEstimate(constant=mu, iterations=1, residual=0.0,
+                                 nodes=cfg.n, steps=cfg.m)
 
 
 def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
                    cfg: SchemeConfig, obs: ObservabilityConfig | None = None,
                    b: float | None = None) -> ObservabilityEstimate:
-    """Assemble both forms densely and solve the eigenproblem directly.
+    """Assemble both forms column by column and solve the eigenproblem.
 
     Brute-force oracle for estimate_constant; capped at small grids because
-    each column costs two full sweeps.
+    each column costs four single-column sweeps.
     """
     if cfg.n > _DENSE_NODE_CAP or cfg.m > _DENSE_STEP_CAP:
         raise GridError(
             f"dense assembly capped at ({_DENSE_NODE_CAP}, {_DENSE_STEP_CAP}), "
             f"got ({cfg.n}, {cfg.m})")
     obs = obs or ObservabilityConfig()
-    apply_a, apply_b = _operators(path, potential, setup, cfg, b,
-                                  obs.relative_floor)
+    prop = _propagator(path, potential, setup, cfg, b)
     n_int = cfg.n - 1
+
+    def pad(x):
+        full = np.zeros(cfg.n + 1)
+        full[1:-1] = x
+        return full
+
     amat = np.empty((n_int, n_int))
     bmat = np.empty((n_int, n_int))
     eye = np.eye(n_int)
     for i in range(n_int):
-        amat[:, i] = apply_a(eye[:, i])
-        bmat[:, i] = apply_b(eye[:, i])
+        e = pad(eye[:, i])
+        amat[:, i] = prop.run_forward(prop.run_adjoint(e)[:, 0])[1:-1, -1]
+        bmat[:, i] = prop.apply_gramian(e)[1:-1]
     for name, mat in (("numerator", amat), ("denominator", bmat)):
         gap = float(np.max(np.abs(mat - mat.T)))
         scale = max(float(np.max(np.abs(mat))), 1.0)
@@ -279,9 +168,8 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
             raise GridError(f"{name} form lost symmetry: gap {gap:.3e}")
     amat = 0.5 * (amat + amat.T)
     bmat = 0.5 * (bmat + bmat.T)
-    try:
-        vals = eigh(amat, bmat, eigvals_only=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(_refinement_hint(cfg)) from exc
-    return ObservabilityEstimate(constant=float(vals[-1]), iterations=n_int,
+    s = _seed(n_int)
+    seed_value = float(s @ prop.apply_gramian(pad(s))[1:-1])
+    mu = _dominant(amat, bmat, seed_value, obs.relative_floor, cfg)
+    return ObservabilityEstimate(constant=mu, iterations=n_int,
                                  residual=0.0, nodes=cfg.n, steps=cfg.m)

@@ -120,9 +120,9 @@ def _check_initial(u0, n):
 class Propagator:
     """Precomputed step operators for one (path, potential, scheme) triple.
 
-    Factors every implicit tridiagonal once, so repeated forward/adjoint
-    sweeps (conjugate gradient on the Gramian, power iterations) reuse the
-    same LU data; the adjoint sweep solves the transposed systems from the
+    Factors every implicit tridiagonal once, so repeated forward and adjoint
+    sweeps, and the blocked adjoint sweep of `assemble_forms`, reuse the
+    same LU data; the adjoint sweeps solve the transposed systems from the
     identical factorization, which is what makes duality exact.
     """
 
@@ -205,19 +205,23 @@ class Propagator:
         return y
 
     def _matvec_explicit_t(self, j, x):
+        """Transposed explicit operator on an (n-1,) column or an (n-1, k) block."""
         sub, dg, sup = self._explicit[j]
+        if x.ndim == 2:
+            sub, dg, sup = sub[:, None], dg[:, None], sup[:, None]
         y = dg * x
         y[1:] += sup * x[:-1]
         y[:-1] += sub * x[1:]
         return y
 
     def _solve_implicit(self, j, rhs, transposed=False):
+        """Implicit solve of step j for an (n-1,) column or an (n-1, k) block."""
         dlf, df, duf, du2, ipiv = self._factors[j]
-        out, info = _gttrs(dlf, df, duf, du2, ipiv, rhs.reshape(-1, 1),
+        out, info = _gttrs(dlf, df, duf, du2, ipiv, rhs.reshape(rhs.shape[0], -1),
                            trans=b"T" if transposed else b"N")
         if info != 0:
             raise InstabilityError(f"tridiagonal solve failed at step {j} (info={info})")
-        return out[:, 0]
+        return out.reshape(rhs.shape)
 
     def step_forward(self, j, x, extra=None):
         """Interior column at level j -> level j+1; extra is a source sample."""
@@ -267,6 +271,38 @@ class Propagator:
             )
         return w
 
+    def _backward_steps(self, x, fsrc=None):
+        """Exact transpose steps from level m down to level 0.
+
+        x is the interior final datum, one (n-1,) column or an (n-1, k)
+        block.  Yields (j, chi, x_j, w_next, w_here) for j = m-1, ..., 0:
+        chi solves the transposed implicit system of step j, x_j is the
+        backward solution at level j, and chi enters the observation at
+        level j+1 with weight w_next and at level j with weight w_here (the
+        theta average of the forward source, doubled at the end levels,
+        whose half trapezoid weights the pairing divides out).  Level j+1 is
+        complete once step j is yielded.
+        """
+        theta = self.cfg.theta
+        for j in range(self.m - 1, -1, -1):
+            rhs = x
+            if fsrc is not None:
+                rhs = rhs + self.dt * (1.0 - theta) * fsrc[1:-1, j + 1]
+            chi = self._solve_implicit(j, rhs, transposed=True)
+            val = self._matvec_explicit_t(j, chi)
+            if fsrc is not None:
+                val = val + self.dt * theta * fsrc[1:-1, j]
+            x = self.ratio[j] * val
+            w_next = theta if j + 1 < self.m else 2.0 * theta
+            w_here = (1.0 - theta) * self.ratio[j]
+            if j == 0:
+                w_here *= 2.0
+            yield j, chi, x, w_next, w_here
+
+    def _require_mask(self):
+        if self.mask is None:
+            raise GridError("observation sweep needs a control radius")
+
     def run_adjoint(self, phiT, forcing=None, with_observation=False):
         """Backward sweep from the final datum phiT; exact transpose steps.
 
@@ -277,30 +313,18 @@ class Propagator:
         HUM control candidate associated with phiT.
         """
         phiT = _check_initial(phiT, self.n)
+        if with_observation:
+            self._require_mask()
         fsrc = None
         if forcing is not None:
             fsrc = self._combine_source(forcing, masked=False)
-        theta = self.cfg.theta
         phi = np.zeros((self.n + 1, self.m + 1))
         phi[:, self.m] = phiT
         obs = np.zeros((self.n + 1, self.m + 1)) if with_observation else None
-        x = phiT[1:-1].copy()
-        for j in range(self.m - 1, -1, -1):
-            rhs = x
-            if fsrc is not None:
-                rhs = rhs + self.dt * (1.0 - theta) * fsrc[1:-1, j + 1]
-            chi = self._solve_implicit(j, rhs, transposed=True)
+        for j, chi, x, w_next, w_here in self._backward_steps(phiT[1:-1].copy(), fsrc):
             if obs is not None:
-                w_next = theta if j + 1 < self.m else 2.0 * theta
                 obs[1:-1, j + 1] += w_next * chi
-                w_here = (1.0 - theta) * self.ratio[j]
-                if j == 0:
-                    w_here *= 2.0
                 obs[1:-1, j] += w_here * chi
-            val = self._matvec_explicit_t(j, chi)
-            if fsrc is not None:
-                val = val + self.dt * theta * fsrc[1:-1, j]
-            x = self.ratio[j] * val
             phi[1:-1, j] = x
         if not np.all(np.isfinite(phi)):
             raise InstabilityError(
@@ -308,11 +332,45 @@ class Propagator:
                 suggested_nodes=2 * self.n, suggested_steps=2 * self.m,
             )
         if obs is not None:
-            if self.mask is None:
-                raise GridError("observation sweep needs a control radius")
             obs *= self.mask
             return phi, obs
         return phi
+
+    def assemble_forms(self):
+        """Interior Gramian G and t = 0 slice P from one blocked adjoint sweep.
+
+        The sweep starts from the (n-1) x (n-1) identity block.  With O_j
+        the masked observation level j of that sweep and tau_j the
+        trapezoid time weights,
+
+            G = (1/R_T) sum_j tau_j R_j O_j^T O_j,
+
+        accumulated as soon as each level is complete, so only two levels
+        are ever held; G equals the interior block of `apply_gramian`
+        applied column by column, up to rounding.  P is the sweep at t = 0,
+        and (R_0/R_T) P^T P is the numerator form of the observability
+        inequality (backward sweep, then free forward sweep, by duality).
+        """
+        self._require_mask()
+        ni = self.n - 1
+        radii = self.path.radii
+        weight = self.tau * radii / radii[-1]
+        inside = self.mask[1:-1] > 0.0
+        G = np.zeros((ni, ni))
+        pending = np.zeros((ni, ni))      # partial observation at level j
+        for j, chi, x, w_next, w_here in self._backward_steps(np.eye(ni)):
+            done = pending + w_next * chi
+            rows = done[inside[:, j + 1]]
+            G += weight[j + 1] * (rows.T @ rows)
+            pending = w_here * chi
+        rows = pending[inside[:, 0]]
+        G += weight[0] * (rows.T @ rows)
+        if not (np.all(np.isfinite(G)) and np.all(np.isfinite(x))):
+            raise InstabilityError(
+                "blocked backward sweep produced non-finite values",
+                suggested_nodes=2 * self.n, suggested_steps=2 * self.m,
+            )
+        return G, x
 
     def apply_gramian(self, phiT) -> np.ndarray:
         """Adjoint sweep, mask, forward sweep from zero data; state at T.

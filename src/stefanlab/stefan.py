@@ -448,7 +448,8 @@ def linearize_and_control(zbar, rbar: BoundaryPath, u0, setup: PhysicalSetup,
     potential = None if nl is None else np.asarray(nl.slope(vals), dtype=float)
 
     outcome = solve_hum(u0, rbar, potential, setup.b, hum, cfg)
-    new_path = integrate_boundary(outcome.state, rbar, setup, sign=sign)
+    new_path = integrate_boundary(outcome.state, rbar, setup, sign=sign,
+                                  order=cfg.flux_order)
 
     state_sup = float(np.max(np.abs(outcome.state.values)))
     slope_sup = float(np.max(np.abs(new_path.slopes)))

@@ -111,14 +111,14 @@ def test_criterion_03_gramian_and_dense_oracle():
     assert worst_sym <= 1e-10
     assert worst_psd >= -1e-10
 
-    # matrix-free minimizer against the dense normal equations
+    # blocked-sweep minimizer against the dense normal equations
     eps = 1e-4
     u0 = np.sin(np.pi * cfg.grid.nodes)
     u0[0] = u0[-1] = 0.0
     y_free = prop.run_forward(u0)[:, -1]
     G = dense_gramian(path, None, 0.3, cfg)
     dense_sol = np.linalg.solve(G + eps * np.eye(cfg.n - 1), -y_free[1:-1])
-    hum = HUMConfig(epsilon=eps, cg_tol=1e-12, cg_max_iter=2000)
+    hum = HUMConfig(epsilon=eps)
     outcome = solve_hum(u0, path, None, 0.3, hum, cfg)
     gap = np.linalg.norm(outcome.phiT[1:-1] - dense_sol) / np.linalg.norm(dense_sol)
     elapsed = time.perf_counter() - start

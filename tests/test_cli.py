@@ -66,6 +66,7 @@ def test_run_hum_writes_module_artifact(tmp_path):
     assert main(["run", "--config", cfg]) == 0
     hum = _load(out, "hum-summary.json")
     assert hum["epsilon"] == 1e-4
+    assert hum["iterations"] == 0
     assert hum["final_norm"] > 0.0
     assert os.path.exists(os.path.join(out, "control.csv"))
 
@@ -84,7 +85,7 @@ def test_run_fixedpoint_trivial_converges_in_one(tmp_path):
     assert os.path.exists(os.path.join(out, "fixedpoint-history.csv"))
 
 
-def test_run_observability_writes_trace(tmp_path):
+def test_run_observability_writes_payload(tmp_path):
     out = str(tmp_path / "obs")
     cfg = _write(tmp_path, "cfg.json", {
         "scenario": "observability",
@@ -94,7 +95,7 @@ def test_run_observability_writes_trace(tmp_path):
     assert main(["run", "--config", cfg]) == 0
     payload = _load(out, "observability.json")
     assert payload["constant"] > 0.0
-    assert len(payload["trace"]) == payload["iterations"]
+    assert payload["iterations"] == 1
     assert payload["dense_constant"] == pytest.approx(payload["constant"], rel=1e-6)
 
 
@@ -233,6 +234,38 @@ def test_sweep_all_ok_exits_0(tmp_path):
     assert main(["sweep", "--configs", str(cfg_dir / "*.json"),
                  "--out-dir", base]) == 0
     assert os.path.exists(os.path.join(base, "fwd", "summary.json"))
+
+
+def test_sweep_ignores_config_out_dir(tmp_path):
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    shared = str(tmp_path / "shared")
+    for name, amplitude in (("a", 0.5), ("b", 1.5)):
+        _write(cfg_dir, f"{name}.json", {
+            "scenario": "forward",
+            "physical": {"z0": {"kind": "sine", "amplitude": amplitude}},
+            "scheme": {"n": 16, "m": 16},
+            "out_dir": shared,
+        })
+    base = str(tmp_path / "swp")
+    assert main(["sweep", "--configs", str(cfg_dir / "*.json"),
+                 "--out-dir", base, "--workers", "2"]) == 0
+    a = _load(os.path.join(base, "a"), "summary.json")
+    b = _load(os.path.join(base, "b"), "summary.json")
+    assert b["initial_norm"] == pytest.approx(3.0 * a["initial_norm"], rel=1e-12)
+    assert not os.path.exists(shared)
+
+
+def test_sweep_shared_stem_exits_2(tmp_path, capsys):
+    for sub in ("x", "y"):
+        (tmp_path / sub).mkdir()
+        _write(tmp_path / sub, "same.json", {"scenario": "forward",
+                                             "scheme": {"n": 16, "m": 16}})
+    base = str(tmp_path / "swp")
+    assert main(["sweep", "--configs", str(tmp_path / "*" / "same.json"),
+                 "--out-dir", base]) == 2
+    assert "same" in capsys.readouterr().err
+    assert not os.path.exists(base)
 
 
 def test_sweep_empty_glob_exits_2(tmp_path, capsys):

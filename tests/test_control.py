@@ -30,6 +30,8 @@ def test_hum_config_validation():
         HUMConfig(epsilon=0.0)
     with pytest.raises(GridError):
         HUMConfig(variant="soft")
+    with pytest.raises(GridError):
+        HUMConfig(prox_max_iter=0)
 
 
 def test_quadratic_drives_final_norm_down():
@@ -51,7 +53,7 @@ def test_quadratic_optimality_and_eps_identity():
     cfg = SchemeConfig(n=24, m=48)
     path = constant_path(1.0, 0.5, cfg.m)
     out = solve_hum(_sine_data(cfg), path, None, _B,
-                    HUMConfig(epsilon=1e-4, cg_tol=1e-12), cfg)
+                    HUMConfig(epsilon=1e-4), cfg)
     assert out.optimality_residual <= 1e-10
     # y(T) = -eps phiT at the minimizer of the quadratic objective
     assert out.eps_identity_defect <= 1e-8
@@ -116,13 +118,13 @@ def test_dense_gramian_grid_cap():
         dense_gramian(path, None, _B, cfg)
 
 
-def test_cg_exhaustion_raises_with_history():
+def test_prox_cap_raises_with_history():
     cfg = SchemeConfig(n=24, m=48)
     path = constant_path(1.0, 0.5, cfg.m)
     with pytest.raises(ConvergenceError) as err:
         solve_hum(_sine_data(cfg), path, None, _B,
-                  HUMConfig(epsilon=1e-6, cg_max_iter=2), cfg)
-    assert len(err.value.history) == 3   # initial residual plus two iterations
+                  HUMConfig(epsilon=1e-4, variant=VARIANT_EXACT, prox_max_iter=50), cfg)
+    assert len(err.value.history) == 50   # one iterate move per iteration
 
 
 def test_cost_report_keys_and_values():

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stefanlab.control import dense_gramian
 from stefanlab.domain import (
     ROLE_CONTROL,
     constant_path,
@@ -194,6 +197,50 @@ def test_control_source_requires_mask():
     src = np.ones((cfg.n + 1, cfg.m + 1))
     with pytest.raises(GridError):
         prop.run_forward(np.zeros(cfg.n + 1), source=src, source_role=ROLE_CONTROL)
+
+
+def test_observation_sweeps_check_mask_before_stepping(monkeypatch):
+    cfg = SchemeConfig(n=16, m=16)
+    path = constant_path(1.0, 0.1, cfg.m)
+    prop = Propagator(path, None, cfg)   # no control radius
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before the mask check")
+
+    monkeypatch.setattr(prop, "_solve_implicit", no_step)
+    phiT = np.zeros(cfg.n + 1)
+    phiT[1:-1] = 1.0
+    with pytest.raises(GridError):
+        prop.run_adjoint(phiT, with_observation=True)
+    with pytest.raises(GridError):
+        prop.assemble_forms()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.integers(8, 40), m=st.integers(8, 40),
+       theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
+       freq=st.integers(1, 3), radius=st.sampled_from([0.15, 0.3, 0.7, np.inf]),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_forms_match_column_oracles(n, m, theta, amp, freq, radius, seed):
+    # one blocked adjoint sweep against column-by-column single sweeps, on
+    # in-band moving paths under bounded potentials
+    cfg = SchemeConfig(n=n, m=m, theta=theta)
+    path = path_from_function(lambda t: 1.0 + amp * np.sin(freq * np.pi * t),
+                              lambda t: amp * freq * np.pi * np.cos(freq * np.pi * t),
+                              0.4, m)
+    pot = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n + 1, m + 1))
+    prop = Propagator(path, pot, cfg, control_radius=radius)
+    G, P = prop.assemble_forms()
+    A = (path.radii[0] / path.radii[-1]) * (P.T @ P)
+    A_cols = np.empty_like(A)
+    for i in range(n - 1):
+        e = np.zeros(n + 1)
+        e[i + 1] = 1.0
+        A_cols[:, i] = prop.run_forward(prop.run_adjoint(e)[:, 0])[1:-1, -1]
+    G_cols = dense_gramian(path, pot, radius, cfg)
+    assert np.array_equal(G, G.T)
+    assert np.max(np.abs(G - G_cols)) <= 1e-13 * np.max(np.abs(G_cols))
+    assert np.max(np.abs(A - A_cols)) <= 1e-13 * np.max(np.abs(A_cols))
 
 
 def test_boundary_flux_polynomial_exact():

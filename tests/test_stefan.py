@@ -234,6 +234,16 @@ def test_fixed_point_converges_for_small_data():
     assert np.all(result.path.radii <= setup.E)
 
 
+def test_fixed_point_honours_flux_order():
+    setup = PhysicalSetup(T=0.5, z0=lambda r: 0.02 * np.sin(np.pi * r),
+                          nonlinearity=Nonlinearity.sine())
+    fpc = FixedPointConfig(fp_tol=1e-6, max_outer=20)
+    radii = [fixed_point_iterate(None, setup, fpc, HUMConfig(epsilon=1e-4),
+                                 SchemeConfig(n=16, m=32, flux_order=order)).path.radii
+             for order in (1, 2)]
+    assert not np.array_equal(radii[0], radii[1])
+
+
 def test_fixed_point_trivial_data_converges_immediately():
     setup = PhysicalSetup(T=0.5, nonlinearity=Nonlinearity.sine())
     cfg = SchemeConfig(n=16, m=16)
