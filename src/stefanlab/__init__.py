@@ -15,7 +15,6 @@ from .domain import (
     SpaceTimeField,
     ROLE_ADJOINT,
     ROLE_CONTROL,
-    ROLE_POTENTIAL,
     ROLE_SOURCE,
     ROLE_STATE,
     constant_path,

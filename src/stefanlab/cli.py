@@ -551,7 +551,6 @@ def _scenario_observability(ec: ExperimentConfig) -> dict:
     summary = {
         "constant": estimate.constant,
         "iterations": estimate.iterations,
-        "residual": estimate.residual,
     }
     payload = {
         "constant": estimate.constant,
@@ -560,7 +559,6 @@ def _scenario_observability(ec: ExperimentConfig) -> dict:
                      "T": setup.T, "b": setup.b},
         "potential": "zero",
         "iterations": estimate.iterations,
-        "residual": estimate.residual,
     }
     if cfg.n <= 32 and cfg.m <= 64:
         dense = dense_constant(path, None, setup, cfg, ec.observability)
@@ -606,6 +604,7 @@ def run_experiment(ec: ExperimentConfig) -> dict:
             "epsilon_schedule": list(ec.fixedpoint.epsilon_schedule),
         },
         "carleman": ec.carleman,
+        "observability": asdict(ec.observability),
     })
     return summary
 

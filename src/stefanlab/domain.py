@@ -26,11 +26,10 @@ from .errors import (
 
 ROLE_STATE = "state"
 ROLE_ADJOINT = "adjoint"
-ROLE_POTENTIAL = "potential"
 ROLE_CONTROL = "control"
 ROLE_SOURCE = "source"
 
-ROLES = (ROLE_STATE, ROLE_ADJOINT, ROLE_POTENTIAL, ROLE_CONTROL, ROLE_SOURCE)
+ROLES = (ROLE_STATE, ROLE_ADJOINT, ROLE_CONTROL, ROLE_SOURCE)
 
 # roles whose endpoint rows must vanish (homogeneous Dirichlet in the line field)
 DIRICHLET_ROLES = (ROLE_STATE, ROLE_ADJOINT)

@@ -71,12 +71,10 @@ class ObservabilityEstimate:
 
     iterations counts the assembly's passes: one blocked sweep for
     estimate_constant, one column per interior node for dense_constant.
-    residual is zero: both paths solve the small pencil directly.
     """
 
     constant: float
     iterations: int
-    residual: float
     nodes: int
     steps: int
 
@@ -129,8 +127,7 @@ def estimate_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
     amat = (path.radii[0] / path.radii[-1]) * (slice0.T @ slice0)
     s = _seed(cfg.n - 1)
     mu = _dominant(amat, gram, float(s @ gram @ s), obs.relative_floor, cfg)
-    return ObservabilityEstimate(constant=mu, iterations=1, residual=0.0,
-                                 nodes=cfg.n, steps=cfg.m)
+    return ObservabilityEstimate(constant=mu, iterations=1, nodes=cfg.n, steps=cfg.m)
 
 
 def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
@@ -171,5 +168,4 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
     s = _seed(n_int)
     seed_value = float(s @ prop.apply_gramian(pad(s))[1:-1])
     mu = _dominant(amat, bmat, seed_value, obs.relative_floor, cfg)
-    return ObservabilityEstimate(constant=mu, iterations=n_int,
-                                 residual=0.0, nodes=cfg.n, steps=cfg.m)
+    return ObservabilityEstimate(constant=mu, iterations=n_int, nodes=cfg.n, steps=cfg.m)

@@ -91,6 +91,91 @@ def _interior_diagonals(rho_int, h, radius, slope, pot_col):
     return lower, diag, upper
 
 
+def _theta_step(cfg, rho_int, h, dt, j, here, there):
+    """Both operators of theta step j from its two levels.
+
+    here and there are (R, R', potential column) at levels j and j+1.
+    Returns the diagonals (sub, diag, super) of I + (1-theta) dt L_j and
+    the gttrf factors of I - theta dt L_{j+1}.
+    """
+    theta = cfg.theta
+    lo_j, dg_j, up_j = _interior_diagonals(rho_int, h, *here)
+    explicit = (
+        (1.0 - theta) * dt * lo_j[1:],
+        1.0 + (1.0 - theta) * dt * dg_j,
+        (1.0 - theta) * dt * up_j[:-1],
+    )
+    lo_n, dg_n, up_n = _interior_diagonals(rho_int, h, *there)
+    dlf, df, duf, du2, ipiv, info = _gttrf(
+        -theta * dt * lo_n[1:], 1.0 - theta * dt * dg_n, -theta * dt * up_n[:-1]
+    )
+    if info != 0:
+        raise InstabilityError(
+            f"implicit step {j} is singular (gttrf info={info})",
+            suggested_nodes=2 * cfg.n, suggested_steps=2 * cfg.m,
+        )
+    return explicit, (dlf, df, duf, du2, ipiv)
+
+
+def _apply_explicit(explicit, x, transposed=False):
+    """Explicit operator (or its transpose) on an (n-1,) column or an (n-1, k) block."""
+    sub, dg, sup = explicit
+    if transposed:
+        sub, sup = sup, sub
+    if x.ndim == 2:
+        sub, dg, sup = sub[:, None], dg[:, None], sup[:, None]
+    y = dg * x
+    y[1:] += sub * x[:-1]
+    y[:-1] += sup * x[1:]
+    return y
+
+
+def _solve_implicit(factors, rhs, transposed=False):
+    """Implicit solve for an (n-1,) column or an (n-1, k) block."""
+    dlf, df, duf, du2, ipiv = factors
+    out, info = _gttrs(dlf, df, duf, du2, ipiv, rhs.reshape(rhs.shape[0], -1),
+                       trans=b"T" if transposed else b"N")
+    if info != 0:
+        raise InstabilityError(f"tridiagonal solve failed (info={info})")
+    return out.reshape(rhs.shape)
+
+
+def _forward_step(explicit, factors, x, dt, extra=None):
+    """Interior column at level j -> level j+1; extra is the step forcing."""
+    rhs = _apply_explicit(explicit, x)
+    if extra is not None:
+        rhs = rhs + dt * extra
+    return _solve_implicit(factors, rhs)
+
+
+def _step_forcing(theta, here, there, lag=None):
+    """Forcing of one step: theta average of the source samples at levels
+    j (here) and j+1 (there), minus the reaction lagged on level j.
+
+    Either part may be None; None means no forcing at all.
+    """
+    extra = None if here is None else theta * there + (1.0 - theta) * here
+    if lag is not None:
+        extra = -lag if extra is None else extra - lag
+    return extra
+
+
+def _lagged_reaction(nonlinearity, x, r_int):
+    """r f(u/r) on an interior column at physical radii r_int."""
+    return r_int * nonlinearity.value(x / r_int)
+
+
+def _edge_flux(col, radius, order):
+    """u_r at the boundary from one column: one-sided rho derivative / R."""
+    n = col.size - 1
+    h = 1.0 / n
+    if order == 1:
+        du = (col[n] - col[n - 1]) / h
+    else:
+        du = (3.0 * col[n] - 4.0 * col[n - 1] + col[n - 2]) / (2.0 * h)
+    return float(du / radius)
+
+
 def _coerce_potential(potential, n, m):
     if potential is None:
         return np.zeros((n + 1, m + 1))
@@ -141,30 +226,16 @@ class Propagator:
         self.pot = _coerce_potential(potential, n, m)
         rho_int = self.rho[1:-1]
         R, Rp = path.radii, path.slopes
-        theta = cfg.theta
 
         self._explicit = []   # (sub, diag, super) of I + (1-theta) dt L_j
         self._factors = []    # gttrf output for I - theta dt L_{j+1}
         for j in range(m):
-            lo_j, dg_j, up_j = _interior_diagonals(rho_int, self.h, R[j], Rp[j], self.pot[1:-1, j])
-            self._explicit.append((
-                (1.0 - theta) * self.dt * lo_j[1:],
-                1.0 + (1.0 - theta) * self.dt * dg_j,
-                (1.0 - theta) * self.dt * up_j[:-1],
-            ))
-            lo_n, dg_n, up_n = _interior_diagonals(
-                rho_int, self.h, R[j + 1], Rp[j + 1], self.pot[1:-1, j + 1]
+            explicit, factors = _theta_step(
+                cfg, rho_int, self.h, self.dt, j,
+                (R[j], Rp[j], self.pot[1:-1, j]), (R[j + 1], Rp[j + 1], self.pot[1:-1, j + 1]),
             )
-            dl = -theta * self.dt * lo_n[1:]
-            d = 1.0 - theta * self.dt * dg_n
-            du = -theta * self.dt * up_n[:-1]
-            dlf, df, duf, du2, ipiv, info = _gttrf(dl, d, du)
-            if info != 0:
-                raise InstabilityError(
-                    f"implicit step {j} is singular (gttrf info={info})",
-                    suggested_nodes=2 * n, suggested_steps=2 * m,
-                )
-            self._factors.append((dlf, df, duf, du2, ipiv))
+            self._explicit.append(explicit)
+            self._factors.append(factors)
 
         self.ratio = R[1:] / R[:-1]
         # trapezoid weights in time and space for the physical pairings
@@ -195,41 +266,6 @@ class Propagator:
         per_slice = self.h * np.sum(obs * obs, axis=0)
         return float(np.sqrt(np.sum(self.tau * self.path.radii * per_slice)))
 
-    # -- single steps -----------------------------------------------------------
-
-    def _matvec_explicit(self, j, x):
-        sub, dg, sup = self._explicit[j]
-        y = dg * x
-        y[1:] += sub * x[:-1]
-        y[:-1] += sup * x[1:]
-        return y
-
-    def _matvec_explicit_t(self, j, x):
-        """Transposed explicit operator on an (n-1,) column or an (n-1, k) block."""
-        sub, dg, sup = self._explicit[j]
-        if x.ndim == 2:
-            sub, dg, sup = sub[:, None], dg[:, None], sup[:, None]
-        y = dg * x
-        y[1:] += sup * x[:-1]
-        y[:-1] += sub * x[1:]
-        return y
-
-    def _solve_implicit(self, j, rhs, transposed=False):
-        """Implicit solve of step j for an (n-1,) column or an (n-1, k) block."""
-        dlf, df, duf, du2, ipiv = self._factors[j]
-        out, info = _gttrs(dlf, df, duf, du2, ipiv, rhs.reshape(rhs.shape[0], -1),
-                           trans=b"T" if transposed else b"N")
-        if info != 0:
-            raise InstabilityError(f"tridiagonal solve failed at step {j} (info={info})")
-        return out.reshape(rhs.shape)
-
-    def step_forward(self, j, x, extra=None):
-        """Interior column at level j -> level j+1; extra is a source sample."""
-        rhs = self._matvec_explicit(j, x)
-        if extra is not None:
-            rhs = rhs + self.dt * extra
-        return self._solve_implicit(j, rhs)
-
     # -- sweeps ------------------------------------------------------------------
 
     def _combine_source(self, source, masked):
@@ -242,27 +278,34 @@ class Propagator:
             src = src * self.mask
         return src
 
-    def run_forward(self, u0, source=None, source_role: str = ROLE_SOURCE) -> np.ndarray:
+    def run_forward(self, u0, source=None, source_role: str = ROLE_SOURCE,
+                    reaction=None) -> np.ndarray:
         """Forward sweep; returns the (n+1, m+1) trajectory array.
 
         A source with the control role is masked to the nodes with
         rho_i R(t_j) < control_radius, column by column; any other source is
         applied as given.  Sources are sampled on time nodes and enter each
-        step through the same theta average as the operator.
+        step through the same theta average as the operator.  A reaction f
+        (any object with a value method) adds -r f(u/r) evaluated on the
+        current level, lagged one step.
         """
         u0 = _check_initial(u0, self.n)
         src = None
         if source is not None:
             src = self._combine_source(source, masked=(source_role == ROLE_CONTROL))
         theta = self.cfg.theta
+        rho_int = self.rho[1:-1]
         w = np.zeros((self.n + 1, self.m + 1))
         w[:, 0] = u0
         x = u0[1:-1].copy()
         for j in range(self.m):
-            extra = None
+            here = there = lag = None
             if src is not None:
-                extra = theta * src[1:-1, j + 1] + (1.0 - theta) * src[1:-1, j]
-            x = self.step_forward(j, x, extra)
+                here, there = src[1:-1, j], src[1:-1, j + 1]
+            if reaction is not None:
+                lag = _lagged_reaction(reaction, x, rho_int * self.path.radii[j])
+            x = _forward_step(self._explicit[j], self._factors[j], x, self.dt,
+                              _step_forcing(theta, here, there, lag))
             w[1:-1, j + 1] = x
         if not np.all(np.isfinite(w)):
             raise InstabilityError(
@@ -288,8 +331,8 @@ class Propagator:
             rhs = x
             if fsrc is not None:
                 rhs = rhs + self.dt * (1.0 - theta) * fsrc[1:-1, j + 1]
-            chi = self._solve_implicit(j, rhs, transposed=True)
-            val = self._matvec_explicit_t(j, chi)
+            chi = _solve_implicit(self._factors[j], rhs, transposed=True)
+            val = _apply_explicit(self._explicit[j], chi, transposed=True)
             if fsrc is not None:
                 val = val + self.dt * theta * fsrc[1:-1, j]
             x = self.ratio[j] * val
@@ -421,32 +464,9 @@ def solve_semilinear(u0, path: BoundaryPath, nonlinearity, cfg: SchemeConfig,
     refinement suggestion.
     """
     prop = Propagator(path, None, cfg, control_radius=control_radius)
-    u0 = _check_initial(u0, cfg.n)
-    theta = cfg.theta
-    src = None
-    if control is not None:
-        src = prop._combine_source(control, masked=True)
-    n, m = cfg.n, cfg.m
-    rho_int = prop.rho[1:-1]
-    w = np.zeros((n + 1, m + 1))
-    w[:, 0] = u0
-    x = u0[1:-1].copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(m):
-            extra = np.zeros(n - 1)
-            if src is not None:
-                extra += theta * src[1:-1, j + 1] + (1.0 - theta) * src[1:-1, j]
-            if nonlinearity is not None:
-                r_int = rho_int * prop.path.radii[j]
-                extra -= r_int * nonlinearity.value(x / r_int)
-            x = prop.step_forward(j, x, extra)
-            w[1:-1, j + 1] = x
-    if not np.all(np.isfinite(w)):
-        raise InstabilityError(
-            "semilinear sweep produced non-finite values",
-            suggested_nodes=2 * n, suggested_steps=2 * m,
-        )
-    return SpaceTimeField(w, role=ROLE_STATE)
+    values = prop.run_forward(u0, source=control, source_role=ROLE_CONTROL,
+                              reaction=nonlinearity)
+    return SpaceTimeField(values, role=ROLE_STATE)
 
 
 def boundary_flux(field: SpaceTimeField, path: BoundaryPath, j: int, order: int = 2) -> float:
@@ -458,18 +478,10 @@ def boundary_flux(field: SpaceTimeField, path: BoundaryPath, j: int, order: int 
     """
     if field.role not in DIRICHLET_ROLES:
         raise FieldRoleError(f"flux needs a state or adjoint field, got {field.role!r}")
-    values = field.values
-    n = field.n_intervals
     if field.n_steps != path.steps:
         raise GridError(f"field has {field.n_steps} steps, path has {path.steps}")
     if not 0 <= j <= path.steps:
         raise GridError(f"time index {j} outside 0..{path.steps}")
     if order not in (1, 2):
         raise GridError(f"stencil order must be 1 or 2, got {order}")
-    h = 1.0 / n
-    col = values[:, j]
-    if order == 1:
-        du = (col[n] - col[n - 1]) / h
-    else:
-        du = (3.0 * col[n] - 4.0 * col[n - 1] + col[n - 2]) / (2.0 * h)
-    return float(du / path.radii[j])
+    return _edge_flux(field.values[:, j], path.radii[j], order)

@@ -9,9 +9,12 @@ three layers.
 * Kinematics: `stefan_rate` evaluates the melting rate at one time node and
   `integrate_boundary` accumulates it into a new boundary path along a
   frozen reference path, refusing to leave the admissible band [R_star, E].
-* Dynamics: `coupled_solve` marches the state and the radius together with
-  an explicit Euler predictor for the radius and an optional trapezoid
-  corrector that re-solves the implicit step on the averaged radius.
+* Dynamics: `coupled_solve` marches the state and the radius together on
+  the theta-step kernel of `pde`: an Euler predictor for the radius, then
+  a trapezoid corrector that re-solves the step on the averaged radius.
+  The slope stored at each level is the one its implicit operator used
+  (the predictor's rate), and the explicit half of the next step reuses
+  it, so the realized path replays bitwise through the plain solvers.
 * Control: `linearize_and_control` freezes the reaction slope g(s) = f(s)/s
   on a given state iterate, synthesizes the penalized control on the frozen
   path, and pushes the boundary with the controlled flux;
@@ -33,7 +36,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import solve_banded
 
 from .domain import (
     ROLE_CONTROL,
@@ -51,7 +53,16 @@ from .errors import (
     InstabilityError,
     RadiusBreachError,
 )
-from .pde import SchemeConfig, _check_initial, _interior_diagonals, boundary_flux
+from .pde import (
+    SchemeConfig,
+    _check_initial,
+    _edge_flux,
+    _forward_step,
+    _lagged_reaction,
+    _step_forcing,
+    _theta_step,
+    boundary_flux,
+)
 from .control import HUMConfig, HUMOutcome, solve_hum
 
 _KINDS = ("zero", "linear", "sine", "table")
@@ -213,17 +224,6 @@ def integrate_boundary(field: SpaceTimeField, path: BoundaryPath,
 # coupled dynamics
 
 
-def _column_rate(col: np.ndarray, radius: float, h: float, sign: float,
-                 order: int) -> float:
-    """Melting rate from one interior-plus-boundary column (Dirichlet ends)."""
-    n = col.size - 1
-    if order == 1:
-        du = (col[n] - col[n - 1]) / h
-    else:
-        du = (3.0 * col[n] - 4.0 * col[n - 1] + col[n - 2]) / (2.0 * h)
-    return float(sign * du / (radius * radius))
-
-
 def _coerce_control(control, n: int, m: int):
     if control is None:
         return None
@@ -238,17 +238,23 @@ def _coerce_control(control, n: int, m: int):
     return values
 
 
-def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig,
-                  sign=-1.0, corrector: bool = True):
+def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig, sign=-1.0):
     """March the line field and the free boundary together.
 
-    Each step advances the field by one theta step whose implicit level
-    sits on a radius predicted by explicit Euler from the current rate;
-    the corrector (default on) then averages the old and new rates into a
-    trapezoid radius update and re-solves the same step there, an O(dt)
-    refinement of the predictor.  The reaction r f(u/r) of the setup's
-    nonlinearity is lagged one level, and control samples are masked to
-    the physical ball of radius b with the evolving radii.
+    Step j runs on the theta-step kernel of `pde` between level j, at the
+    stored radius and slope (R_j, S_j), and level j+1.  With q_j the
+    melting rate of the accepted column at R_j, a predictor solves the
+    step at (R_j + dt q_j, q_j) and gives the rate q_pred; then
+
+        R_{j+1} = R_j + dt (q_j + q_pred) / 2,   S_{j+1} = q_pred,
+
+    and the corrector solves the step again at (R_{j+1}, S_{j+1}).  The
+    rate q_{j+1} of the accepted column drives only the next radius update:
+    the stored slope is the one the level-(j+1) operator used, so the
+    realized path replays bitwise through `solve_forward` (or
+    `solve_semilinear` when the setup has a nonlinearity).  The reaction
+    r f(u/r) is lagged one level, and control samples are masked to the
+    physical ball of radius b with the evolving radii.
 
     Returns the state trajectory and the realized boundary path.  The
     radius must stay inside [R_star, E]; a breach raises with the first
@@ -260,10 +266,10 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig,
     ctrl = _coerce_control(control, n, m)
     nl = setup.nonlinearity
     grid = cfg.grid
-    rho = grid.nodes
+    rho_int = grid.nodes[1:-1]
     h = grid.spacing
-    rho_int = rho[1:-1]
-    dt = setup.T / m
+    times = np.linspace(0.0, setup.T, m + 1)
+    dt = float(times[1] - times[0])      # the realized path's own step
     theta = cfg.theta
     no_pot = np.zeros(n - 1)
 
@@ -271,55 +277,34 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig,
     w[:, 0] = u0
     radii = np.zeros(m + 1)
     slopes = np.zeros(m + 1)
-    radii[0] = setup.R0
-    slopes[0] = _column_rate(u0, setup.R0, h, sign, cfg.flux_order)
-    times = np.linspace(0.0, setup.T, m + 1)
+
+    def rate(col, radius):
+        return sign * _edge_flux(col, radius, cfg.flux_order) / radius
 
     def masked_column(j, radius):
         if ctrl is None:
             return None
         return ctrl[1:-1, j] * (rho_int * radius < setup.b)
 
-    def implicit_solve(radius, slope, rhs):
-        lo, dg, up = _interior_diagonals(rho_int, h, radius, slope, no_pot)
-        ab = np.zeros((3, n - 1))
-        ab[0, 1:] = -theta * dt * up[:-1]
-        ab[1, :] = 1.0 - theta * dt * dg
-        ab[2, :-1] = -theta * dt * lo[1:]
-        return solve_banded((1, 1), ab, rhs)
+    def step(j, x, here, radius, slope, lag):
+        explicit, factors = _theta_step(cfg, rho_int, h, dt, j,
+                                        (radii[j], slopes[j], no_pot), (radius, slope, no_pot))
+        extra = _step_forcing(theta, here, masked_column(j + 1, radius), lag)
+        return _forward_step(explicit, factors, x, dt, extra)
 
+    radii[0] = setup.R0
+    q = slopes[0] = rate(u0, setup.R0)
     x = u0[1:-1].copy()
+    col = np.zeros(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m):
-            lo, dg, up = _interior_diagonals(rho_int, h, radii[j], slopes[j], no_pot)
-            base = (1.0 + (1.0 - theta) * dt * dg) * x
-            base[1:] += (1.0 - theta) * dt * lo[1:] * x[:-1]
-            base[:-1] += (1.0 - theta) * dt * up[:-1] * x[1:]
-            extra = np.zeros(n - 1)
             here = masked_column(j, radii[j])
-            if here is not None:
-                extra += (1.0 - theta) * here
-            if nl is not None:
-                r_int = rho_int * radii[j]
-                extra -= r_int * np.asarray(nl.value(x / r_int), dtype=float)
-
-            r_pred = radii[j] + dt * slopes[j]
-            next_ctrl = masked_column(j + 1, r_pred)
-            rhs = base + dt * (extra + (theta * next_ctrl if next_ctrl is not None else 0.0))
-            x_new = implicit_solve(r_pred, slopes[j], rhs)
-            col = np.zeros(n + 1)
-            col[1:-1] = x_new
-            rate_new = _column_rate(col, r_pred, h, sign, cfg.flux_order)
-
-            if corrector:
-                r_next = radii[j] + 0.5 * dt * (slopes[j] + rate_new)
-                next_ctrl = masked_column(j + 1, r_next)
-                rhs = base + dt * (extra + (theta * next_ctrl if next_ctrl is not None else 0.0))
-                x_new = implicit_solve(r_next, rate_new, rhs)
-                col[1:-1] = x_new
-                rate_new = _column_rate(col, r_next, h, sign, cfg.flux_order)
-            else:
-                r_next = r_pred
+            lag = None if nl is None else _lagged_reaction(nl, x, rho_int * radii[j])
+            r_pred = radii[j] + dt * q
+            col[1:-1] = step(j, x, here, r_pred, q, lag)
+            q_pred = rate(col, r_pred)
+            r_next = radii[j] + 0.5 * dt * (q + q_pred)
+            x_new = step(j, x, here, r_next, q_pred, lag)
 
             if not (np.all(np.isfinite(x_new)) and np.isfinite(r_next)):
                 raise InstabilityError(
@@ -335,9 +320,10 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig,
                     first_index=j + 1,
                 )
             radii[j + 1] = r_next
-            slopes[j + 1] = rate_new
+            slopes[j + 1] = q_pred
             x = x_new
             w[1:-1, j + 1] = x
+            q = rate(w[:, j + 1], r_next)
 
     return SpaceTimeField(w, role=ROLE_STATE), BoundaryPath(times, radii, slopes)
 
@@ -386,8 +372,6 @@ class LambdaOutcome:
     state: SpaceTimeField
     path: BoundaryPath
     hum: HUMOutcome
-    input_state_sup: float
-    input_slope_sup: float
     state_sup: float
     slope_sup: float
     inside_state_ball: bool
@@ -461,8 +445,6 @@ def linearize_and_control(zbar, rbar: BoundaryPath, u0, setup: PhysicalSetup,
         state=outcome.state,
         path=new_path,
         hum=outcome,
-        input_state_sup=float(np.max(np.abs(vals))),
-        input_slope_sup=float(np.max(np.abs(rbar.slopes))),
         state_sup=state_sup,
         slope_sup=slope_sup,
         inside_state_ball=state_sup <= fpc.K,

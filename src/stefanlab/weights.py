@@ -54,15 +54,10 @@ def bump_poly_dw(w, z):
             + 4.0 * (8.0 * z - 15.0) * w ** 3 + 5.0 * (6.0 - 3.0 * z) * w ** 4)
 
 
-def _radius_at(path: BoundaryPath, t: float) -> float:
-    R = path.radius_at(t)
-    return R
-
-
 def weight_profile(r, t: float, setup: PhysicalSetup, path: BoundaryPath) -> np.ndarray:
     """alpha0 at radii r (array, may be negative: even extension) and time t."""
     r = np.asarray(r, dtype=float)
-    R = _radius_at(path, t)
+    R = path.radius_at(t)
     x = np.abs(r)
     if np.any(x > R * (1.0 + 1e-12)):
         raise OutOfDomainError(f"|r| up to {float(np.max(x)):.6g} exceeds R(t)={R:.6g}")
@@ -76,7 +71,7 @@ def weight_profile(r, t: float, setup: PhysicalSetup, path: BoundaryPath) -> np.
 def weight_profile_dr(r, t: float, setup: PhysicalSetup, path: BoundaryPath) -> np.ndarray:
     """Radial derivative of alpha0; odd in r by the even extension."""
     r = np.asarray(r, dtype=float)
-    R = _radius_at(path, t)
+    R = path.radius_at(t)
     x = np.abs(r)
     if np.any(x > R * (1.0 + 1e-12)):
         raise OutOfDomainError(f"|r| up to {float(np.max(x)):.6g} exceeds R(t)={R:.6g}")

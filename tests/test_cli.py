@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from stefanlab.cli import main
+from stefanlab.domain import BoundaryPath, read_field_csv
+from stefanlab.pde import SchemeConfig, solve_forward
 
 _SINE = {"kind": "sine", "amplitude": 0.05}
 
@@ -97,6 +99,38 @@ def test_run_observability_writes_payload(tmp_path):
     assert payload["constant"] > 0.0
     assert payload["iterations"] == 1
     assert payload["dense_constant"] == pytest.approx(payload["constant"], rel=1e-6)
+
+
+def test_run_stefan_artifacts_replay_bitwise(tmp_path):
+    out = str(tmp_path / "stefan")
+    cfg = _write(tmp_path, "cfg.json", {
+        "scenario": "stefan",
+        "physical": {"T": 0.3, "z0": {"kind": "sine", "amplitude": 0.3}},
+        "scheme": {"n": 24, "m": 48},
+        "out_dir": out,
+    })
+    assert main(["run", "--config", cfg]) == 0
+    with open(os.path.join(out, "boundary.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    path = BoundaryPath(*(np.array([float(r[k]) for r in rows])
+                          for k in ("time", "radius", "slope")))
+    state, _ = read_field_csv(os.path.join(out, "state.csv"))
+    replay = solve_forward(state.values[:, 0], path, None, None, SchemeConfig(n=24, m=48))
+    assert np.all(np.diff(path.radii) >= 0.0)
+    assert _load(out, "summary.json")["R_final"] == path.radii[-1]
+    assert np.array_equal(replay.values, state.values)
+
+
+def test_manifest_records_observability_config(tmp_path):
+    out = str(tmp_path / "obs")
+    cfg = _write(tmp_path, "cfg.json", {
+        "scenario": "observability",
+        "scheme": {"n": 16, "m": 32},
+        "observability": {"relative_floor": 1e-3},
+        "out_dir": out,
+    })
+    assert main(["run", "--config", cfg]) == 0
+    assert _load(out, "manifest.json")["observability"] == {"relative_floor": 1e-3}
 
 
 def test_run_carleman_writes_trials(tmp_path):

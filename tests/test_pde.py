@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stefanlab import pde
 from stefanlab.control import dense_gramian
 from stefanlab.domain import (
     ROLE_CONTROL,
@@ -207,7 +208,7 @@ def test_observation_sweeps_check_mask_before_stepping(monkeypatch):
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran before the mask check")
 
-    monkeypatch.setattr(prop, "_solve_implicit", no_step)
+    monkeypatch.setattr(pde, "_solve_implicit", no_step)
     phiT = np.zeros(cfg.n + 1)
     phiT[1:-1] = 1.0
     with pytest.raises(GridError):
