@@ -20,9 +20,11 @@ flag, the STEFANLAB_OUT_DIR environment variable, the config's own out_dir,
 then `runs/<scenario>`.  A sweep puts every run in `<root>/<config-stem>`
 under its root (--out-dir, then STEFANLAB_OUT_DIR, then `sweeps`), whatever
 out_dir the config sets, and refuses configs that share a stem.  It runs
-its entries on a bounded worker pool, collects one row per run into
-`sweep.csv`, keeps going past individual failures, and exits nonzero if any
-row failed.
+its entries on a pool of --workers threads, one by default: the runs are
+mostly Python-level stepping that holds the interpreter lock, so more
+threads contend for it and a sweep gets slower, not faster.  It collects
+one row per run into `sweep.csv`, keeps going past individual failures,
+and exits nonzero if any row failed.
 
 Exit codes: 0 success, 1 scenario failure, 2 configuration or usage error.
 """
@@ -688,10 +690,11 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="path to a JSON config")
     p_run.add_argument("--out-dir", default=None, help="override the output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_sweep = sub.add_parser("sweep", help="run a batch of configs concurrently")
+    p_sweep = sub.add_parser("sweep", help="run a batch of configs on a thread pool")
     p_sweep.add_argument("--configs", required=True, help="glob of JSON configs")
     p_sweep.add_argument("--out-dir", default=None, help="root for per-run output dirs")
-    p_sweep.add_argument("--workers", type=int, default=4, help="worker pool size")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="thread pool size (default 1; runs hold the interpreter lock)")
     args = parser.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)

@@ -14,7 +14,9 @@ eps itself whenever the minimizer is nonzero.  All inner products are taken
 in L2(0, R(T)); the Gramian is symmetric positive semidefinite in that
 pairing by construction, and at desk grid sizes it is a small dense matrix,
 assembled on interior nodes by one blocked adjoint sweep
-(`Propagator.assemble_forms`).
+(`Propagator.assemble_forms`).  The oracle `dense_gramian` builds the same
+matrix the slow way, one Gramian apply per interior unit column, all the
+columns in one blocked pass.
 
 The controlled final state, the optimality residual, and the identity
 y(T) = -eps phiT (quadratic variant) are cheap a posteriori checks; the
@@ -90,18 +92,17 @@ def apply_gramian(phiT, path: BoundaryPath, potential, control_radius: float,
 
 def dense_gramian(path: BoundaryPath, potential, control_radius: float,
                   cfg: SchemeConfig) -> np.ndarray:
-    """Column-by-column Gramian assembly; validation oracle for small grids."""
+    """Gramian assembly by Gramian applies; validation oracle for small grids.
+
+    One blocked `apply_gramian` on every interior unit column at once: each
+    column is an adjoint sweep, mask and forward sweep of its own, bitwise
+    equal to the apply of that unit vector alone, and independent of the
+    accumulated sums of `assemble_forms`.
+    """
     if cfg.n > 64 or cfg.m > 128:
         raise GridError(f"dense assembly capped at (64, 128), got ({cfg.n}, {cfg.m})")
     prop = Propagator(path, potential, cfg, control_radius=control_radius)
-    ni = cfg.n - 1
-    G = np.zeros((ni, ni))
-    e = np.zeros(cfg.n + 1)
-    for i in range(ni):
-        e[:] = 0.0
-        e[i + 1] = 1.0
-        G[:, i] = prop.apply_gramian(e)[1:-1]
-    return G
+    return prop.apply_gramian(np.eye(cfg.n + 1)[:, 1:-1])[1:-1]
 
 
 def solve_hum(u0, path: BoundaryPath, potential, control_radius: float,

@@ -336,9 +336,10 @@ def write_field_csv(path, field: SpaceTimeField, grid: ReferenceGrid) -> None:
         )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(repr(float(x)) for x in grid.nodes)
-        for j in range(field.values.shape[1]):
-            writer.writerow(repr(float(x)) for x in field.values[:, j])
+        # the writer formats Python floats with repr, the shortest round-trip
+        # form; one level at a time, so no Python copy of the field is held
+        writer.writerow(grid.nodes.tolist())
+        writer.writerows(level.tolist() for level in field.values.T)
 
 
 def read_field_csv(path, role: str = ROLE_STATE) -> tuple[SpaceTimeField, ReferenceGrid]:

@@ -15,10 +15,12 @@ slice (the radius ratio factors of the backward steps absorb the change of
 slice inner products exactly, so backward sweep followed by free forward
 sweep is Euclidean-symmetric on interior nodes).  The supremum is the
 dominant eigenvalue of the generalized symmetric problem A x = mu B x,
-solved by scipy.linalg.eigh.  A column-by-column assembly of both forms
-through single-column sweeps (two per column for the numerator, the
-Gramian apply for the denominator) is kept as a brute-force oracle at small
-grid sizes.
+solved by scipy.linalg.eigh.  A brute-force oracle at small grid sizes
+assembles both forms from the sweeps of every interior unit column at once,
+without the accumulated sums of the blocked assembly: one blocked adjoint
+sweep then one blocked free forward sweep give the numerator, and one
+blocked Gramian apply the denominator, each column bitwise equal to the
+single-column sweeps it stands for.
 
 A numerical hazard shapes both paths, verified against exact-arithmetic
 replicas of the discrete pair: terminal data built from the highest grid
@@ -69,8 +71,8 @@ class ObservabilityConfig:
 class ObservabilityEstimate:
     """Dominant generalized eigenvalue with the run that produced it.
 
-    iterations counts the assembly's passes: one blocked sweep for
-    estimate_constant, one column per interior node for dense_constant.
+    iterations counts one blocked sweep for estimate_constant and, for
+    dense_constant, the columns assembled: one per interior node.
     """
 
     constant: float
@@ -133,10 +135,14 @@ def estimate_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
 def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
                    cfg: SchemeConfig, obs: ObservabilityConfig | None = None,
                    b: float | None = None) -> ObservabilityEstimate:
-    """Assemble both forms column by column and solve the eigenproblem.
+    """Assemble both forms from unit-column sweeps and solve the eigenproblem.
 
-    Brute-force oracle for estimate_constant; capped at small grids because
-    each column costs four single-column sweeps.
+    Brute-force oracle for estimate_constant.  Every interior unit column
+    goes through an adjoint sweep then a free forward sweep (numerator) and
+    a Gramian apply (denominator), all columns in one blocked pass per
+    sweep, with the seed vector as one more column of the Gramian apply.
+    Each column still costs four sweeps' worth of arithmetic, so the oracle
+    stays capped at small grids.
     """
     if cfg.n > _DENSE_NODE_CAP or cfg.m > _DENSE_STEP_CAP:
         raise GridError(
@@ -145,19 +151,14 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
     obs = obs or ObservabilityConfig()
     prop = _propagator(path, potential, setup, cfg, b)
     n_int = cfg.n - 1
-
-    def pad(x):
-        full = np.zeros(cfg.n + 1)
-        full[1:-1] = x
-        return full
-
-    amat = np.empty((n_int, n_int))
-    bmat = np.empty((n_int, n_int))
-    eye = np.eye(n_int)
-    for i in range(n_int):
-        e = pad(eye[:, i])
-        amat[:, i] = prop.run_forward(prop.run_adjoint(e)[:, 0])[1:-1, -1]
-        bmat[:, i] = prop.apply_gramian(e)[1:-1]
+    s = _seed(n_int)
+    # interior unit columns, then the padded seed as one more column
+    block = np.zeros((cfg.n + 1, n_int + 1))
+    block[1:-1, :n_int] = np.eye(n_int)
+    block[1:-1, n_int] = s
+    amat = prop.run_forward(prop.run_adjoint(block[:, :n_int])[:, 0])[1:-1, -1]
+    images = prop.apply_gramian(block)[1:-1]
+    bmat = images[:, :n_int]
     for name, mat in (("numerator", amat), ("denominator", bmat)):
         gap = float(np.max(np.abs(mat - mat.T)))
         scale = max(float(np.max(np.abs(mat))), 1.0)
@@ -165,7 +166,9 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
             raise GridError(f"{name} form lost symmetry: gap {gap:.3e}")
     amat = 0.5 * (amat + amat.T)
     bmat = 0.5 * (bmat + bmat.T)
-    s = _seed(n_int)
-    seed_value = float(s @ prop.apply_gramian(pad(s))[1:-1])
+    # s against a strided column: BLAS sums a strided vector in another order
+    # than a contiguous one, and the strided order keeps the constant bitwise
+    # equal to the column loop the tests keep as the reference
+    seed_value = float(s @ images[:, n_int])
     mu = _dominant(amat, bmat, seed_value, obs.relative_floor, cfg)
     return ObservabilityEstimate(constant=mu, iterations=n_int, nodes=cfg.n, steps=cfg.m)

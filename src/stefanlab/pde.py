@@ -117,13 +117,18 @@ def _theta_step(cfg, rho_int, h, dt, j, here, there):
     return explicit, (dlf, df, duf, du2, ipiv)
 
 
+def _down(values, ndim):
+    """values with unit axes appended, to broadcast down the leading axes of
+    an ndim-array whose trailing axis runs over the columns of a block."""
+    return values.reshape(values.shape + (1,) * (ndim - values.ndim))
+
+
 def _apply_explicit(explicit, x, transposed=False):
     """Explicit operator (or its transpose) on an (n-1,) column or an (n-1, k) block."""
     sub, dg, sup = explicit
     if transposed:
         sub, sup = sup, sub
-    if x.ndim == 2:
-        sub, dg, sup = sub[:, None], dg[:, None], sup[:, None]
+    sub, dg, sup = _down(sub, x.ndim), _down(dg, x.ndim), _down(sup, x.ndim)
     y = dg * x
     y[1:] += sub * x[:-1]
     y[:-1] += sup * x[1:]
@@ -161,7 +166,8 @@ def _step_forcing(theta, here, there, lag=None):
 
 
 def _lagged_reaction(nonlinearity, x, r_int):
-    """r f(u/r) on an interior column at physical radii r_int."""
+    """r f(u/r) on an interior column or block at physical radii r_int."""
+    r_int = _down(r_int, x.ndim)
     return r_int * nonlinearity.value(x / r_int)
 
 
@@ -190,14 +196,22 @@ def _coerce_potential(potential, n, m):
     return values
 
 
-def _check_initial(u0, n):
+def _check_initial(u0, n, block=False):
+    """Initial or final data: an (n+1,) column or, with block set, an
+    (n+1, k) block of columns; every column must vanish at both endpoints."""
     u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (n + 1,):
-        raise GridError(f"initial data shape {u0.shape}, expected {(n + 1,)}")
-    scale = max(1.0, float(np.max(np.abs(u0)))) if u0.size else 1.0
-    if abs(u0[0]) > 1e-12 * scale or abs(u0[-1]) > 1e-12 * scale:
+    if u0.shape[:1] != (n + 1,) or u0.ndim > (2 if block else 1):
+        expected = f"({n + 1},) or ({n + 1}, k)" if block else f"({n + 1},)"
+        raise GridError(f"initial data shape {u0.shape}, expected {expected}")
+    # fmax skips NaN as max(1.0, nan) does, so a NaN entry sets no scale
+    scale = np.fmax(1.0, np.max(np.abs(u0), axis=0))
+    bad = np.flatnonzero((np.abs(u0[0]) > 1e-12 * scale) | (np.abs(u0[-1]) > 1e-12 * scale))
+    if bad.size:
+        col = u0[:, bad[0]] if u0.ndim == 2 else u0
+        where = f" in column {bad[0]}" if u0.ndim == 2 else ""
         raise EndpointConditionError(
-            f"initial data must vanish at both endpoints, got {u0[0]:.3e}, {u0[-1]:.3e}"
+            f"initial data must vanish at both endpoints{where}, "
+            f"got {col[0]:.3e}, {col[-1]:.3e}"
         )
     return u0
 
@@ -268,34 +282,40 @@ class Propagator:
 
     # -- sweeps ------------------------------------------------------------------
 
-    def _combine_source(self, source, masked):
+    def _combine_source(self, source, masked, cols):
         src = source.values if isinstance(source, SpaceTimeField) else np.asarray(source, dtype=float)
-        if src.shape != (self.n + 1, self.m + 1):
-            raise GridError(f"source shape {src.shape}, expected {(self.n + 1, self.m + 1)}")
+        expected = (self.n + 1, self.m + 1) + cols
+        if src.shape != expected:
+            raise GridError(f"source shape {src.shape}, expected {expected}")
         if masked:
             if self.mask is None:
                 raise GridError("control source given but no control radius configured")
-            src = src * self.mask
+            src = src * _down(self.mask, src.ndim)
         return src
 
     def run_forward(self, u0, source=None, source_role: str = ROLE_SOURCE,
                     reaction=None) -> np.ndarray:
         """Forward sweep; returns the (n+1, m+1) trajectory array.
 
-        A source with the control role is masked to the nodes with
-        rho_i R(t_j) < control_radius, column by column; any other source is
-        applied as given.  Sources are sampled on time nodes and enter each
-        step through the same theta average as the operator.  A reaction f
-        (any object with a value method) adds -r f(u/r) evaluated on the
-        current level, lagged one step.
+        u0 is an (n+1,) column or an (n+1, k) block of columns; a block
+        gives an (n+1, m+1, k) trajectory whose column i equals the sweep of
+        u0[:, i] alone, bit for bit, and a source must then carry the same
+        trailing axis.  A source with the control role is masked to the
+        nodes with rho_i R(t_j) < control_radius, time level by time level
+        and column by column; any other source is applied as given.
+        Sources are sampled on time nodes and enter each step through the
+        same theta average as the operator.  A reaction f (any object with a
+        value method) adds -r f(u/r) evaluated on the current level, lagged
+        one step.
         """
-        u0 = _check_initial(u0, self.n)
+        u0 = _check_initial(u0, self.n, block=True)
+        cols = u0.shape[1:]
         src = None
         if source is not None:
-            src = self._combine_source(source, masked=(source_role == ROLE_CONTROL))
+            src = self._combine_source(source, masked=(source_role == ROLE_CONTROL), cols=cols)
         theta = self.cfg.theta
         rho_int = self.rho[1:-1]
-        w = np.zeros((self.n + 1, self.m + 1))
+        w = np.zeros((self.n + 1, self.m + 1) + cols)
         w[:, 0] = u0
         x = u0[1:-1].copy()
         for j in range(self.m):
@@ -349,21 +369,24 @@ class Propagator:
     def run_adjoint(self, phiT, forcing=None, with_observation=False):
         """Backward sweep from the final datum phiT; exact transpose steps.
 
-        Returns the trajectory, or (trajectory, observation) when
-        with_observation is set.  The observation array holds the masked
-        per-node control samples of the backward solution, i.e. the image of
-        phiT under the transpose of the source-to-final-state map; it is the
-        HUM control candidate associated with phiT.
+        phiT is an (n+1,) column or an (n+1, k) block, shaped and checked as
+        the initial data of `run_forward`, and a forcing carries the block's
+        trailing axis.  Returns the trajectory, or (trajectory, observation)
+        when with_observation is set.  The observation array holds the
+        masked per-node control samples of the backward solution, i.e. the
+        image of phiT under the transpose of the source-to-final-state map;
+        it is the HUM control candidate associated with phiT.
         """
-        phiT = _check_initial(phiT, self.n)
+        phiT = _check_initial(phiT, self.n, block=True)
         if with_observation:
             self._require_mask()
+        cols = phiT.shape[1:]
         fsrc = None
         if forcing is not None:
-            fsrc = self._combine_source(forcing, masked=False)
-        phi = np.zeros((self.n + 1, self.m + 1))
+            fsrc = self._combine_source(forcing, masked=False, cols=cols)
+        phi = np.zeros((self.n + 1, self.m + 1) + cols)
         phi[:, self.m] = phiT
-        obs = np.zeros((self.n + 1, self.m + 1)) if with_observation else None
+        obs = np.zeros((self.n + 1, self.m + 1) + cols) if with_observation else None
         for j, chi, x, w_next, w_here in self._backward_steps(phiT[1:-1].copy(), fsrc):
             if obs is not None:
                 obs[1:-1, j + 1] += w_next * chi
@@ -375,7 +398,7 @@ class Propagator:
                 suggested_nodes=2 * self.n, suggested_steps=2 * self.m,
             )
         if obs is not None:
-            obs *= self.mask
+            obs *= _down(self.mask, obs.ndim)
             return phi, obs
         return phi
 
@@ -390,7 +413,7 @@ class Propagator:
 
         accumulated as soon as each level is complete, so only two levels
         are ever held; G equals the interior block of `apply_gramian`
-        applied column by column, up to rounding.  P is the sweep at t = 0,
+        applied to the identity, up to rounding.  P is the sweep at t = 0,
         and (R_0/R_T) P^T P is the numerator form of the observability
         inequality (backward sweep, then free forward sweep, by duality).
         """
@@ -418,13 +441,41 @@ class Propagator:
     def apply_gramian(self, phiT) -> np.ndarray:
         """Adjoint sweep, mask, forward sweep from zero data; state at T.
 
+        phiT is an (n+1,) column or an (n+1, k) block; the result has its
+        shape, and each column equals the image of that column alone, bit
+        for bit.  Neither trajectory is kept: only the masked observation
+        levels, on the rows the mask ever reaches (rho_i R_j < b holds on a
+        prefix of rows at every level), padded back to full height as the
+        forcing of each forward step.
+
         Symmetric and positive semidefinite in the L2(0, R(T)) pairing, with
         <Gramian phiT, phiT> equal to the squared control cost of the masked
         backward samples up to rounding.
         """
-        _, obs = self.run_adjoint(phiT, with_observation=True)
-        w = self.run_forward(np.zeros(self.n + 1), source=obs, source_role=ROLE_CONTROL)
-        return w[:, -1]
+        phiT = _check_initial(phiT, self.n, block=True)
+        self._require_mask()
+        cols = phiT.shape[1:]
+        inside = self.mask[1:-1]
+        reach = int(np.count_nonzero(inside.any(axis=1)))
+        obs = np.zeros((self.m + 1, reach) + cols)
+        for j, chi, _, w_next, w_here in self._backward_steps(phiT[1:-1].copy()):
+            obs[j + 1] += w_next * chi[:reach]
+            obs[j] += w_here * chi[:reach]
+        obs *= _down(inside[:reach].T, obs.ndim)
+        theta = self.cfg.theta
+        x = np.zeros((self.n - 1,) + cols)
+        extra = np.zeros_like(x)
+        for j in range(self.m):
+            extra[:reach] = _step_forcing(theta, obs[j], obs[j + 1])
+            x = _forward_step(self._explicit[j], self._factors[j], x, self.dt, extra)
+        if not np.all(np.isfinite(x)):
+            raise InstabilityError(
+                "Gramian sweeps produced non-finite values",
+                suggested_nodes=2 * self.n, suggested_steps=2 * self.m,
+            )
+        out = np.zeros(phiT.shape)
+        out[1:-1] = x
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -224,3 +224,27 @@ def test_field_csv_roundtrip(tmp_path):
     back, back_grid = read_field_csv(target)
     assert back_grid.n == 12
     assert np.array_equal(back.values, vals)   # repr round trip is bitwise
+
+
+def test_field_csv_bytes_match_scalar_repr(tmp_path):
+    # the writer formats Python floats in bulk; its bytes must equal the
+    # scalar form repr(float(x)) row by row, csv line ends included
+    import csv
+    import io
+
+    grid = ReferenceGrid(8)
+    vals = np.random.default_rng(5).standard_normal((9, 6))
+    vals[:, 1] = [-0.0, 5e-324, 1e300, -1e300, 3.0, -2.0, 0.0, 1e-310, 7.0]
+    vals[4, 3] = 1e22
+    field = SpaceTimeField(vals, role=ROLE_CONTROL)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(repr(float(x)) for x in grid.nodes)
+    for j in range(vals.shape[1]):
+        writer.writerow(repr(float(x)) for x in vals[:, j])
+    target = tmp_path / "field.csv"
+    write_field_csv(target, field, grid)
+    assert target.read_bytes() == expected.getvalue().encode()
+    assert b"\r\n" in target.read_bytes()
+    back, _ = read_field_csv(target, role=ROLE_CONTROL)
+    assert back.values.tobytes() == vals.tobytes()

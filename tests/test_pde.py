@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stefanlab import pde
+from stefanlab import observability, pde
 from stefanlab.control import dense_gramian
 from stefanlab.domain import (
     ROLE_CONTROL,
+    PhysicalSetup,
     constant_path,
     line_l2_norm,
     path_from_function,
@@ -22,7 +23,7 @@ from stefanlab.pde import (
     solve_forward,
     solve_semilinear,
 )
-from stefanlab.stefan import Nonlinearity
+from stefanlab.stefan import Nonlinearity, coupled_solve
 
 
 def _eigenmode_error(n, m, theta, T=0.1):
@@ -242,6 +243,163 @@ def test_blocked_forms_match_column_oracles(n, m, theta, amp, freq, radius, seed
     assert np.array_equal(G, G.T)
     assert np.max(np.abs(G - G_cols)) <= 1e-13 * np.max(np.abs(G_cols))
     assert np.max(np.abs(A - A_cols)) <= 1e-13 * np.max(np.abs(A_cols))
+
+
+def _dense_constant_columns(path, potential, setup, cfg, obs=None, b=None):
+    """Reference: the column loop of `dense_constant` before its sweeps took
+    blocks (four single-column sweeps per column), verbatim but for the
+    seed's dot product.  That loop's apply_gramian returned a column of the
+    (n+1, m+1) trajectory, a strided vector, which BLAS sums in another
+    order than a contiguous one; a strided copy keeps its bits."""
+    from stefanlab.observability import (
+        _DENSE_NODE_CAP,
+        _DENSE_STEP_CAP,
+        ObservabilityConfig,
+        ObservabilityEstimate,
+        _dominant,
+        _propagator,
+        _seed,
+    )
+
+    if cfg.n > _DENSE_NODE_CAP or cfg.m > _DENSE_STEP_CAP:
+        raise GridError(
+            f"dense assembly capped at ({_DENSE_NODE_CAP}, {_DENSE_STEP_CAP}), "
+            f"got ({cfg.n}, {cfg.m})")
+    obs = obs or ObservabilityConfig()
+    prop = _propagator(path, potential, setup, cfg, b)
+    n_int = cfg.n - 1
+
+    def pad(x):
+        full = np.zeros(cfg.n + 1)
+        full[1:-1] = x
+        return full
+
+    amat = np.empty((n_int, n_int))
+    bmat = np.empty((n_int, n_int))
+    eye = np.eye(n_int)
+    for i in range(n_int):
+        e = pad(eye[:, i])
+        amat[:, i] = prop.run_forward(prop.run_adjoint(e)[:, 0])[1:-1, -1]
+        bmat[:, i] = prop.apply_gramian(e)[1:-1]
+    for name, mat in (("numerator", amat), ("denominator", bmat)):
+        gap = float(np.max(np.abs(mat - mat.T)))
+        scale = max(float(np.max(np.abs(mat))), 1.0)
+        if gap > 1e-12 * scale:
+            raise GridError(f"{name} form lost symmetry: gap {gap:.3e}")
+    amat = 0.5 * (amat + amat.T)
+    bmat = 0.5 * (bmat + bmat.T)
+    s = _seed(n_int)
+    strided = np.zeros((cfg.n + 1, 2))
+    strided[:, 0] = prop.apply_gramian(pad(s))
+    seed_value = float(s @ strided[1:-1, 0])
+    mu = _dominant(amat, bmat, seed_value, obs.relative_floor, cfg)
+    return ObservabilityEstimate(constant=mu, iterations=n_int, nodes=cfg.n, steps=cfg.m)
+
+
+def _stack(fn, block):
+    """fn applied to each column of block alone, stacked on a new last axis."""
+    return np.stack([fn(block[:, i]) for i in range(block.shape[1])], axis=-1)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(n=st.integers(8, 32), m=st.integers(8, 64),
+       theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
+       freq=st.integers(1, 3), with_potential=st.booleans(),
+       radius=st.sampled_from([0.2, 0.3, 0.45, np.inf]),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_sweeps_equal_column_sweeps_bitwise(n, m, theta, amp, freq, with_potential,
+                                                  radius, seed):
+    # every column of a blocked sweep or Gramian apply is the 1-D call on
+    # that column, bit for bit, and so are both oracles built on them
+    cfg = SchemeConfig(n=n, m=m, theta=theta)
+    path = path_from_function(lambda t: 1.0 + amp * np.sin(freq * np.pi * t),
+                              lambda t: amp * freq * np.pi * np.cos(freq * np.pi * t),
+                              0.4, m)
+    rng = np.random.default_rng(seed)
+    pot = rng.uniform(-3.0, 3.0, size=(n + 1, m + 1)) if with_potential else None
+    prop = Propagator(path, pot, cfg, control_radius=radius)
+    block = np.zeros((n + 1, 3))
+    block[1:-1] = rng.standard_normal((n - 1, 3))
+    src = rng.standard_normal((n + 1, m + 1, 3))
+    f = Nonlinearity.sine()
+
+    assert np.array_equal(prop.run_forward(block), _stack(prop.run_forward, block))
+    for role in (pde.ROLE_SOURCE, ROLE_CONTROL):
+        got = prop.run_forward(block, source=src, source_role=role, reaction=f)
+        want = np.stack([prop.run_forward(block[:, i], source=src[..., i], source_role=role,
+                                          reaction=f) for i in range(3)], axis=-1)
+        assert np.array_equal(got, want)
+    assert np.array_equal(prop.run_adjoint(block), _stack(prop.run_adjoint, block))
+    got = prop.run_adjoint(block, forcing=src)
+    want = np.stack([prop.run_adjoint(block[:, i], forcing=src[..., i]) for i in range(3)],
+                    axis=-1)
+    assert np.array_equal(got, want)
+    phi, obs = prop.run_adjoint(block, with_observation=True)
+    for i in range(3):
+        phi_i, obs_i = prop.run_adjoint(block[:, i], with_observation=True)
+        assert np.array_equal(phi[..., i], phi_i) and np.array_equal(obs[..., i], obs_i)
+    assert np.array_equal(prop.apply_gramian(block), _stack(prop.apply_gramian, block))
+
+    unit = np.eye(n + 1)[:, 1:-1]
+    assert np.array_equal(dense_gramian(path, pot, radius, cfg),
+                          _stack(prop.apply_gramian, unit)[1:-1])
+    setup = PhysicalSetup()
+    est = observability.dense_constant(path, pot, setup, cfg, b=radius)
+    ref = _dense_constant_columns(path, pot, setup, cfg, b=radius)
+    assert est.constant == ref.constant and est.iterations == ref.iterations == n - 1
+
+
+def test_block_inputs_validated_in_one_place():
+    cfg = SchemeConfig(n=12, m=10)
+    path = constant_path(1.0, 0.2, cfg.m)
+    prop = Propagator(path, None, cfg, control_radius=0.4)
+    good = np.zeros((cfg.n + 1, 2))
+    good[1:-1] = 1.0
+    for sweep in (prop.run_forward, prop.run_adjoint, prop.apply_gramian):
+        with pytest.raises(GridError):
+            sweep(np.zeros((cfg.n + 1, 2, 2)))      # a 3-D array
+        with pytest.raises(GridError):
+            sweep(np.zeros((cfg.n, 2)))             # wrong length
+        with pytest.raises(GridError):
+            sweep(np.zeros(cfg.n + 2))
+        bad = good.copy()
+        bad[-1, 1] = 1e-3                           # second column only
+        with pytest.raises(EndpointConditionError, match="column 1"):
+            sweep(bad)
+    # a block's source carries the block's axis: a plain (n+1, m+1) source is refused
+    with pytest.raises(GridError):
+        prop.run_forward(good, source=np.ones((cfg.n + 1, cfg.m + 1)))
+    with pytest.raises(GridError):
+        prop.run_adjoint(good, forcing=np.ones((cfg.n + 1, cfg.m + 1, 3)))
+    # the coupled march takes one column only
+    with pytest.raises(GridError):
+        coupled_solve(good, PhysicalSetup(T=0.2), None, cfg)
+
+
+def test_block_control_source_masked_per_column():
+    # values outside the control region change nothing, column by column,
+    # and each column's masked source drives that column alone
+    cfg = SchemeConfig(n=16, m=12)
+    path = path_from_function(lambda t: 1.0 + 0.2 * t, lambda t: 0.2 + 0.0 * t, 0.3, cfg.m)
+    prop = Propagator(path, None, cfg, control_radius=0.45)
+    rng = np.random.default_rng(11)
+    u0 = np.zeros((cfg.n + 1, 2))
+    src = rng.standard_normal((cfg.n + 1, cfg.m + 1, 2))
+    outside = src.copy()
+    outside[prop.mask == 0.0] += np.array([5.0, -7.0])
+    inside = prop.run_forward(u0, source=src, source_role=ROLE_CONTROL)
+    assert np.array_equal(prop.run_forward(u0, source=outside, source_role=ROLE_CONTROL),
+                          inside)
+    assert not np.array_equal(prop.run_forward(u0, source=outside), prop.run_forward(u0, source=src))
+    only_first = src.copy()
+    only_first[..., 1] = 0.0
+    both = prop.run_forward(u0, source=only_first, source_role=ROLE_CONTROL)
+    assert np.array_equal(both[..., 0], inside[..., 0])
+    assert not np.any(both[..., 1])
+    # an adjoint forcing acts per column and is never masked
+    g = prop.run_adjoint(u0, forcing=outside)
+    assert np.array_equal(g[..., 1], prop.run_adjoint(u0[:, 1], forcing=outside[..., 1]))
+    assert not np.array_equal(g, prop.run_adjoint(u0, forcing=src))
 
 
 def test_boundary_flux_polynomial_exact():
