@@ -46,6 +46,7 @@ from .control import (
 )
 from .weights import (
     EMPIRICAL_RATIO_BOUND,
+    CarlemanConfig,
     CarlemanParams,
     CarlemanReport,
     ProfileReport,

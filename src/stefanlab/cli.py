@@ -6,8 +6,13 @@ Two commands::
     stefanlab sweep --configs 'configs/*.json' [--out-dir DIR] [--workers K]
 
 A config is a single JSON object selecting a scenario and filling the
-sub-configurations; unknown keys and invalid values fail fast with the
-offending field path.  Every run writes `summary.json` (scalar diagnostics
+sub-configurations.  Each section (`physical`, `scheme`, `hum`,
+`fixedpoint`, `carleman`, `observability`) is read against the fields of
+its dataclass, which fix its keys, defaults and value types; the nested
+`physical.z0` and `physical.nonlinearity` objects check their keys per
+kind.  Unknown keys and malformed or invalid values fail fast with the
+offending field path, e.g. `fixedpoint.epsilon_schedule[0]`, and exit 2
+before anything runs.  Every run writes `summary.json` (scalar diagnostics
 only), `manifest.json` (the resolved config echoed back plus the package
 version), and scenario-specific artifacts (state CSVs, `hum-summary.json`,
 `carleman-report.json`, `observability.json`, `fixedpoint-history.csv`).
@@ -23,8 +28,9 @@ out_dir the config sets, and refuses configs that share a stem.  It runs
 its entries on a pool of --workers threads, one by default: the runs are
 mostly Python-level stepping that holds the interpreter lock, so more
 threads contend for it and a sweep gets slower, not faster.  It collects
-one row per run into `sweep.csv`, keeps going past individual failures,
-and exits nonzero if any row failed.
+one row per run into `sweep.csv` (standard CSV: a cell holding a comma or
+a quote, such as an error message, is quoted), keeps going past
+individual failures, and exits nonzero if any row failed.
 
 Exit codes: 0 success, 1 scenario failure, 2 configuration or usage error.
 """
@@ -32,13 +38,14 @@ Exit codes: 0 success, 1 scenario failure, 2 configuration or usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import glob as globmod
 import json
 import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -65,7 +72,7 @@ from .errors import (
 from .observability import ObservabilityConfig, dense_constant, estimate_constant
 from .pde import Propagator, SchemeConfig, boundary_flux, solve_adjoint, solve_forward, solve_semilinear
 from .stefan import FixedPointConfig, Nonlinearity, coupled_solve, fixed_point_iterate, write_history_csv
-from .weights import CarlemanParams, carleman_sides, check_weight_profile
+from .weights import CarlemanConfig, CarlemanParams, carleman_sides, check_weight_profile
 
 _ENV_OUT = "STEFANLAB_OUT_DIR"
 _RUN_ERRORS = (
@@ -138,155 +145,111 @@ _SCENARIOS = ("forward", "convergence", "semilinear", "adjoint", "hum",
               "stefan", "fixedpoint", "carleman", "observability")
 _TOP_KEYS = ("scenario", "physical", "scheme", "hum", "fixedpoint",
              "carleman", "observability", "seed", "out_dir")
+_Z0_KEYS = {"zero": {}, "sine": {"amplitude": float, "mode": int}}
+_NONLINEARITY_KEYS = {
+    "zero": {},
+    "linear": {"slope": float},
+    "sine": {"amplitude": float},
+    "table": {"s": tuple, "f": tuple, "slope_at_zero": float},
+}
 
 
-def _section(raw: dict, name: str, allowed: tuple) -> dict:
-    body = raw.get(name, {})
-    if body is None:
-        body = {}
-    if not isinstance(body, dict):
-        raise ConfigError(name, f"expected an object, got {type(body).__name__}")
-    for key in body:
-        if key not in allowed:
-            raise ConfigError(f"{name}.{key}", "unknown key")
-    return body
+def _value(value, kind: type, field: str):
+    """One config value as `kind`: str, int, float, or a tuple of floats.
 
-
-def _number(body: dict, field: str, key: str, default, integer: bool = False):
-    value = body.get(key, default)
+    A bool is never a number; an int takes only an integral number.
+    """
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(field, f"expected a string, got {value!r}")
+        return value
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(field, f"expected a list, got {type(value).__name__}")
+        return tuple(_value(item, float, f"{field}[{k}]") for k, item in enumerate(value))
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{field}.{key}", f"expected a number, got {value!r}")
-    if integer:
-        if int(value) != value:
-            raise ConfigError(f"{field}.{key}", f"expected an integer, got {value!r}")
+        raise ConfigError(field, f"expected a number, got {value!r}")
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(field, f"expected an integer, got {value!r}")
         return int(value)
     return float(value)
 
 
-def _nonlinearity_from(body, field: str):
+def _section(raw: dict, name: str, cls, nested: dict | None = None):
+    """Build the dataclass `cls` from the config section `name`.
+
+    The section's keys, defaults and value types are the fields of `cls`,
+    each typed by its default (see `_value`).  `nested` maps the fields
+    that default to None to their own readers, called as
+    reader(value, field path, the section's other values with defaults).
+    """
+    body = raw.get(name)
     if body is None:
-        return None
+        body = {}
+    if not isinstance(body, dict):
+        raise ConfigError(name, f"expected an object, got {type(body).__name__}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    for key in body:
+        if key not in defaults:
+            raise ConfigError(f"{name}.{key}", "unknown key")
+    nested = nested or {}
+    values = {key: _value(value, type(defaults[key]), f"{name}.{key}")
+              for key, value in body.items() if key not in nested}
+    for key, reader in nested.items():
+        values[key] = reader(body.get(key), f"{name}.{key}", {**defaults, **values})
+    try:
+        return cls(**values)
+    except (GridError, RadiusBoundsError, OutOfDomainError) as exc:
+        raise ConfigError(name, str(exc)) from exc
+
+
+def _kind(body, field: str, keys: dict, what: str):
+    """A nested object's kind and its other keys, typed by the kind's table."""
     if not isinstance(body, dict):
         raise ConfigError(field, f"expected an object, got {type(body).__name__}")
     kind = body.get("kind", "zero")
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"{field}.kind", f"unknown {what} kind {kind!r}")
+    values = {}
+    for key, value in body.items():
+        if key == "kind":
+            continue
+        if key not in keys[kind]:
+            raise ConfigError(f"{field}.{key}", "unknown key")
+        values[key] = _value(value, keys[kind][key], f"{field}.{key}")
+    return kind, values
+
+
+def _nonlinearity_from(body, field: str, physical: dict):
+    if body is None:
+        return None
+    kind, values = _kind(body, field, _NONLINEARITY_KEYS, "nonlinearity")
     try:
         if kind == "zero":
             return Nonlinearity.zero()
         if kind == "linear":
-            return Nonlinearity.linear(_number(body, field, "slope", 1.0))
+            return Nonlinearity.linear(**values)
         if kind == "sine":
-            return Nonlinearity.sine(_number(body, field, "amplitude", 1.0))
-        if kind == "table":
-            return Nonlinearity.from_table(
-                body.get("s", ()), body.get("f", ()), body.get("slope_at_zero"))
+            return Nonlinearity.sine(**values)
+        return Nonlinearity.from_table(values.get("s", ()), values.get("f", ()),
+                                       values.get("slope_at_zero"))
     except GridError as exc:
         raise ConfigError(field, str(exc)) from exc
-    raise ConfigError(f"{field}.kind", f"unknown nonlinearity kind {kind!r}")
 
 
-def _z0_from(body, field: str, R0: float):
+def _z0_from(body, field: str, physical: dict):
     if body is None:
         return None
-    if not isinstance(body, dict):
-        raise ConfigError(field, f"expected an object, got {type(body).__name__}")
-    kind = body.get("kind", "zero")
+    kind, values = _kind(body, field, _Z0_KEYS, "initial data")
     if kind == "zero":
         return None
-    if kind == "sine":
-        amplitude = _number(body, field, "amplitude", 1.0)
-        mode = _number(body, field, "mode", 1, integer=True)
-        if mode < 1:
-            raise ConfigError(f"{field}.mode", f"mode must be >= 1, got {mode}")
-        return lambda r: amplitude * np.sin(mode * np.pi * r / R0)
-    raise ConfigError(f"{field}.kind", f"unknown initial data kind {kind!r}")
-
-
-def _physical_from(raw: dict) -> PhysicalSetup:
-    body = _section(raw, "physical",
-                    ("R0", "R_star", "E", "T", "b", "b0", "z0", "nonlinearity"))
-    R0 = _number(body, "physical", "R0", 1.0)
-    try:
-        return PhysicalSetup(
-            R0=R0,
-            R_star=_number(body, "physical", "R_star", 0.5),
-            E=_number(body, "physical", "E", 1.5),
-            T=_number(body, "physical", "T", 0.5),
-            b=_number(body, "physical", "b", 0.3),
-            b0=_number(body, "physical", "b0", 0.25),
-            z0=_z0_from(body.get("z0"), "physical.z0", R0),
-            nonlinearity=_nonlinearity_from(body.get("nonlinearity"),
-                                            "physical.nonlinearity"),
-        )
-    except (RadiusBoundsError, OutOfDomainError) as exc:
-        raise ConfigError("physical", str(exc)) from exc
-
-
-def _scheme_from(raw: dict) -> SchemeConfig:
-    body = _section(raw, "scheme", ("n", "m", "theta", "flux_order"))
-    try:
-        return SchemeConfig(
-            n=_number(body, "scheme", "n", 50, integer=True),
-            m=_number(body, "scheme", "m", 100, integer=True),
-            theta=_number(body, "scheme", "theta", 0.5),
-            flux_order=_number(body, "scheme", "flux_order", 2, integer=True),
-        )
-    except GridError as exc:
-        raise ConfigError("scheme", str(exc)) from exc
-
-
-def _hum_from(raw: dict) -> HUMConfig:
-    body = _section(raw, "hum", ("epsilon", "variant", "prox_tol", "prox_max_iter"))
-    variant = body.get("variant", "quadratic")
-    if not isinstance(variant, str):
-        raise ConfigError("hum.variant", f"expected a string, got {variant!r}")
-    try:
-        return HUMConfig(
-            epsilon=_number(body, "hum", "epsilon", 1e-4),
-            variant=variant,
-            prox_tol=_number(body, "hum", "prox_tol", 1e-11),
-            prox_max_iter=_number(body, "hum", "prox_max_iter", 4000, integer=True),
-        )
-    except GridError as exc:
-        raise ConfigError("hum", str(exc)) from exc
-
-
-def _fixedpoint_from(raw: dict) -> FixedPointConfig:
-    body = _section(raw, "fixedpoint",
-                    ("K", "K1", "fp_tol", "max_outer", "epsilon_schedule"))
-    schedule = body.get("epsilon_schedule", ())
-    if not isinstance(schedule, (list, tuple)):
-        raise ConfigError("fixedpoint.epsilon_schedule",
-                          f"expected a list, got {type(schedule).__name__}")
-    try:
-        return FixedPointConfig(
-            K=_number(body, "fixedpoint", "K", 1.0),
-            K1=_number(body, "fixedpoint", "K1", 1.0),
-            fp_tol=_number(body, "fixedpoint", "fp_tol", 1e-6),
-            max_outer=_number(body, "fixedpoint", "max_outer", 50, integer=True),
-            epsilon_schedule=tuple(float(e) for e in schedule),
-        )
-    except GridError as exc:
-        raise ConfigError("fixedpoint", str(exc)) from exc
-
-
-def _carleman_from(raw: dict) -> dict:
-    body = _section(raw, "carleman", ("lam", "s", "k", "trials"))
-    return {
-        "lam": _number(body, "carleman", "lam", 1.0),
-        "s": _number(body, "carleman", "s", 1e-4),
-        "k": _number(body, "carleman", "k", 2, integer=True),
-        "trials": _number(body, "carleman", "trials", 24, integer=True),
-    }
-
-
-def _observability_from(raw: dict) -> ObservabilityConfig:
-    body = _section(raw, "observability", ("relative_floor",))
-    try:
-        return ObservabilityConfig(
-            relative_floor=_number(body, "observability", "relative_floor", 1e-4),
-        )
-    except GridError as exc:
-        raise ConfigError("observability", str(exc)) from exc
+    amplitude = values.get("amplitude", 1.0)
+    mode = values.get("mode", 1)
+    if mode < 1:
+        raise ConfigError(f"{field}.mode", f"mode must be >= 1, got {mode}")
+    R0 = physical["R0"]
+    return lambda r: amplitude * np.sin(mode * np.pi * r / R0)
 
 
 @dataclass(frozen=True)
@@ -298,7 +261,7 @@ class ExperimentConfig:
     scheme: SchemeConfig
     hum: HUMConfig
     fixedpoint: FixedPointConfig
-    carleman: dict
+    carleman: CarlemanConfig
     observability: ObservabilityConfig
     seed: int
     out_dir: str
@@ -329,7 +292,7 @@ def resolve_config(raw: dict, out_dir: str | None = None,
         raise ConfigError("scenario",
                           f"expected one of {', '.join(_SCENARIOS)}, got {scenario!r}")
     if seed is None:
-        seed = _number(raw, "config", "seed", 0, integer=True) if "seed" in raw else 0
+        seed = _value(raw.get("seed", 0), int, "seed")
     resolved_out = out_dir or os.environ.get(_ENV_OUT) or raw.get("out_dir") \
         or os.path.join("runs", scenario)
     if not isinstance(resolved_out, str):
@@ -339,13 +302,14 @@ def resolve_config(raw: dict, out_dir: str | None = None,
     echo["out_dir"] = resolved_out
     return ExperimentConfig(
         scenario=scenario,
-        physical=_physical_from(raw),
-        scheme=_scheme_from(raw),
-        hum=_hum_from(raw),
-        fixedpoint=_fixedpoint_from(raw),
-        carleman=_carleman_from(raw),
-        observability=_observability_from(raw),
-        seed=int(seed),
+        physical=_section(raw, "physical", PhysicalSetup,
+                          {"z0": _z0_from, "nonlinearity": _nonlinearity_from}),
+        scheme=_section(raw, "scheme", SchemeConfig),
+        hum=_section(raw, "hum", HUMConfig),
+        fixedpoint=_section(raw, "fixedpoint", FixedPointConfig),
+        carleman=_section(raw, "carleman", CarlemanConfig),
+        observability=_section(raw, "observability", ObservabilityConfig),
+        seed=seed,
         out_dir=resolved_out,
         raw=echo,
     )
@@ -506,8 +470,7 @@ def _scenario_fixedpoint(ec: ExperimentConfig) -> dict:
 def _scenario_carleman(ec: ExperimentConfig) -> dict:
     setup, cfg, path, _ = _base_objects(ec)
     section = ec.carleman
-    params = CarlemanParams.calibrate(section["lam"], section["s"],
-                                      section["k"], setup, path)
+    params = CarlemanParams.calibrate(section.lam, section.s, section.k, setup, path)
     doubled = params.doubled_s()
     rng = np.random.default_rng(ec.seed)
     profile = check_weight_profile(setup, path)
@@ -515,7 +478,7 @@ def _scenario_carleman(ec: ExperimentConfig) -> dict:
     monotone = True
     n = cfg.n
     rho = cfg.grid.nodes
-    for _ in range(section["trials"]):
+    for _ in range(section.trials):
         coeffs = rng.standard_normal(6) / (1.0 + np.arange(6))
         phiT = np.zeros(n + 1)
         for k, c in enumerate(coeffs, start=1):
@@ -600,12 +563,8 @@ def run_experiment(ec: ExperimentConfig) -> dict:
         "config": ec.raw,
         "scheme": asdict(ec.scheme),
         "hum": asdict(ec.hum),
-        "fixedpoint": {
-            "K": ec.fixedpoint.K, "K1": ec.fixedpoint.K1,
-            "fp_tol": ec.fixedpoint.fp_tol, "max_outer": ec.fixedpoint.max_outer,
-            "epsilon_schedule": list(ec.fixedpoint.epsilon_schedule),
-        },
-        "carleman": ec.carleman,
+        "fixedpoint": asdict(ec.fixedpoint),
+        "carleman": asdict(ec.carleman),
         "observability": asdict(ec.observability),
     })
     return summary
@@ -666,16 +625,16 @@ def _cmd_sweep(args) -> int:
     fixed = ["config", "scenario", "status", "exit_code", "error"]
     extra = sorted({k for row in rows for k in row} - set(fixed))
     columns = fixed + extra
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            value = row.get(col, "")
-            cells.append(repr(value) if isinstance(value, float) else str(value))
-        lines.append(",".join(cells))
+
+    def write(path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([row.get(col, "") for col in columns] for row in rows)
+
     os.makedirs(base, exist_ok=True)
     sweep_path = os.path.join(base, "sweep.csv")
-    _atomic_text(sweep_path, "\n".join(lines) + "\n")
+    _atomic_via(sweep_path, write)
     print(sweep_path)
     return 0 if all(row["status"] == "ok" for row in rows) else 1
 

@@ -22,11 +22,8 @@ three layers.
   state and the boundary stop moving in the sup norm, optionally continuing
   along a schedule of decreasing penalties.
 
-The melting sign is a convention with a switch: positive interior
-temperature gives a negative boundary flux, so the default sign of -1 makes
-the boundary advance.  Flipping the switch reproduces the opposite
-convention for comparison runs; every operation here threads it through
-unchanged.
+The minus sign of the law is the melting convention: a warm interior has
+a negative boundary flux, so the boundary advances.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from .domain import (
     PhysicalSetup,
     SpaceTimeField,
     constant_path,
-    line_l2_norm,
 )
 from .errors import (
     ConvergenceError,
@@ -172,30 +168,20 @@ class Nonlinearity:
 # boundary kinematics
 
 
-def _check_sign(sign) -> float:
-    sign = float(sign)
-    if sign not in (-1.0, 1.0):
-        raise GridError(f"melting sign must be -1 or +1, got {sign}")
-    return sign
-
-
 def stefan_rate(field: SpaceTimeField, path: BoundaryPath, j: int,
-                sign=-1.0, order: int = 2) -> float:
+                order: int = 2) -> float:
     """Boundary velocity R'(t_j) from the line field's boundary flux.
 
-    The melting law reads R' = sign * u_r(R(t), t) / R(t): the physical
-    boundary flux of the line field (already one chain-rule factor of 1/R)
-    divided once more by the radius.  The default sign -1 is the melting
-    convention: a warm interior has negative boundary flux and the boundary
-    advances.
+    The melting law reads R' = -u_r(R(t), t) / R(t): the physical boundary
+    flux of the line field (already one chain-rule factor of 1/R) divided
+    once more by the radius.
     """
-    sign = _check_sign(sign)
     flux = boundary_flux(field, path, j, order=order)
-    return float(sign * flux / path.radii[j])
+    return float(-flux / path.radii[j])
 
 
 def integrate_boundary(field: SpaceTimeField, path: BoundaryPath,
-                       setup: PhysicalSetup, sign=-1.0, order: int = 2) -> BoundaryPath:
+                       setup: PhysicalSetup, order: int = 2) -> BoundaryPath:
     """Accumulate the melting rate along a frozen path into a new boundary.
 
     R_new(t) = R(0) + integral of the rate, by cumulative trapezoid on the
@@ -205,7 +191,7 @@ def integrate_boundary(field: SpaceTimeField, path: BoundaryPath,
     initial data is too large for the local regime, and silently projecting
     it back would fake a solution of a different problem.
     """
-    rates = np.array([stefan_rate(field, path, j, sign=sign, order=order)
+    rates = np.array([stefan_rate(field, path, j, order=order)
                       for j in range(path.steps + 1)])
     radii = float(path.radii[0]) + cumulative_trapezoid(rates, dx=path.dt, initial=0.0)
     bad = (radii < setup.R_star) | (radii > setup.E)
@@ -238,7 +224,7 @@ def _coerce_control(control, n: int, m: int):
     return values
 
 
-def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig, sign=-1.0):
+def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
     """March the line field and the free boundary together.
 
     Step j runs on the theta-step kernel of `pde` between level j, at the
@@ -260,7 +246,6 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig, sign=-1.
     radius must stay inside [R_star, E]; a breach raises with the first
     offending step.
     """
-    sign = _check_sign(sign)
     n, m = cfg.n, cfg.m
     u0 = _check_initial(u0, n)
     ctrl = _coerce_control(control, n, m)
@@ -279,7 +264,7 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig, sign=-1.
     slopes = np.zeros(m + 1)
 
     def rate(col, radius):
-        return sign * _edge_flux(col, radius, cfg.flux_order) / radius
+        return -_edge_flux(col, radius, cfg.flux_order) / radius
 
     def masked_column(j, radius):
         if ctrl is None:
@@ -334,23 +319,20 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig, sign=-1.
 
 @dataclass(frozen=True)
 class FixedPointConfig:
-    """Bounds and stopping parameters for the outer iteration.
+    """Stopping parameters and penalty schedule of the outer iteration.
 
-    K bounds the state iterates in the sup norm and K1 the boundary slopes;
-    both are membership diagnostics, reported rather than enforced.  The
-    epsilon schedule, when nonempty, continues the converged iteration at
-    each listed penalty (warm started) to record the final-norm decay.
+    The iteration stops once the sup-norm changes of state, radius and slope
+    all drop below fp_tol, and fails after max_outer applications of the
+    map.  The epsilon schedule, when nonempty, continues the converged
+    iteration at each listed penalty (warm started) to record the
+    final-norm decay.
     """
 
-    K: float = 1.0
-    K1: float = 1.0
     fp_tol: float = 1e-6
     max_outer: int = 50
     epsilon_schedule: tuple = ()
 
     def __post_init__(self):
-        if self.K <= 0 or self.K1 <= 0:
-            raise GridError("membership bounds K, K1 must be positive")
         if self.fp_tol <= 0:
             raise GridError(f"stopping tolerance must be positive, got {self.fp_tol}")
         if self.max_outer < 1:
@@ -361,22 +343,15 @@ class FixedPointConfig:
 
 @dataclass(frozen=True)
 class LambdaOutcome:
-    """One application of the map: controlled state, new boundary, diagnostics.
+    """One application of the map.
 
-    The membership fields compare the output against the configured balls
-    (state sup norm vs K, slope sup and radius band vs K1 and [R_star, E]);
-    eps_margin is the final norm over sqrt(epsilon) times the initial line
-    norm, a recorded surrogate for the penalty-consistent decay.
+    state is the controlled state on the frozen path, path the boundary its
+    flux drives, and hum the control solve that produced both.
     """
 
     state: SpaceTimeField
     path: BoundaryPath
     hum: HUMOutcome
-    state_sup: float
-    slope_sup: float
-    inside_state_ball: bool
-    inside_slope_ball: bool
-    eps_margin: float
 
 
 @dataclass(frozen=True)
@@ -413,8 +388,7 @@ class FixedPointResult:
 
 
 def linearize_and_control(zbar, rbar: BoundaryPath, u0, setup: PhysicalSetup,
-                          fpc: FixedPointConfig, hum: HUMConfig,
-                          cfg: SchemeConfig, sign=-1.0) -> LambdaOutcome:
+                          hum: HUMConfig, cfg: SchemeConfig) -> LambdaOutcome:
     """Linearize the reaction on an iterate, control, update the boundary.
 
     The potential is the secant slope of the setup's nonlinearity sampled
@@ -422,8 +396,7 @@ def linearize_and_control(zbar, rbar: BoundaryPath, u0, setup: PhysicalSetup,
     the zero kind produces an exactly zero potential, so this path is then
     bit-identical to the plain control pipeline).  The penalized control is
     synthesized on the frozen path, and the controlled state's boundary
-    flux drives the boundary update.  Membership in the configured balls is
-    reported on the outcome, never enforced.
+    flux drives the boundary update.
     """
     vals = zbar.values if isinstance(zbar, SpaceTimeField) else np.asarray(zbar, dtype=float)
     if vals.shape != (cfg.n + 1, cfg.m + 1):
@@ -432,33 +405,16 @@ def linearize_and_control(zbar, rbar: BoundaryPath, u0, setup: PhysicalSetup,
     potential = None if nl is None else np.asarray(nl.slope(vals), dtype=float)
 
     outcome = solve_hum(u0, rbar, potential, setup.b, hum, cfg)
-    new_path = integrate_boundary(outcome.state, rbar, setup, sign=sign,
-                                  order=cfg.flux_order)
-
-    state_sup = float(np.max(np.abs(outcome.state.values)))
-    slope_sup = float(np.max(np.abs(new_path.slopes)))
-    in_band = setup.R_star <= float(np.min(new_path.radii)) and float(np.max(new_path.radii)) <= setup.E
-    z0_norm = line_l2_norm(np.asarray(u0, dtype=float), float(rbar.radii[0]), cfg.grid)
-    margin = outcome.final_norm / max(np.sqrt(hum.epsilon) * z0_norm, 1e-300)
-
-    return LambdaOutcome(
-        state=outcome.state,
-        path=new_path,
-        hum=outcome,
-        state_sup=state_sup,
-        slope_sup=slope_sup,
-        inside_state_ball=state_sup <= fpc.K,
-        inside_slope_ball=slope_sup <= fpc.K1 and in_band,
-        eps_margin=margin,
-    )
+    new_path = integrate_boundary(outcome.state, rbar, setup, order=cfg.flux_order)
+    return LambdaOutcome(state=outcome.state, path=new_path, hum=outcome)
 
 
-def _picard(u0, zbar, rbar, setup, fpc, hum, cfg, sign, history, offset):
+def _picard(u0, zbar, rbar, setup, fpc, hum, cfg, history, offset):
     """Iterate the map until the pair stops moving; returns (last, count, ok)."""
     lam = None
     for k in range(1, fpc.max_outer + 1):
         prev_vals = zbar.values if isinstance(zbar, SpaceTimeField) else np.asarray(zbar, dtype=float)
-        lam = linearize_and_control(zbar, rbar, u0, setup, fpc, hum, cfg, sign=sign)
+        lam = linearize_and_control(zbar, rbar, u0, setup, hum, cfg)
         dz = float(np.max(np.abs(lam.state.values - prev_vals)))
         dR = float(np.max(np.abs(lam.path.radii - rbar.radii)))
         dRp = float(np.max(np.abs(lam.path.slopes - rbar.slopes)))
@@ -474,7 +430,7 @@ def _picard(u0, zbar, rbar, setup, fpc, hum, cfg, sign, history, offset):
 
 
 def fixed_point_iterate(u0, setup: PhysicalSetup, fpc: FixedPointConfig,
-                        hum: HUMConfig, cfg: SchemeConfig, sign=-1.0) -> FixedPointResult:
+                        hum: HUMConfig, cfg: SchemeConfig) -> FixedPointResult:
     """Picard iteration of the linearize-control-update map.
 
     Starts from the time-constant extension of the initial line field and
@@ -493,7 +449,7 @@ def fixed_point_iterate(u0, setup: PhysicalSetup, fpc: FixedPointConfig,
     rbar = constant_path(setup.R0, setup.T, cfg.m)
 
     history: list[IterationRecord] = []
-    lam, count, ok = _picard(u0, zbar, rbar, setup, fpc, hum, cfg, sign, history, 0)
+    lam, count, ok = _picard(u0, zbar, rbar, setup, fpc, hum, cfg, history, 0)
     if not ok:
         raise ConvergenceError(
             f"fixed point did not converge in {fpc.max_outer} outer iterations "
@@ -507,7 +463,7 @@ def fixed_point_iterate(u0, setup: PhysicalSetup, fpc: FixedPointConfig,
     for eps in fpc.epsilon_schedule:
         hum_eps = replace(hum, epsilon=float(eps))
         lam_eps, count, ok = _picard(u0, lam.state, lam.path, setup, fpc, hum_eps,
-                                     cfg, sign, history, total)
+                                     cfg, history, total)
         total += count
         eps_records.append(EpsilonRecord(
             epsilon=float(eps), iterations=count, converged=ok,

@@ -84,6 +84,32 @@ def weight_profile_dr(r, t: float, setup: PhysicalSetup, path: BoundaryPath) -> 
     return sign * mag
 
 
+def _check_lam_s_k(lam, s, k) -> None:
+    if lam <= 0 or s <= 0:
+        raise GridError(f"lam and s must be positive, got ({lam}, {s})")
+    if int(k) != k or k < 2:
+        raise GridError(f"k must be an integer >= 2, got {k}")
+
+
+@dataclass(frozen=True)
+class CarlemanConfig:
+    """Carleman parameters to calibrate, and the number of random trials.
+
+    lam, s and k go to `CarlemanParams.calibrate`; trials counts the random
+    backward solutions the weighted-energy diagnostic is evaluated on.
+    """
+
+    lam: float = 1.0
+    s: float = 1e-4
+    k: int = 2
+    trials: int = 24
+
+    def __post_init__(self):
+        _check_lam_s_k(self.lam, self.s, self.k)
+        if self.trials < 1:
+            raise GridError(f"trials must be at least 1, got {self.trials}")
+
+
 @dataclass(frozen=True)
 class CarlemanParams:
     """Carleman parameters with the numerically computed sup of alpha1."""
@@ -94,10 +120,7 @@ class CarlemanParams:
     sup_alpha1: float
 
     def __post_init__(self):
-        if self.lam <= 0 or self.s <= 0:
-            raise GridError(f"lam and s must be positive, got ({self.lam}, {self.s})")
-        if int(self.k) != self.k or self.k < 2:
-            raise GridError(f"k must be an integer >= 2, got {self.k}")
+        _check_lam_s_k(self.lam, self.s, self.k)
         if self.sup_alpha1 < 1.0:
             raise GridError(f"sup_alpha1 must be >= 1, got {self.sup_alpha1}")
 

@@ -302,8 +302,7 @@ def test_criterion_10_linearity_regression():
     zbar = SpaceTimeField(np.repeat(u0[:, None], cfg.m + 1, axis=1),
                           role=ROLE_STATE)
     hum = HUMConfig(epsilon=1e-4)
-    lam = linearize_and_control(zbar, rbar, u0, setup,
-                                FixedPointConfig(), hum, cfg)
+    lam = linearize_and_control(zbar, rbar, u0, setup, hum, cfg)
     plain = solve_hum(u0, rbar, None, setup.b, hum, cfg)
     assert lam.hum.final_norm == plain.final_norm
     assert lam.hum.cost == plain.cost

@@ -7,9 +7,12 @@ import os
 import numpy as np
 import pytest
 
-from stefanlab.cli import main
+from stefanlab.cli import main, resolve_config
+from stefanlab.control import HUMConfig
 from stefanlab.domain import BoundaryPath, read_field_csv
 from stefanlab.pde import SchemeConfig, solve_forward
+from stefanlab.stefan import FixedPointConfig
+from stefanlab.weights import CarlemanConfig
 
 _SINE = {"kind": "sine", "amplitude": 0.05}
 
@@ -168,6 +171,46 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "scheme.nodes" in capsys.readouterr().err
 
 
+_TABLE = {"kind": "table", "s": [-1.0, 0.0, 1.0], "f": [-1.0, 0.0, 1.0]}
+
+
+@pytest.mark.parametrize("section, body, path", [
+    ("fixedpoint", {"epsilon_schedule": ["x"]}, "fixedpoint.epsilon_schedule[0]"),
+    ("fixedpoint", {"epsilon_schedule": [True]}, "fixedpoint.epsilon_schedule[0]"),
+    ("physical", {"nonlinearity": {**_TABLE, "s": ["a", "b"]}}, "physical.nonlinearity.s[0]"),
+    ("physical", {"nonlinearity": {**_TABLE, "slope_at_zero": "x"}},
+     "physical.nonlinearity.slope_at_zero"),
+    ("physical", {"nonlinearity": {"kind": "sine", "slope": 2.0}}, "physical.nonlinearity.slope"),
+    ("physical", {"z0": {**_SINE, "phase": 0.5}}, "physical.z0.phase"),
+    ("carleman", {"trials": 0}, "carleman: trials"),
+    ("carleman", {"k": 1}, "carleman: k"),
+], ids=["schedule-string", "schedule-bool", "table-strings", "table-slope-string",
+        "sine-slope", "z0-phase", "carleman-trials", "carleman-k"])
+def test_malformed_nested_value_exits_2(tmp_path, capsys, section, body, path):
+    scenario = "carleman" if section == "carleman" else "fixedpoint"
+    cfg = _write(tmp_path, "bad.json", {
+        "scenario": scenario,
+        "scheme": {"n": 16, "m": 16},
+        section: body,
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", "--config", cfg]) == 2
+    assert path in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_section_values_take_their_dataclass_types():
+    ec = resolve_config({"scenario": "forward", "physical": {"T": 1},
+                         "scheme": {"n": 50.0}, "carleman": {"k": 3.0}})
+    assert type(ec.physical.T) is float and ec.physical.T == 1.0
+    assert type(ec.scheme.n) is int and ec.scheme.n == 50
+    assert type(ec.carleman.k) is int and ec.carleman.k == 3
+    defaults = resolve_config({"scenario": "forward"})
+    assert defaults.hum == HUMConfig()
+    assert defaults.fixedpoint == FixedPointConfig()
+    assert defaults.carleman == CarlemanConfig()
+
+
 def test_unknown_scenario_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.json", {"scenario": "warp"})
     assert main(["run", "--config", cfg]) == 2
@@ -257,6 +300,30 @@ def test_sweep_collects_rows_and_flags_failures(tmp_path):
     assert finals[0] >= finals[1] >= finals[2]
     assert rows[3]["exit_code"] == "2"
     assert "0 < b0" in rows[3]["error"]
+
+
+def test_sweep_config_errors_become_whole_csv_rows(tmp_path):
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    _write(cfg_dir, "bad.json", {"scenario": "fixedpoint",
+                                 "fixedpoint": {"epsilon_schedule": ["x"]}})
+    _write(cfg_dir, "warp.json", {"scenario": "warp"})
+    _write(cfg_dir, "good.json", {"scenario": "forward",
+                                  "scheme": {"n": 16, "m": 16}})
+    base = str(tmp_path / "swp")
+    assert main(["sweep", "--configs", str(cfg_dir / "*.json"),
+                 "--out-dir", base, "--workers", "2"]) == 1
+    with open(os.path.join(base, "sweep.csv"), newline="") as fh:
+        rows = {os.path.basename(r["config"]): r for r in csv.DictReader(fh)}
+    assert all(None not in row for row in rows.values())
+    assert rows["good.json"]["status"] == "ok"
+    assert rows["bad.json"]["exit_code"] == "2"
+    assert "fixedpoint.epsilon_schedule[0]" in rows["bad.json"]["error"]
+    assert rows["warp.json"]["exit_code"] == "2"
+    assert rows["warp.json"]["error"] == (
+        "scenario: expected one of forward, convergence, semilinear, adjoint, "
+        "hum, stefan, fixedpoint, carleman, observability, got 'warp'")
+    assert rows["warp.json"]["final_norm"] == ""
 
 
 def test_sweep_all_ok_exits_0(tmp_path):
