@@ -10,9 +10,9 @@ sub-configurations.  Each section (`physical`, `scheme`, `hum`,
 `fixedpoint`, `carleman`, `observability`) is read against the fields of
 its dataclass, which fix its keys, defaults and value types; the nested
 `physical.z0` and `physical.nonlinearity` objects check their keys per
-kind.  Unknown keys and malformed or invalid values fail fast with the
-offending field path, e.g. `fixedpoint.epsilon_schedule[0]`, and exit 2
-before anything runs.  Every run writes `summary.json` (scalar diagnostics
+kind.  Unknown keys and malformed, non-finite or invalid values fail fast
+with the offending field path, e.g. `fixedpoint.epsilon_schedule[0]`, and
+exit 2 before anything runs.  Every run writes `summary.json` (scalar diagnostics
 only), `manifest.json` (the resolved config echoed back plus the package
 version), and scenario-specific artifacts (state CSVs, `hum-summary.json`,
 `carleman-report.json`, `observability.json`, `fixedpoint-history.csv`).
@@ -52,7 +52,9 @@ import numpy as np
 from . import __version__
 from .control import HUMConfig, solve_hum
 from .domain import (
+    ROLE_ADJOINT,
     PhysicalSetup,
+    SpaceTimeField,
     constant_path,
     line_l2_norm,
     write_field_csv,
@@ -157,7 +159,8 @@ _NONLINEARITY_KEYS = {
 def _value(value, kind: type, field: str):
     """One config value as `kind`: str, int, float, or a tuple of floats.
 
-    A bool is never a number; an int takes only an integral number.
+    A bool is never a number, NaN and the infinities are refused, and an
+    int takes only an integral number.
     """
     if kind is str:
         if not isinstance(value, str):
@@ -169,6 +172,8 @@ def _value(value, kind: type, field: str):
         return tuple(_value(item, float, f"{field}[{k}]") for k, item in enumerate(value))
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, f"expected a number, got {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(field, f"expected a finite number, got {value!r}")
     if kind is int:
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(field, f"expected an integer, got {value!r}")
@@ -299,7 +304,6 @@ def resolve_config(raw: dict, out_dir: str | None = None,
         raise ConfigError("out_dir", f"expected a string, got {resolved_out!r}")
     echo = dict(raw)
     echo["seed"] = seed
-    echo["out_dir"] = resolved_out
     return ExperimentConfig(
         scenario=scenario,
         physical=_section(raw, "physical", PhysicalSetup,
@@ -474,17 +478,19 @@ def _scenario_carleman(ec: ExperimentConfig) -> dict:
     doubled = params.doubled_s()
     rng = np.random.default_rng(ec.seed)
     profile = check_weight_profile(setup, path)
+    # one terminal datum per trial, six random sine modes each, swept
+    # backward as one block
+    coeffs = rng.standard_normal((section.trials, 6)) / (1.0 + np.arange(6))
+    modes = np.sin(np.arange(1, 7)[:, None] * np.pi * cfg.grid.nodes)
+    phiT = np.zeros((cfg.n + 1, section.trials))
+    for k in range(6):
+        phiT += coeffs[:, k] * modes[k][:, None]
+    phiT /= np.maximum(np.max(np.abs(phiT), axis=0), 1e-300)
+    block = Propagator(path, None, cfg).run_adjoint(phiT)
     trials = []
     monotone = True
-    n = cfg.n
-    rho = cfg.grid.nodes
-    for _ in range(section.trials):
-        coeffs = rng.standard_normal(6) / (1.0 + np.arange(6))
-        phiT = np.zeros(n + 1)
-        for k, c in enumerate(coeffs, start=1):
-            phiT += c * np.sin(k * np.pi * rho)
-        phiT /= max(np.max(np.abs(phiT)), 1e-300)
-        phi = solve_adjoint(phiT, path, None, None, cfg)
+    for i in range(section.trials):
+        phi = SpaceTimeField(block[:, :, i], role=ROLE_ADJOINT)
         report = carleman_sides(phi, None, params, setup, path)
         report_doubled = carleman_sides(phi, None, doubled, setup, path)
         monotone = monotone and report_doubled.ratio <= report.ratio * (1 + 1e-12)

@@ -52,7 +52,7 @@ class HUMConfig:
     prox_max_iter: int = 4000
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise GridError(f"penalty must be positive, got {self.epsilon}")
         if self.variant not in (VARIANT_QUADRATIC, VARIANT_EXACT):
             raise GridError(f"unknown variant {self.variant!r}")

@@ -14,7 +14,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import (
     EndpointConditionError,
@@ -284,8 +283,8 @@ def norm_equivalence(z: np.ndarray, u: np.ndarray, radii: np.ndarray) -> tuple[f
     r = np.asarray(radii, dtype=float)
     if not (z.shape == u.shape == r.shape):
         raise GridError("z, u, radii must share a shape")
-    weighted = float(trapezoid(z * z * r * r, r))
-    flat = float(trapezoid(u * u, r))
+    weighted = float(np.trapezoid(z * z * r * r, r))
+    flat = float(np.trapezoid(u * u, r))
     return weighted, flat
 
 
@@ -313,7 +312,7 @@ def line_l2_norm(u: np.ndarray, radius: float, grid: ReferenceGrid) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n + 1,):
         raise GridError(f"expected {grid.n + 1} samples, got {u.shape}")
-    return float(np.sqrt(radius * trapezoid(u * u, dx=grid.spacing)))
+    return float(np.sqrt(radius * np.trapezoid(u * u, dx=grid.spacing)))
 
 
 def h1_seminorm(u: np.ndarray, radius: float, grid: ReferenceGrid) -> float:
@@ -322,7 +321,7 @@ def h1_seminorm(u: np.ndarray, radius: float, grid: ReferenceGrid) -> float:
     if u.shape != (grid.n + 1,):
         raise GridError(f"expected {grid.n + 1} samples, got {u.shape}")
     du = np.gradient(u, grid.spacing) / radius
-    return float(np.sqrt(radius * trapezoid(du * du, dx=grid.spacing)))
+    return float(np.sqrt(radius * np.trapezoid(du * du, dx=grid.spacing)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .domain import (
     ROLE_CONTROL,
@@ -193,7 +192,8 @@ def integrate_boundary(field: SpaceTimeField, path: BoundaryPath,
     """
     rates = np.array([stefan_rate(field, path, j, order=order)
                       for j in range(path.steps + 1)])
-    radii = float(path.radii[0]) + cumulative_trapezoid(rates, dx=path.dt, initial=0.0)
+    steps = np.cumsum(path.dt * (rates[1:] + rates[:-1]) / 2.0)
+    radii = float(path.radii[0]) + np.concatenate(([0.0], steps))
     bad = (radii < setup.R_star) | (radii > setup.E)
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -333,11 +333,11 @@ class FixedPointConfig:
     epsilon_schedule: tuple = ()
 
     def __post_init__(self):
-        if self.fp_tol <= 0:
+        if not self.fp_tol > 0:
             raise GridError(f"stopping tolerance must be positive, got {self.fp_tol}")
         if self.max_outer < 1:
             raise GridError("outer iteration cap must be at least 1")
-        if any(e <= 0 for e in self.epsilon_schedule):
+        if not all(e > 0 for e in self.epsilon_schedule):
             raise GridError("epsilon schedule entries must be positive")
 
 

@@ -24,6 +24,15 @@ assumed to sit at r = 0.  Both alpha and xi blow up at t = 0 and t = T, so
 pointwise evaluation is refused outside 0 < t < T, and when the weighted
 energy of a backward solution is integrated, the time quadrature runs over
 interior nodes [delta T, T - delta T] only (default margin delta = 1/m).
+
+Every evaluation goes through one array helper, `_profile`, which takes a
+vector of boundary radii R(t_j) and radii that broadcast against it.  The
+pointwise functions call it for one time; the calibration, the profile
+report and the weighted energy each call it once on a whole space-time
+sample.  In particular the weighted energy is evaluated on the
+(n+1) x J array of its J interior levels: each integral is one trapezoid
+along axis 0 (space) followed by one sum over the levels with the weights
+tw_j R(t_j), tw the trapezoid weights of the time window.
 """
 
 from __future__ import annotations
@@ -31,10 +40,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .domain import ROLE_ADJOINT, BoundaryPath, PhysicalSetup, SpaceTimeField
 from .errors import DegenerateWeightError, FieldRoleError, GridError, OutOfDomainError
+
+# Space-time samples (radii per level, levels) on which `CarlemanParams.calibrate`
+# takes sup alpha1 and `check_weight_profile` checks the profile's landmarks.
+_CALIBRATE_RADII, _CALIBRATE_TIMES = 400, 64
+_PROFILE_RADII, _PROFILE_TIMES = 801, 33
 
 # ---------------------------------------------------------------------------
 # the quintic bump and the base profile
@@ -54,38 +67,45 @@ def bump_poly_dw(w, z):
             + 4.0 * (8.0 * z - 15.0) * w ** 3 + 5.0 * (6.0 - 3.0 * z) * w ** 4)
 
 
+def _profile(r: np.ndarray, R, b: float, derivative: bool = False) -> np.ndarray:
+    """alpha0 at radii r, or its radial derivative, against boundary radii R.
+
+    R is one radius or a vector of radii R(t_j) that broadcasts against the
+    trailing axis of r, so one call covers a whole space-time window.  r may
+    be negative (even extension; the derivative is odd).
+    """
+    x = np.abs(r)
+    over = x > R * (1.0 + 1e-12)
+    if np.any(over):
+        xb, Rb = np.broadcast_arrays(x, R)
+        k = np.argmax(np.where(over, xb, -np.inf))
+        raise OutOfDomainError(f"|r| up to {xb.flat[k]:.6g} exceeds R(t)={Rb.flat[k]:.6g}")
+    z = b / (R - b)
+    w = (b - np.minimum(x, b)) / b
+    if not derivative:
+        return np.where(x < b, 1.0 + bump_poly(w, z), (R - x) / (R - b))
+    mag = np.where(x < b, -bump_poly_dw(w, z) / b, -1.0 / (R - b))
+    return np.where(r < 0.0, -mag, mag)
+
+
 def weight_profile(r, t: float, setup: PhysicalSetup, path: BoundaryPath) -> np.ndarray:
     """alpha0 at radii r (array, may be negative: even extension) and time t."""
-    r = np.asarray(r, dtype=float)
-    R = path.radius_at(t)
-    x = np.abs(r)
-    if np.any(x > R * (1.0 + 1e-12)):
-        raise OutOfDomainError(f"|r| up to {float(np.max(x)):.6g} exceeds R(t)={R:.6g}")
-    b = setup.b
-    z = b / (R - b)
-    inner = 1.0 + bump_poly((b - np.minimum(x, b)) / b, z)
-    outer = (R - x) / (R - b)
-    return np.where(x < b, inner, outer)
+    return _profile(np.asarray(r, dtype=float), path.radius_at(t), setup.b)
 
 
 def weight_profile_dr(r, t: float, setup: PhysicalSetup, path: BoundaryPath) -> np.ndarray:
     """Radial derivative of alpha0; odd in r by the even extension."""
-    r = np.asarray(r, dtype=float)
-    R = path.radius_at(t)
-    x = np.abs(r)
-    if np.any(x > R * (1.0 + 1e-12)):
-        raise OutOfDomainError(f"|r| up to {float(np.max(x)):.6g} exceeds R(t)={R:.6g}")
-    b = setup.b
-    z = b / (R - b)
-    inner = -bump_poly_dw((b - np.minimum(x, b)) / b, z) / b
-    outer = np.full_like(x, -1.0 / (R - b))
-    mag = np.where(x < b, inner, outer)
-    sign = np.where(r < 0.0, -1.0, 1.0)
-    return sign * mag
+    return _profile(np.asarray(r, dtype=float), path.radius_at(t), setup.b, derivative=True)
+
+
+def _sampled_radii(path: BoundaryPath, count: int) -> np.ndarray:
+    """R at `count` uniform times spanning the path, as `radius_at` gives it."""
+    return np.interp(np.linspace(path.times[0], path.times[-1], count),
+                     path.times, path.radii)
 
 
 def _check_lam_s_k(lam, s, k) -> None:
-    if lam <= 0 or s <= 0:
+    if not (lam > 0 and s > 0):
         raise GridError(f"lam and s must be positive, got ({lam}, {s})")
     if int(k) != k or k < 2:
         raise GridError(f"k must be an integer >= 2, got {k}")
@@ -121,19 +141,16 @@ class CarlemanParams:
 
     def __post_init__(self):
         _check_lam_s_k(self.lam, self.s, self.k)
-        if self.sup_alpha1 < 1.0:
+        if not self.sup_alpha1 >= 1.0:
             raise GridError(f"sup_alpha1 must be >= 1, got {self.sup_alpha1}")
 
     @classmethod
     def calibrate(cls, lam: float, s: float, k: int, setup: PhysicalSetup,
-                  path: BoundaryPath, n_r: int = 400, n_t: int = 64) -> "CarlemanParams":
+                  path: BoundaryPath) -> "CarlemanParams":
         """Compute sup alpha1 on a fine sample of the space-time domain."""
-        sup = 0.0
-        for t in np.linspace(path.times[0], path.times[-1], n_t):
-            R = path.radius_at(t)
-            r = np.linspace(0.0, R, n_r)
-            sup = max(sup, float(np.max(1.0 + weight_profile(r, t, setup, path))))
-        return cls(lam=lam, s=s, k=k, sup_alpha1=sup)
+        R = _sampled_radii(path, _CALIBRATE_TIMES)
+        alpha0 = _profile(np.linspace(0.0, R, _CALIBRATE_RADII), R, setup.b)
+        return cls(lam=lam, s=s, k=k, sup_alpha1=float(np.max(1.0 + alpha0)))
 
     def doubled_s(self) -> "CarlemanParams":
         return CarlemanParams(self.lam, 2.0 * self.s, self.k, self.sup_alpha1)
@@ -147,17 +164,22 @@ class WeightValues:
     xi: np.ndarray
 
 
+def _weights(r: np.ndarray, t, R, params: CarlemanParams, b: float, T: float) -> WeightValues:
+    """The weights at radii r, times t and boundary radii R (see `_profile`)."""
+    alpha1 = 1.0 + _profile(r, R, b)
+    growth = np.exp(params.lam * alpha1)
+    sigma = np.exp(2.0 * params.lam * params.sup_alpha1) - growth
+    tk = (t ** params.k) * ((T - t) ** params.k)
+    return WeightValues(alpha1=alpha1, sigma=sigma, alpha=sigma / tk, xi=growth / tk)
+
+
 def weight_functions(r, t: float, params: CarlemanParams, setup: PhysicalSetup,
                      path: BoundaryPath) -> WeightValues:
     """alpha1, sigma, alpha, xi at radii r and interior time t."""
     T = path.horizon
     if not 0.0 < t < T:
         raise DegenerateWeightError(f"weights blow up outside 0 < t < T, got t={t:g}")
-    alpha1 = 1.0 + weight_profile(r, t, setup, path)
-    sigma = np.exp(2.0 * params.lam * params.sup_alpha1) - np.exp(params.lam * alpha1)
-    tk = (t ** params.k) * ((T - t) ** params.k)
-    return WeightValues(alpha1=alpha1, sigma=sigma, alpha=sigma / tk,
-                        xi=np.exp(params.lam * alpha1) / tk)
+    return _weights(np.asarray(r, dtype=float), t, path.radius_at(t), params, setup.b, T)
 
 
 # ---------------------------------------------------------------------------
@@ -176,51 +198,26 @@ class ProfileReport:
     linear_branch_gap: float        # max |alpha0(r) - (1 - (r-b)/(R-b))| on (b, R)
 
 
-def check_weight_profile(setup: PhysicalSetup, path: BoundaryPath,
-                         n_r: int = 801, n_t: int = 33) -> ProfileReport:
+def check_weight_profile(setup: PhysicalSetup, path: BoundaryPath) -> ProfileReport:
     """Evaluate the structural properties the profile is built to satisfy."""
-    boundary = 0.0
-    origin_slope = 0.0
-    c1_gap = 0.0
-    evenness = 0.0
-    annulus_min = np.inf
-    origin_gap = 0.0
-    control_gap = 0.0
-    linear_gap = 0.0
     b, b0 = setup.b, setup.b0
-    for t in np.linspace(path.times[0], path.times[-1], n_t):
-        R = path.radius_at(t)
-        z = b / (R - b)
-        boundary = max(boundary, float(np.max(np.abs(
-            weight_profile(np.array([-R, R]), t, setup, path)))))
-        origin_slope = max(origin_slope, abs(float(
-            weight_profile_dr(np.array([0.0]), t, setup, path)[0])))
-        left = -bump_poly_dw(0.0, z) / b
-        right = -1.0 / (R - b)
-        c1_gap = max(c1_gap, abs(float(left - right)))
-        r = np.linspace(0.0, R, n_r)
-        vals_p = weight_profile(r, t, setup, path)
-        vals_m = weight_profile(-r, t, setup, path)
-        evenness = max(evenness, float(np.max(np.abs(vals_p - vals_m))))
-        ann = np.linspace(b0 + 0.01, R - 0.01, n_r)
-        annulus_min = min(annulus_min, float(np.min(np.abs(
-            weight_profile_dr(ann, t, setup, path)))))
-        origin_gap = max(origin_gap, abs(float(
-            weight_profile(np.array([0.0]), t, setup, path)[0]) - 2.0))
-        control_gap = max(control_gap, abs(float(
-            weight_profile(np.array([b]), t, setup, path)[0]) - 1.0))
-        seg = np.linspace(b, R, n_r)
-        linear_gap = max(linear_gap, float(np.max(np.abs(
-            weight_profile(seg, t, setup, path) - (1.0 - (seg - b) / (R - b))))))
+    R = _sampled_radii(path, _PROFILE_TIMES)
+    origin = np.zeros_like(R)
+    r = np.linspace(0.0, R, _PROFILE_RADII)
+    annulus = np.linspace(b0 + 0.01, R - 0.01, _PROFILE_RADII)
+    seg = np.linspace(b, R, _PROFILE_RADII)
+    left = -bump_poly_dw(0.0, b / (R - b)) / b
+    right = -1.0 / (R - b)
     return ProfileReport(
-        boundary_value_max=boundary,
-        origin_slope_max=origin_slope,
-        c1_gap_at_b=c1_gap,
-        evenness_gap=evenness,
-        annulus_min_abs_slope=annulus_min,
-        origin_value_gap=origin_gap,
-        control_value_gap=control_gap,
-        linear_branch_gap=linear_gap,
+        boundary_value_max=float(np.max(np.abs(_profile(np.stack([-R, R]), R, b)))),
+        origin_slope_max=float(np.max(np.abs(_profile(origin, R, b, derivative=True)))),
+        c1_gap_at_b=float(np.max(np.abs(left - right))),
+        evenness_gap=float(np.max(np.abs(_profile(r, R, b) - _profile(-r, R, b)))),
+        annulus_min_abs_slope=float(np.min(np.abs(_profile(annulus, R, b, derivative=True)))),
+        origin_value_gap=float(np.max(np.abs(_profile(origin, R, b) - 2.0))),
+        control_value_gap=float(np.max(np.abs(_profile(np.full_like(R, b), R, b) - 1.0))),
+        linear_branch_gap=float(np.max(np.abs(
+            _profile(seg, R, b) - (1.0 - (seg - b) / (R - b))))),
     )
 
 
@@ -313,50 +310,45 @@ def carleman_sides(phi: SpaceTimeField, forcing, params: CarlemanParams,
         if fvals.shape != values.shape:
             raise GridError("forcing shape must match the field")
 
-    rho = np.linspace(0.0, 1.0, n + 1)
-    w_t_grid = _d1(values, dt, axis=1)
-    w_r_grid = _d1(values, h, axis=0)
-    w_rr_grid = _d2_space(values, h)
-
+    rho = np.linspace(0.0, 1.0, n + 1)[:, None]
     js = np.arange(j_lo, j_hi + 1)
+    R = path.radii[js]
+    Rp = path.slopes[js]
+    w_r = _d1(values, h, axis=0)[:, js]
+    phi_r = w_r / R
+    phi_rr = _d2_space(values, h)[:, js] / (R * R)
+    phi_t = _d1(values, dt, axis=1)[:, js] - rho * (Rp / R) * w_r
+    col = values[:, js]
+
+    r_nodes = rho * R
+    wv = _weights(r_nodes, path.times[js], R, params, setup.b, T)
+    lam, s = params.lam, params.s
+    with np.errstate(under="ignore"):
+        expw = np.exp(-2.0 * s * wv.alpha)
+    sxi = s * wv.xi
+    dens = lam ** 4 * (s ** 3) * wv.xi ** 3
+
     tw = np.full(js.size, dt)
     tw[0] *= 0.5
     tw[-1] *= 0.5
 
-    lam, s = params.lam, params.s
-    acc = {"time": 0.0, "second": 0.0, "gradient": 0.0, "zero": 0.0,
-           "boundary": 0.0, "obs": 0.0, "src": 0.0}
-    for idx, j in enumerate(js):
-        t = path.times[j]
-        R = path.radii[j]
-        Rp = path.slopes[j]
-        r_nodes = rho * R
-        wv = weight_functions(r_nodes, float(t), params, setup, path)
-        with np.errstate(under="ignore"):
-            expw = np.exp(-2.0 * s * wv.alpha)
-        phi_r = w_r_grid[:, j] / R
-        phi_rr = w_rr_grid[:, j] / (R * R)
-        phi_t = w_t_grid[:, j] - rho * (Rp / R) * w_r_grid[:, j]
-        col = values[:, j]
-        sxi = s * wv.xi
-        wt = tw[idx]
-        acc["time"] += wt * R * trapezoid(expw * phi_t ** 2 / sxi, dx=h)
-        acc["second"] += wt * R * trapezoid(expw * phi_rr ** 2 / sxi, dx=h)
-        acc["gradient"] += wt * R * trapezoid(expw * lam ** 2 * sxi * phi_r ** 2, dx=h)
-        dens = lam ** 4 * (s ** 3) * wv.xi ** 3
-        acc["zero"] += wt * R * trapezoid(expw * dens * col ** 2, dx=h)
-        acc["boundary"] += wt * expw[-1] * lam * sxi[-1] * phi_r[-1] ** 2
-        obs_dens = np.where(r_nodes < setup.b, dens * col ** 2, 0.0)
-        acc["obs"] += wt * R * trapezoid(obs_dens, dx=h)
-        if fvals is not None:
-            acc["src"] += wt * R * trapezoid(expw * fvals[:, j] ** 2, dx=h)
+    def integral(density):
+        return float(np.sum(tw * R * np.trapezoid(density, dx=h, axis=0)))
 
-    lhs = acc["time"] + acc["second"] + acc["gradient"] + acc["zero"] + acc["boundary"]
-    rhs = acc["obs"] + acc["src"]
+    lhs_time = integral(expw * phi_t ** 2 / sxi)
+    lhs_second = integral(expw * phi_rr ** 2 / sxi)
+    lhs_gradient = integral(expw * lam ** 2 * sxi * phi_r ** 2)
+    lhs_zero = integral(expw * dens * col ** 2)
+    lhs_boundary = float(np.sum(tw * expw[-1] * lam * sxi[-1] * phi_r[-1] ** 2))
+    rhs_observation = integral(np.where(r_nodes < setup.b, dens * col ** 2, 0.0))
+    rhs_source = 0.0 if fvals is None else integral(expw * fvals[:, js] ** 2)
+
+    lhs = lhs_time + lhs_second + lhs_gradient + lhs_zero + lhs_boundary
+    rhs = rhs_observation + rhs_source
     ratio = lhs / rhs if rhs > 0.0 else np.inf
     return CarlemanReport(
-        lhs_time=acc["time"], lhs_second=acc["second"], lhs_gradient=acc["gradient"],
-        lhs_zero=acc["zero"], lhs_boundary=acc["boundary"], lhs_total=lhs,
-        rhs_observation=acc["obs"], rhs_source=acc["src"], rhs_total=rhs,
+        lhs_time=lhs_time, lhs_second=lhs_second, lhs_gradient=lhs_gradient,
+        lhs_zero=lhs_zero, lhs_boundary=lhs_boundary, lhs_total=lhs,
+        rhs_observation=rhs_observation, rhs_source=rhs_source, rhs_total=rhs,
         ratio=ratio, margin=delta,
     )

@@ -136,6 +136,19 @@ def test_manifest_records_observability_config(tmp_path):
     assert _load(out, "manifest.json")["observability"] == {"relative_floor": 1e-3}
 
 
+def test_manifest_does_not_record_its_directory(tmp_path):
+    # a run's bytes do not depend on where it was written
+    cfg = _write(tmp_path, "cfg.json", {"scenario": "forward",
+                                        "scheme": {"n": 16, "m": 16}})
+    outs = [str(tmp_path / "a"), str(tmp_path / "a-much-longer-name" / "b")]
+    manifests = []
+    for out in outs:
+        assert main(["run", "--config", cfg, "--out-dir", out]) == 0
+        with open(os.path.join(out, "manifest.json"), "rb") as fh:
+            manifests.append(fh.read())
+    assert manifests[0] == manifests[1]
+
+
 def test_run_carleman_writes_trials(tmp_path):
     out = str(tmp_path / "carl")
     cfg = _write(tmp_path, "cfg.json", {
@@ -184,8 +197,14 @@ _TABLE = {"kind": "table", "s": [-1.0, 0.0, 1.0], "f": [-1.0, 0.0, 1.0]}
     ("physical", {"z0": {**_SINE, "phase": 0.5}}, "physical.z0.phase"),
     ("carleman", {"trials": 0}, "carleman: trials"),
     ("carleman", {"k": 1}, "carleman: k"),
+    ("hum", {"epsilon": float("nan")}, "hum.epsilon"),
+    ("fixedpoint", {"fp_tol": float("nan")}, "fixedpoint.fp_tol"),
+    ("fixedpoint", {"epsilon_schedule": [float("inf")]}, "fixedpoint.epsilon_schedule[0]"),
+    ("carleman", {"lam": float("nan")}, "carleman.lam"),
+    ("physical", {"T": float("inf")}, "physical.T"),
 ], ids=["schedule-string", "schedule-bool", "table-strings", "table-slope-string",
-        "sine-slope", "z0-phase", "carleman-trials", "carleman-k"])
+        "sine-slope", "z0-phase", "carleman-trials", "carleman-k", "hum-epsilon-nan",
+        "fp-tol-nan", "schedule-infinity", "carleman-lam-nan", "horizon-infinity"])
 def test_malformed_nested_value_exits_2(tmp_path, capsys, section, body, path):
     scenario = "carleman" if section == "carleman" else "fixedpoint"
     cfg = _write(tmp_path, "bad.json", {
@@ -355,6 +374,28 @@ def test_sweep_ignores_config_out_dir(tmp_path):
     b = _load(os.path.join(base, "b"), "summary.json")
     assert b["initial_norm"] == pytest.approx(3.0 * a["initial_norm"], rel=1e-12)
     assert not os.path.exists(shared)
+
+
+def test_threaded_carleman_sweep_matches_sequential_run(tmp_path):
+    # two threads evaluating the diagnostic at once write the same bytes as
+    # each other and as a run on its own
+    body = {"scenario": "carleman", "scheme": {"n": 24, "m": 40},
+            "carleman": {"trials": 4}, "seed": 3}
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    for stem in ("one", "two"):
+        _write(cfg_dir, f"{stem}.json", body)
+    base = str(tmp_path / "swp")
+    assert main(["sweep", "--configs", str(cfg_dir / "*.json"),
+                 "--out-dir", base, "--workers", "2"]) == 0
+    alone = str(tmp_path / "alone")
+    assert main(["run", "--config", str(cfg_dir / "one.json"), "--out-dir", alone]) == 0
+    for name in ("summary.json", "carleman-report.json"):
+        blobs = []
+        for out in (os.path.join(base, "one"), os.path.join(base, "two"), alone):
+            with open(os.path.join(out, name), "rb") as fh:
+                blobs.append(fh.read())
+        assert blobs[0] == blobs[1] == blobs[2], name
 
 
 def test_sweep_shared_stem_exits_2(tmp_path, capsys):

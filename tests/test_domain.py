@@ -1,7 +1,13 @@
 """Geometry containers, radial conversions, norms, CSV interchange."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import stefanlab
 
 from stefanlab.domain import (
     BoundaryPath,
@@ -248,3 +254,17 @@ def test_field_csv_bytes_match_scalar_repr(tmp_path):
     assert b"\r\n" in target.read_bytes()
     back, _ = read_field_csv(target, role=ROLE_CONTROL)
     assert back.values.tobytes() == vals.tobytes()
+
+
+def test_package_import_leaves_heavy_scipy_modules_out():
+    # the quadratures are numpy's; scipy.integrate drags in scipy.special and
+    # scipy.optimize and most of a process's start-up time
+    probe = ("import sys, stefanlab; print(' '.join(sorted(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'special'], "
+             "['scipy', 'optimize']))))")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(stefanlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (root, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == ""

@@ -2,13 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stefanlab.domain import PhysicalSetup, constant_path, path_from_function
-from stefanlab.errors import DegenerateWeightError, FieldRoleError, GridError
+from stefanlab.domain import PhysicalSetup, SpaceTimeField, constant_path, path_from_function
+from stefanlab.errors import DegenerateWeightError, FieldRoleError, GridError, OutOfDomainError
 from stefanlab.pde import SchemeConfig, solve_adjoint
 from stefanlab.weights import (
     EMPIRICAL_RATIO_BOUND,
     CarlemanParams,
+    CarlemanReport,
+    ProfileReport,
+    WeightValues,
+    _d1,
+    _d2_space,
     bump_poly,
     bump_poly_dw,
     carleman_sides,
@@ -161,3 +168,215 @@ def test_carleman_margin_guard():
     phi = solve_adjoint(phiT, path, None, None, cfg)
     with pytest.raises(DegenerateWeightError):
         carleman_sides(phi, None, params, setup, path, margin=0.6)
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-level loops the array evaluation replaced, verbatim but
+# for their names (numpy's trapezoid gives the same bits as scipy's)
+
+trapezoid = np.trapezoid
+
+
+def _loop_weight_profile(r, t, setup, path):
+    r = np.asarray(r, dtype=float)
+    R = path.radius_at(t)
+    x = np.abs(r)
+    if np.any(x > R * (1.0 + 1e-12)):
+        raise OutOfDomainError(f"|r| up to {float(np.max(x)):.6g} exceeds R(t)={R:.6g}")
+    b = setup.b
+    z = b / (R - b)
+    inner = 1.0 + bump_poly((b - np.minimum(x, b)) / b, z)
+    outer = (R - x) / (R - b)
+    return np.where(x < b, inner, outer)
+
+
+def _loop_weight_profile_dr(r, t, setup, path):
+    r = np.asarray(r, dtype=float)
+    R = path.radius_at(t)
+    x = np.abs(r)
+    if np.any(x > R * (1.0 + 1e-12)):
+        raise OutOfDomainError(f"|r| up to {float(np.max(x)):.6g} exceeds R(t)={R:.6g}")
+    b = setup.b
+    z = b / (R - b)
+    inner = -bump_poly_dw((b - np.minimum(x, b)) / b, z) / b
+    outer = np.full_like(x, -1.0 / (R - b))
+    mag = np.where(x < b, inner, outer)
+    sign = np.where(r < 0.0, -1.0, 1.0)
+    return sign * mag
+
+
+def _loop_calibrate_sup(setup, path, n_r=400, n_t=64):
+    sup = 0.0
+    for t in np.linspace(path.times[0], path.times[-1], n_t):
+        R = path.radius_at(t)
+        r = np.linspace(0.0, R, n_r)
+        sup = max(sup, float(np.max(1.0 + _loop_weight_profile(r, t, setup, path))))
+    return sup
+
+
+def _loop_weight_functions(r, t, params, setup, path):
+    T = path.horizon
+    if not 0.0 < t < T:
+        raise DegenerateWeightError(f"weights blow up outside 0 < t < T, got t={t:g}")
+    alpha1 = 1.0 + _loop_weight_profile(r, t, setup, path)
+    sigma = np.exp(2.0 * params.lam * params.sup_alpha1) - np.exp(params.lam * alpha1)
+    tk = (t ** params.k) * ((T - t) ** params.k)
+    return WeightValues(alpha1=alpha1, sigma=sigma, alpha=sigma / tk,
+                        xi=np.exp(params.lam * alpha1) / tk)
+
+
+def _loop_check_weight_profile(setup, path, n_r=801, n_t=33):
+    boundary = 0.0
+    origin_slope = 0.0
+    c1_gap = 0.0
+    evenness = 0.0
+    annulus_min = np.inf
+    origin_gap = 0.0
+    control_gap = 0.0
+    linear_gap = 0.0
+    b, b0 = setup.b, setup.b0
+    for t in np.linspace(path.times[0], path.times[-1], n_t):
+        R = path.radius_at(t)
+        z = b / (R - b)
+        boundary = max(boundary, float(np.max(np.abs(
+            _loop_weight_profile(np.array([-R, R]), t, setup, path)))))
+        origin_slope = max(origin_slope, abs(float(
+            _loop_weight_profile_dr(np.array([0.0]), t, setup, path)[0])))
+        left = -bump_poly_dw(0.0, z) / b
+        right = -1.0 / (R - b)
+        c1_gap = max(c1_gap, abs(float(left - right)))
+        r = np.linspace(0.0, R, n_r)
+        vals_p = _loop_weight_profile(r, t, setup, path)
+        vals_m = _loop_weight_profile(-r, t, setup, path)
+        evenness = max(evenness, float(np.max(np.abs(vals_p - vals_m))))
+        ann = np.linspace(b0 + 0.01, R - 0.01, n_r)
+        annulus_min = min(annulus_min, float(np.min(np.abs(
+            _loop_weight_profile_dr(ann, t, setup, path)))))
+        origin_gap = max(origin_gap, abs(float(
+            _loop_weight_profile(np.array([0.0]), t, setup, path)[0]) - 2.0))
+        control_gap = max(control_gap, abs(float(
+            _loop_weight_profile(np.array([b]), t, setup, path)[0]) - 1.0))
+        seg = np.linspace(b, R, n_r)
+        linear_gap = max(linear_gap, float(np.max(np.abs(
+            _loop_weight_profile(seg, t, setup, path) - (1.0 - (seg - b) / (R - b))))))
+    return ProfileReport(
+        boundary_value_max=boundary,
+        origin_slope_max=origin_slope,
+        c1_gap_at_b=c1_gap,
+        evenness_gap=evenness,
+        annulus_min_abs_slope=annulus_min,
+        origin_value_gap=origin_gap,
+        control_value_gap=control_gap,
+        linear_branch_gap=linear_gap,
+    )
+
+
+def _loop_carleman_sides(phi, forcing, params, setup, path, margin=None):
+    values = phi.values
+    m = path.steps
+    n = phi.n_intervals
+    h = 1.0 / n
+    dt = path.dt
+    delta = max(1.0 / m, 0.0 if margin is None else margin)
+    j_lo = max(1, int(np.ceil(delta * m - 1e-9)))
+    j_hi = min(m - 1, int(np.floor((1.0 - delta) * m + 1e-9)))
+
+    fvals = None
+    if forcing is not None:
+        fvals = forcing.values if isinstance(forcing, SpaceTimeField) else np.asarray(forcing)
+
+    rho = np.linspace(0.0, 1.0, n + 1)
+    w_t_grid = _d1(values, dt, axis=1)
+    w_r_grid = _d1(values, h, axis=0)
+    w_rr_grid = _d2_space(values, h)
+
+    js = np.arange(j_lo, j_hi + 1)
+    tw = np.full(js.size, dt)
+    tw[0] *= 0.5
+    tw[-1] *= 0.5
+
+    lam, s = params.lam, params.s
+    acc = {"time": 0.0, "second": 0.0, "gradient": 0.0, "zero": 0.0,
+           "boundary": 0.0, "obs": 0.0, "src": 0.0}
+    for idx, j in enumerate(js):
+        t = path.times[j]
+        R = path.radii[j]
+        Rp = path.slopes[j]
+        r_nodes = rho * R
+        wv = _loop_weight_functions(r_nodes, float(t), params, setup, path)
+        with np.errstate(under="ignore"):
+            expw = np.exp(-2.0 * s * wv.alpha)
+        phi_r = w_r_grid[:, j] / R
+        phi_rr = w_rr_grid[:, j] / (R * R)
+        phi_t = w_t_grid[:, j] - rho * (Rp / R) * w_r_grid[:, j]
+        col = values[:, j]
+        sxi = s * wv.xi
+        wt = tw[idx]
+        acc["time"] += wt * R * trapezoid(expw * phi_t ** 2 / sxi, dx=h)
+        acc["second"] += wt * R * trapezoid(expw * phi_rr ** 2 / sxi, dx=h)
+        acc["gradient"] += wt * R * trapezoid(expw * lam ** 2 * sxi * phi_r ** 2, dx=h)
+        dens = lam ** 4 * (s ** 3) * wv.xi ** 3
+        acc["zero"] += wt * R * trapezoid(expw * dens * col ** 2, dx=h)
+        acc["boundary"] += wt * expw[-1] * lam * sxi[-1] * phi_r[-1] ** 2
+        obs_dens = np.where(r_nodes < setup.b, dens * col ** 2, 0.0)
+        acc["obs"] += wt * R * trapezoid(obs_dens, dx=h)
+        if fvals is not None:
+            acc["src"] += wt * R * trapezoid(expw * fvals[:, j] ** 2, dx=h)
+
+    lhs = acc["time"] + acc["second"] + acc["gradient"] + acc["zero"] + acc["boundary"]
+    rhs = acc["obs"] + acc["src"]
+    ratio = lhs / rhs if rhs > 0.0 else np.inf
+    return CarlemanReport(
+        lhs_time=acc["time"], lhs_second=acc["second"], lhs_gradient=acc["gradient"],
+        lhs_zero=acc["zero"], lhs_boundary=acc["boundary"], lhs_total=lhs,
+        rhs_observation=acc["obs"], rhs_source=acc["src"], rhs_total=rhs,
+        ratio=ratio, margin=delta,
+    )
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.integers(8, 40), m=st.integers(8, 48), horizon=st.floats(0.2, 1.0),
+       amp=st.floats(0.0, 0.15), freq=st.integers(1, 3),
+       margin=st.one_of(st.none(), st.floats(0.0, 0.3)),
+       lam=st.floats(0.5, 2.0), s=st.floats(1e-5, 1e-3), k=st.integers(2, 3),
+       forced=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_array_diagnostic_matches_level_loop(n, m, horizon, amp, freq, margin,
+                                             lam, s, k, forced, seed):
+    # the space-time array evaluation against the per-level loops it replaced,
+    # on wobbling paths: profile report and sup alpha1 bitwise, every weighted
+    # energy field to 1e-13 relative (only the summation order differs)
+    setup = PhysicalSetup(T=horizon)
+    cfg = SchemeConfig(n=n, m=m)
+    path = path_from_function(
+        lambda t: 1.0 + amp * np.sin(freq * np.pi * t / horizon),
+        lambda t: amp * freq * np.pi / horizon * np.cos(freq * np.pi * t / horizon),
+        horizon, m)
+    assert check_weight_profile(setup, path) == _loop_check_weight_profile(setup, path)
+    params = CarlemanParams.calibrate(lam, s, k, setup, path)
+    assert params.sup_alpha1 == _loop_calibrate_sup(setup, path)
+
+    rng = np.random.default_rng(seed)
+    phiT = np.zeros(n + 1)
+    phiT[1:-1] = rng.standard_normal(n - 1)
+    forcing = rng.standard_normal((n + 1, m + 1)) if forced else None
+    phi = solve_adjoint(phiT, path, None, forcing, cfg)
+    for p in (params, params.doubled_s()):
+        got = carleman_sides(phi, forcing, p, setup, path, margin=margin).as_dict()
+        want = _loop_carleman_sides(phi, forcing, p, setup, path, margin=margin).as_dict()
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-13 * abs(value), key
+
+
+def test_pointwise_profile_keeps_its_errors():
+    setup = PhysicalSetup()
+    path = constant_path(setup.R0, setup.T, 8)
+    r = np.linspace(-setup.R0, setup.R0, 41)
+    t = 0.3 * setup.T
+    assert np.array_equal(weight_profile(r, t, setup, path),
+                          _loop_weight_profile(r, t, setup, path))
+    assert np.array_equal(weight_profile_dr(r, t, setup, path),
+                          _loop_weight_profile_dr(r, t, setup, path))
+    with pytest.raises(OutOfDomainError, match=r"\|r\| up to 1\.5 exceeds R\(t\)=1$"):
+        weight_profile(np.array([0.2, -1.5, 1.2]), t, setup, path)
+    with pytest.raises(OutOfDomainError):
+        weight_profile_dr(np.array([1.01]), t, setup, path)
