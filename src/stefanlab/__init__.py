@@ -74,7 +74,6 @@ from .stefan import (
     Nonlinearity,
     coupled_solve,
     fixed_point_iterate,
-    holder_seminorm,
     integrate_boundary,
     linearize_and_control,
     stefan_rate,

@@ -95,16 +95,10 @@ _RUN_ERRORS = (
 
 
 def _atomic_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
+    def write(tmp):
+        with open(tmp, "w") as fh:
             fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_via(path, write)
 
 
 def _jsonable(obj):
@@ -340,7 +334,7 @@ def _scenario_forward(ec: ExperimentConfig) -> dict:
         "final_norm": line_l2_norm(final, setup.R0, cfg.grid),
         "initial_norm": line_l2_norm(u0, setup.R0, cfg.grid),
         "sup_state": float(np.max(np.abs(state.values))),
-        "boundary_flux_T": boundary_flux(state, path, cfg.m, order=cfg.flux_order),
+        "boundary_flux_T": boundary_flux(state, path, cfg.m),
     }
 
 

@@ -56,6 +56,8 @@ class HUMConfig:
             raise GridError(f"penalty must be positive, got {self.epsilon}")
         if self.variant not in (VARIANT_QUADRATIC, VARIANT_EXACT):
             raise GridError(f"unknown variant {self.variant!r}")
+        if not self.prox_tol > 0:
+            raise GridError(f"prox_tol must be positive, got {self.prox_tol}")
         if self.prox_max_iter < 1:
             raise GridError(f"prox_max_iter must be positive, got {self.prox_max_iter}")
 

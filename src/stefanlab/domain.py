@@ -140,6 +140,8 @@ class BoundaryPath:
             raise GridError("time grid must be uniform and increasing")
         if not (np.all(np.isfinite(r)) and np.all(r > 0)):
             raise RadiusBoundsError("radii must be finite and positive")
+        if not np.all(np.isfinite(s)):
+            raise GridError("slopes must be finite")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "slopes", s)
@@ -341,16 +343,27 @@ def write_field_csv(path, field: SpaceTimeField, grid: ReferenceGrid) -> None:
         writer.writerows(level.tolist() for level in field.values.T)
 
 
+def _csv_numbers(row, k: int) -> list[float]:
+    try:
+        return [float(x) for x in row]
+    except ValueError as exc:
+        raise GridError(f"field csv row {k}: {exc}") from exc
+
+
 def read_field_csv(path, role: str = ROLE_STATE) -> tuple[SpaceTimeField, ReferenceGrid]:
+    """Read a field written by `write_field_csv`; a malformed file raises
+    GridError naming its first bad row (counted from 1, blank lines skipped)."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if len(rows) < 2:
         raise GridError("field csv needs a node row and at least one time level")
-    nodes = np.array([float(x) for x in rows[0]])
+    nodes = np.array(_csv_numbers(rows[0], 1))
     grid = ReferenceGrid(nodes.size - 1)
     if not np.allclose(nodes, grid.nodes, atol=1e-12):
         raise GridError("first csv row is not a uniform [0, 1] node set")
-    values = np.array([[float(x) for x in row] for row in rows[1:]]).T
-    if values.shape[0] != nodes.size:
-        raise GridError("time level rows must match the node count")
-    return SpaceTimeField(values, role=role), grid
+    levels = []
+    for k, row in enumerate(rows[1:], start=2):
+        if len(row) != nodes.size:
+            raise GridError(f"field csv row {k} has {len(row)} cells, the node row {nodes.size}")
+        levels.append(_csv_numbers(row, k))
+    return SpaceTimeField(np.array(levels).T, role=role), grid

@@ -56,29 +56,25 @@ class SchemeConfig:
     """Grid sizes and scheme parameters.
 
     theta = 1/2 is Crank-Nicolson (second order), theta = 1 implicit Euler
-    (first order, discrete maximum principle).  flux_order selects the
-    one-sided stencil used for the boundary derivative.
+    (first order, discrete maximum principle).
     """
 
     n: int = 50
     m: int = 100
     theta: float = 0.5
-    flux_order: int = 2
 
     def __post_init__(self):
         if self.n < 8 or self.m < 8:
             raise GridError(f"need n >= 8 and m >= 8, got ({self.n}, {self.m})")
         if not 0.5 <= self.theta <= 1.0:
             raise GridError(f"theta must lie in [1/2, 1], got {self.theta}")
-        if self.flux_order not in (1, 2):
-            raise GridError(f"flux_order must be 1 or 2, got {self.flux_order}")
 
     @property
     def grid(self) -> ReferenceGrid:
         return ReferenceGrid(self.n)
 
     def refined(self) -> "SchemeConfig":
-        return SchemeConfig(2 * self.n, 2 * self.m, self.theta, self.flux_order)
+        return SchemeConfig(2 * self.n, 2 * self.m, self.theta)
 
 
 def _interior_diagonals(rho_int, h, radius, slope, pot_col):
@@ -171,15 +167,16 @@ def _lagged_reaction(nonlinearity, x, r_int):
     return r_int * nonlinearity.value(x / r_int)
 
 
-def _edge_flux(col, radius, order):
-    """u_r at the boundary from one column: one-sided rho derivative / R."""
-    n = col.size - 1
+def _edge_flux(values, radius):
+    """u_r at the boundary: the one-sided 3-point rho derivative at rho = 1, / R.
+
+    values is one (n+1,) column with its scalar radius, or a whole
+    (n+1, m+1) field with the vector of radii, one per time level.
+    """
+    n = values.shape[0] - 1
     h = 1.0 / n
-    if order == 1:
-        du = (col[n] - col[n - 1]) / h
-    else:
-        du = (3.0 * col[n] - 4.0 * col[n - 1] + col[n - 2]) / (2.0 * h)
-    return float(du / radius)
+    du = (3.0 * values[n] - 4.0 * values[n - 1] + values[n - 2]) / (2.0 * h)
+    return du / radius
 
 
 def _coerce_potential(potential, n, m):
@@ -492,8 +489,7 @@ def solve_forward(u0, path: BoundaryPath, potential, source, cfg: SchemeConfig,
     """
     role = source.role if isinstance(source, SpaceTimeField) else ROLE_SOURCE
     prop = Propagator(path, potential, cfg, control_radius=control_radius)
-    values = prop.run_forward(u0, source=source, source_role=role) if source is not None \
-        else prop.run_forward(u0)
+    values = prop.run_forward(u0, source=source, source_role=role)
     return SpaceTimeField(values, role=ROLE_STATE)
 
 
@@ -520,19 +516,23 @@ def solve_semilinear(u0, path: BoundaryPath, nonlinearity, cfg: SchemeConfig,
     return SpaceTimeField(values, role=ROLE_STATE)
 
 
-def boundary_flux(field: SpaceTimeField, path: BoundaryPath, j: int, order: int = 2) -> float:
+def _check_flux_field(field: SpaceTimeField, path: BoundaryPath, j: int | None = None) -> None:
+    """A boundary flux needs a state or adjoint field on the path's time
+    grid, and a time index j, when one is given, on that grid."""
+    if field.role not in DIRICHLET_ROLES:
+        raise FieldRoleError(f"flux needs a state or adjoint field, got {field.role!r}")
+    if field.n_steps != path.steps:
+        raise GridError(f"field has {field.n_steps} steps, path has {path.steps}")
+    if j is not None and not 0 <= j <= path.steps:
+        raise GridError(f"time index {j} outside 0..{path.steps}")
+
+
+def boundary_flux(field: SpaceTimeField, path: BoundaryPath, j: int) -> float:
     """One-sided derivative of the line field at the moving boundary.
 
     Returns u_r(R(t_j), t_j), i.e. the one-sided rho derivative at rho = 1
     divided by R(t_j) for the chain rule.  Requires a state or adjoint field
     (Dirichlet rows already validated on construction).
     """
-    if field.role not in DIRICHLET_ROLES:
-        raise FieldRoleError(f"flux needs a state or adjoint field, got {field.role!r}")
-    if field.n_steps != path.steps:
-        raise GridError(f"field has {field.n_steps} steps, path has {path.steps}")
-    if not 0 <= j <= path.steps:
-        raise GridError(f"time index {j} outside 0..{path.steps}")
-    if order not in (1, 2):
-        raise GridError(f"stencil order must be 1 or 2, got {order}")
-    return _edge_flux(field.values[:, j], path.radii[j], order)
+    _check_flux_field(field, path, j)
+    return float(_edge_flux(field.values[:, j], path.radii[j]))

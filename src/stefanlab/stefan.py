@@ -6,9 +6,11 @@ R'(t) = -u_r(R(t), t) / R(t): the one-sided boundary flux of the line
 field, divided once more by the radius.  This module owns that coupling in
 three layers.
 
-* Kinematics: `stefan_rate` evaluates the melting rate at one time node and
-  `integrate_boundary` accumulates it into a new boundary path along a
-  frozen reference path, refusing to leave the admissible band [R_star, E].
+* Kinematics: the melting rate is one array expression, shared by the
+  coupled march and the integrator; `stefan_rate` evaluates it at one time
+  node, and `integrate_boundary` evaluates it on every level of a field at
+  once and accumulates it into a new boundary path along a frozen
+  reference path, refusing to leave the admissible band [R_star, E].
 * Dynamics: `coupled_solve` marches the state and the radius together on
   the theta-step kernel of `pde`: an Euler predictor for the radius, then
   a trapezoid corrector that re-solves the step on the averaged radius.
@@ -50,13 +52,13 @@ from .errors import (
 )
 from .pde import (
     SchemeConfig,
+    _check_flux_field,
     _check_initial,
     _edge_flux,
     _forward_step,
     _lagged_reaction,
     _step_forcing,
     _theta_step,
-    boundary_flux,
 )
 from .control import HUMConfig, HUMOutcome, solve_hum
 
@@ -167,20 +169,24 @@ class Nonlinearity:
 # boundary kinematics
 
 
-def stefan_rate(field: SpaceTimeField, path: BoundaryPath, j: int,
-                order: int = 2) -> float:
-    """Boundary velocity R'(t_j) from the line field's boundary flux.
+def _melting_rate(values, radii):
+    """R' = -u_r(R) / R: the physical boundary flux of the line field
+    (already one chain-rule factor of 1/R) divided once more by the radius.
 
-    The melting law reads R' = -u_r(R(t), t) / R(t): the physical boundary
-    flux of the line field (already one chain-rule factor of 1/R) divided
-    once more by the radius.
+    values and radii are one column and its radius, or a whole field and
+    its radii per time level; see `pde._edge_flux`.
     """
-    flux = boundary_flux(field, path, j, order=order)
-    return float(-flux / path.radii[j])
+    return -_edge_flux(values, radii) / radii
+
+
+def stefan_rate(field: SpaceTimeField, path: BoundaryPath, j: int) -> float:
+    """Boundary velocity R'(t_j) from the line field's boundary flux."""
+    _check_flux_field(field, path, j)
+    return float(_melting_rate(field.values[:, j], path.radii[j]))
 
 
 def integrate_boundary(field: SpaceTimeField, path: BoundaryPath,
-                       setup: PhysicalSetup, order: int = 2) -> BoundaryPath:
+                       setup: PhysicalSetup) -> BoundaryPath:
     """Accumulate the melting rate along a frozen path into a new boundary.
 
     R_new(t) = R(0) + integral of the rate, by cumulative trapezoid on the
@@ -190,8 +196,8 @@ def integrate_boundary(field: SpaceTimeField, path: BoundaryPath,
     initial data is too large for the local regime, and silently projecting
     it back would fake a solution of a different problem.
     """
-    rates = np.array([stefan_rate(field, path, j, order=order)
-                      for j in range(path.steps + 1)])
+    _check_flux_field(field, path)
+    rates = _melting_rate(field.values, path.radii)
     steps = np.cumsum(path.dt * (rates[1:] + rates[:-1]) / 2.0)
     radii = float(path.radii[0]) + np.concatenate(([0.0], steps))
     bad = (radii < setup.R_star) | (radii > setup.E)
@@ -263,9 +269,6 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
     radii = np.zeros(m + 1)
     slopes = np.zeros(m + 1)
 
-    def rate(col, radius):
-        return -_edge_flux(col, radius, cfg.flux_order) / radius
-
     def masked_column(j, radius):
         if ctrl is None:
             return None
@@ -278,7 +281,7 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
         return _forward_step(explicit, factors, x, dt, extra)
 
     radii[0] = setup.R0
-    q = slopes[0] = rate(u0, setup.R0)
+    q = slopes[0] = _melting_rate(u0, setup.R0)
     x = u0[1:-1].copy()
     col = np.zeros(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -287,7 +290,7 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
             lag = None if nl is None else _lagged_reaction(nl, x, rho_int * radii[j])
             r_pred = radii[j] + dt * q
             col[1:-1] = step(j, x, here, r_pred, q, lag)
-            q_pred = rate(col, r_pred)
+            q_pred = _melting_rate(col, r_pred)
             r_next = radii[j] + 0.5 * dt * (q + q_pred)
             x_new = step(j, x, here, r_next, q_pred, lag)
 
@@ -308,7 +311,7 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
             slopes[j + 1] = q_pred
             x = x_new
             w[1:-1, j + 1] = x
-            q = rate(w[:, j + 1], r_next)
+            q = _melting_rate(w[:, j + 1], r_next)
 
     return SpaceTimeField(w, role=ROLE_STATE), BoundaryPath(times, radii, slopes)
 
@@ -405,7 +408,7 @@ def linearize_and_control(zbar, rbar: BoundaryPath, u0, setup: PhysicalSetup,
     potential = None if nl is None else np.asarray(nl.slope(vals), dtype=float)
 
     outcome = solve_hum(u0, rbar, potential, setup.b, hum, cfg)
-    new_path = integrate_boundary(outcome.state, rbar, setup, order=cfg.flux_order)
+    new_path = integrate_boundary(outcome.state, rbar, setup)
     return LambdaOutcome(state=outcome.state, path=new_path, hum=outcome)
 
 
@@ -487,30 +490,6 @@ def fixed_point_iterate(u0, setup: PhysicalSetup, fpc: FixedPointConfig,
         converged=True,
         iterations=total,
     )
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def holder_seminorm(times, values, kappa: float) -> float:
-    """Discrete Hölder seminorm sup over pairs of |V(t) - V(t')| / |t - t'|^kappa.
-
-    kappa lies in (0, 1/2]; the half exponent is the boundary of the
-    boundary-velocity regularity class and is accepted as a stress case.
-    """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-        raise GridError("times and values must be matching 1-d arrays, length >= 2")
-    if not 0.0 < kappa <= 0.5:
-        raise GridError(f"Hoelder exponent must lie in (0, 1/2], got {kappa}")
-    iu = np.triu_indices(t.size, k=1)
-    gaps = np.abs(np.subtract.outer(t, t))[iu]
-    if np.any(gaps == 0.0):
-        raise GridError("repeated time samples")
-    jumps = np.abs(np.subtract.outer(v, v))[iu]
-    return float(np.max(jumps / gaps ** kappa))
 
 
 _HISTORY_COLUMNS = ("iteration", "dz_sup", "dR_sup", "dRp_sup",

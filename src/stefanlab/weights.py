@@ -107,7 +107,7 @@ def _sampled_radii(path: BoundaryPath, count: int) -> np.ndarray:
 def _check_lam_s_k(lam, s, k) -> None:
     if not (lam > 0 and s > 0):
         raise GridError(f"lam and s must be positive, got ({lam}, {s})")
-    if int(k) != k or k < 2:
+    if not float(k).is_integer() or k < 2:
         raise GridError(f"k must be an integer >= 2, got {k}")
 
 

@@ -176,12 +176,14 @@ def test_malformed_geometry_exits_2(tmp_path, capsys):
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):
-    cfg = _write(tmp_path, "bad.json", {
-        "scenario": "forward",
-        "scheme": {"nodes": 20},
-    })
-    assert main(["run", "--config", cfg]) == 2
-    assert "scheme.nodes" in capsys.readouterr().err
+    # flux_order chose between two boundary stencils; one is left, and the key is gone
+    for key in ("nodes", "flux_order"):
+        cfg = _write(tmp_path, "bad.json", {
+            "scenario": "forward",
+            "scheme": {key: 2},
+        })
+        assert main(["run", "--config", cfg]) == 2
+        assert f"scheme.{key}" in capsys.readouterr().err
 
 
 _TABLE = {"kind": "table", "s": [-1.0, 0.0, 1.0], "f": [-1.0, 0.0, 1.0]}
@@ -198,13 +200,15 @@ _TABLE = {"kind": "table", "s": [-1.0, 0.0, 1.0], "f": [-1.0, 0.0, 1.0]}
     ("carleman", {"trials": 0}, "carleman: trials"),
     ("carleman", {"k": 1}, "carleman: k"),
     ("hum", {"epsilon": float("nan")}, "hum.epsilon"),
+    ("hum", {"prox_tol": -1}, "hum: prox_tol"),
     ("fixedpoint", {"fp_tol": float("nan")}, "fixedpoint.fp_tol"),
     ("fixedpoint", {"epsilon_schedule": [float("inf")]}, "fixedpoint.epsilon_schedule[0]"),
     ("carleman", {"lam": float("nan")}, "carleman.lam"),
     ("physical", {"T": float("inf")}, "physical.T"),
 ], ids=["schedule-string", "schedule-bool", "table-strings", "table-slope-string",
         "sine-slope", "z0-phase", "carleman-trials", "carleman-k", "hum-epsilon-nan",
-        "fp-tol-nan", "schedule-infinity", "carleman-lam-nan", "horizon-infinity"])
+        "prox-tol-negative", "fp-tol-nan", "schedule-infinity", "carleman-lam-nan",
+        "horizon-infinity"])
 def test_malformed_nested_value_exits_2(tmp_path, capsys, section, body, path):
     scenario = "carleman" if section == "carleman" else "fixedpoint"
     cfg = _write(tmp_path, "bad.json", {

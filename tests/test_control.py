@@ -32,6 +32,9 @@ def test_hum_config_validation():
         HUMConfig(variant="soft")
     with pytest.raises(GridError):
         HUMConfig(prox_max_iter=0)
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(GridError):
+            HUMConfig(prox_tol=tol)
 
 
 def test_quadratic_drives_final_norm_down():

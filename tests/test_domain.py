@@ -101,6 +101,15 @@ def test_path_rejects_nonpositive_radius():
         BoundaryPath(t, r, np.zeros(5))
 
 
+def test_path_rejects_nonfinite_slopes():
+    t = np.linspace(0.0, 1.0, 5)
+    for bad in (np.nan, np.inf):
+        slopes = np.zeros(5)
+        slopes[2] = bad
+        with pytest.raises(GridError, match="slopes"):
+            BoundaryPath(t, np.ones(5), slopes)
+
+
 def test_path_require_bounds():
     path = constant_path(1.0, 1.0, 4)
     path.require_bounds(0.5, 1.5)
@@ -254,6 +263,19 @@ def test_field_csv_bytes_match_scalar_repr(tmp_path):
     assert b"\r\n" in target.read_bytes()
     back, _ = read_field_csv(target, role=ROLE_CONTROL)
     assert back.values.tobytes() == vals.tobytes()
+
+
+@pytest.mark.parametrize("level, match", [
+    ("0.0,1.0,2.0", "row 4 has 3 cells"),
+    ("0.0,x,0.0,1.0,0.0", "row 4: could not convert"),
+], ids=["ragged-row", "non-number"])
+def test_field_csv_rejects_malformed_rows(tmp_path, level, match):
+    grid = ReferenceGrid(4)
+    target = tmp_path / "field.csv"
+    write_field_csv(target, SpaceTimeField(np.zeros((5, 2)), role=ROLE_STATE), grid)
+    target.write_text(target.read_text() + level + "\n")
+    with pytest.raises(GridError, match=match):
+        read_field_csv(target)
 
 
 def test_package_import_leaves_heavy_scipy_modules_out():

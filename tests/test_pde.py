@@ -41,8 +41,6 @@ def test_scheme_config_validation():
         SchemeConfig(n=4, m=100)
     with pytest.raises(GridError):
         SchemeConfig(n=16, m=16, theta=1.2)
-    with pytest.raises(GridError):
-        SchemeConfig(n=16, m=16, flux_order=3)
     assert SchemeConfig(n=16, m=16).refined().n == 32
 
 
@@ -409,14 +407,11 @@ def test_boundary_flux_polynomial_exact():
     cfg = SchemeConfig(n=20, m=8)
     path = constant_path(1.25, 0.1, cfg.m)
     rho = cfg.grid.nodes
-    h = cfg.grid.spacing
     vals = np.repeat((rho * rho - rho)[:, None], cfg.m + 1, axis=1)
     probe = SpaceTimeField(vals, role=ROLE_STATE)
     # d/drho (rho^2 - rho) = 1 at rho = 1; physical flux divides by R
-    flux = boundary_flux(probe, path, 3, order=2)
+    flux = boundary_flux(probe, path, 3)
     assert flux == pytest.approx(1.0 / 1.25, rel=1e-12)
-    flux1 = boundary_flux(probe, path, 3, order=1)
-    assert flux1 == pytest.approx((1.0 - h) / 1.25, rel=1e-12)
 
 
 def test_semilinear_zero_kind_matches_linear_bitwise():

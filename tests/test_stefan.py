@@ -26,7 +26,6 @@ from stefanlab.stefan import (
     Nonlinearity,
     coupled_solve,
     fixed_point_iterate,
-    holder_seminorm,
     integrate_boundary,
     linearize_and_control,
     stefan_rate,
@@ -122,6 +121,18 @@ def test_integrate_boundary_breach_reports_first_index():
     assert err.value.r_min < setup.R_star
 
 
+def test_integrate_boundary_checks_the_field():
+    setup = PhysicalSetup(T=0.4)
+    cfg = SchemeConfig(n=16, m=16)
+    path = constant_path(setup.R0, setup.T, cfg.m)
+    rho = cfg.grid.nodes
+    with pytest.raises(FieldRoleError):
+        integrate_boundary(_uniform_field(rho * rho - rho, cfg.m, role=ROLE_CONTROL),
+                           path, setup)
+    with pytest.raises(GridError):
+        integrate_boundary(_uniform_field(rho * rho - rho, cfg.m + 1), path, setup)
+
+
 # -- coupled dynamics ----------------------------------------------------------
 
 
@@ -167,15 +178,15 @@ def test_coupled_breach_raises():
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(n=st.integers(8, 48), m=st.integers(8, 48), theta=st.floats(0.5, 1.0),
-       order=st.sampled_from([1, 2]), amp=st.floats(-0.4, 0.4),
+       amp=st.floats(-0.4, 0.4),
        reaction=st.sampled_from([None, 0.8, -1.5]), controlled=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_coupled_path_replays_bitwise(n, m, theta, order, amp, reaction, controlled, seed):
+def test_coupled_path_replays_bitwise(n, m, theta, amp, reaction, controlled, seed):
     # the realized boundary path, put through the plain solver, reproduces
     # the march's state exactly: every step ran on the stored (R, R') pair
     nl = None if reaction is None else Nonlinearity.sine(reaction)
     setup = PhysicalSetup(T=0.3, z0=lambda r: amp * np.sin(np.pi * r), nonlinearity=nl)
-    cfg = SchemeConfig(n=n, m=m, theta=theta, flux_order=order)
+    cfg = SchemeConfig(n=n, m=m, theta=theta)
     u0 = setup.initial_line_field(cfg.grid)
     control = None
     if controlled:
@@ -234,16 +245,6 @@ def test_fixed_point_converges_for_small_data():
     assert np.all(result.path.radii <= setup.E)
 
 
-def test_fixed_point_honours_flux_order():
-    setup = PhysicalSetup(T=0.5, z0=lambda r: 0.02 * np.sin(np.pi * r),
-                          nonlinearity=Nonlinearity.sine())
-    fpc = FixedPointConfig(fp_tol=1e-6, max_outer=20)
-    radii = [fixed_point_iterate(None, setup, fpc, HUMConfig(epsilon=1e-4),
-                                 SchemeConfig(n=16, m=32, flux_order=order)).path.radii
-             for order in (1, 2)]
-    assert not np.array_equal(radii[0], radii[1])
-
-
 def test_fixed_point_trivial_data_converges_immediately():
     setup = PhysicalSetup(T=0.5, nonlinearity=Nonlinearity.sine())
     cfg = SchemeConfig(n=16, m=16)
@@ -278,20 +279,6 @@ def test_fixed_point_exhaustion_raises_with_history():
     with pytest.raises(ConvergenceError) as err:
         fixed_point_iterate(None, setup, fpc, HUMConfig(), cfg)
     assert len(err.value.history) == 2
-
-
-# -- regularity helpers ---------------------------------------------------------
-
-
-def test_holder_seminorm_oracles():
-    t = np.linspace(0.0, 1.0, 33)
-    assert holder_seminorm(t, np.full(33, 2.5), 0.5) == 0.0
-    # V(t) = t: |t - t'| / |t - t'|^{1/2} peaks at the full interval
-    assert holder_seminorm(t, t.copy(), 0.5) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(GridError):
-        holder_seminorm(t, t.copy(), 0.0)
-    with pytest.raises(GridError):
-        holder_seminorm(t, t.copy(), 0.75)
 
 
 def test_write_history_csv(tmp_path):

@@ -91,6 +91,9 @@ def test_carleman_params_validation_and_calibration():
         CarlemanParams(lam=0.0, s=1.0, k=2, sup_alpha1=3.0)
     with pytest.raises(GridError):
         CarlemanParams(lam=1.0, s=1.0, k=1, sup_alpha1=3.0)
+    for k in (float("nan"), float("inf")):
+        with pytest.raises(GridError):
+            CarlemanParams(lam=1.0, s=1.0, k=k, sup_alpha1=3.0)
     params = CarlemanParams.calibrate(1.0, 1e-4, 2, setup, path)
     # alpha1 = 1 + alpha0 peaks at the origin value 2
     assert params.sup_alpha1 == pytest.approx(3.0, abs=1e-9)
