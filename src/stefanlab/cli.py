@@ -72,7 +72,7 @@ from .errors import (
     RadiusBreachError,
 )
 from .observability import ObservabilityConfig, dense_constant, estimate_constant
-from .pde import Propagator, SchemeConfig, boundary_flux, solve_adjoint, solve_forward, solve_semilinear
+from .pde import SchemeConfig, boundary_flux, propagator, solve_adjoint, solve_forward, solve_semilinear
 from .stefan import FixedPointConfig, Nonlinearity, coupled_solve, fixed_point_iterate, write_history_csv
 from .weights import CarlemanConfig, CarlemanParams, carleman_sides, check_weight_profile
 
@@ -383,7 +383,7 @@ def _scenario_adjoint(ec: ExperimentConfig) -> dict:
     phi = solve_adjoint(phiT, path, None, None, cfg)
     _atomic_via(os.path.join(ec.out_dir, "adjoint.csv"),
                 lambda p: write_field_csv(p, phi, cfg.grid))
-    prop = Propagator(path, None, cfg)
+    prop = propagator(path, None, cfg)
     forward_T = prop.run_forward(u0)[:, -1]
     lhs = prop.slice_inner(forward_T, phiT, cfg.m)
     rhs = prop.slice_inner(u0, phi.values[:, 0], 0)
@@ -480,7 +480,7 @@ def _scenario_carleman(ec: ExperimentConfig) -> dict:
     for k in range(6):
         phiT += coeffs[:, k] * modes[k][:, None]
     phiT /= np.maximum(np.max(np.abs(phiT), axis=0), 1e-300)
-    block = Propagator(path, None, cfg).run_adjoint(phiT)
+    block = propagator(path, None, cfg).run_adjoint(phiT)
     trials = []
     monotone = True
     for i in range(section.trials):

@@ -21,6 +21,12 @@ columns in one blocked pass.
 The controlled final state, the optimality residual, and the identity
 y(T) = -eps phiT (quadratic variant) are cheap a posteriori checks; the
 outcome carries them.
+
+Every function here takes its operators from `pde.propagator`: consecutive
+calls in one thread with a bitwise-equal path, potential, control radius and
+scheme share one build and one Gramian assembly, so an epsilon ladder on a
+frozen path, with the replays of its controls, assembles G once.  Nothing
+else is cached.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .domain import (
     h1_seminorm,
 )
 from .errors import ConvergenceError, GridError
-from .pde import Propagator, SchemeConfig
+from .pde import SchemeConfig, propagator
 
 VARIANT_QUADRATIC = "quadratic"
 VARIANT_EXACT = "exact"
@@ -52,8 +58,8 @@ class HUMConfig:
     prox_max_iter: int = 4000
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise GridError(f"penalty must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise GridError(f"penalty must be positive and finite, got {self.epsilon}")
         if self.variant not in (VARIANT_QUADRATIC, VARIANT_EXACT):
             raise GridError(f"unknown variant {self.variant!r}")
         if not self.prox_tol > 0:
@@ -88,7 +94,7 @@ class HUMOutcome:
 def apply_gramian(phiT, path: BoundaryPath, potential, control_radius: float,
                   cfg: SchemeConfig) -> np.ndarray:
     """One Gramian application: adjoint sweep, mask, forward sweep, state at T."""
-    prop = Propagator(path, potential, cfg, control_radius=control_radius)
+    prop = propagator(path, potential, cfg, control_radius=control_radius)
     return prop.apply_gramian(phiT)
 
 
@@ -103,7 +109,7 @@ def dense_gramian(path: BoundaryPath, potential, control_radius: float,
     """
     if cfg.n > 64 or cfg.m > 128:
         raise GridError(f"dense assembly capped at (64, 128), got ({cfg.n}, {cfg.m})")
-    prop = Propagator(path, potential, cfg, control_radius=control_radius)
+    prop = propagator(path, potential, cfg, control_radius=control_radius)
     return prop.apply_gramian(np.eye(cfg.n + 1)[:, 1:-1])[1:-1]
 
 
@@ -115,7 +121,7 @@ def solve_hum(u0, path: BoundaryPath, potential, control_radius: float,
     control region at every time level), the controlled trajectory from one
     verification forward solve, and the scalar diagnostics.
     """
-    prop = Propagator(path, potential, cfg, control_radius=control_radius)
+    prop = propagator(path, potential, cfg, control_radius=control_radius)
     n, m = cfg.n, cfg.m
     y_free = prop.run_forward(u0)[:, -1]
     G, _ = prop.assemble_forms()

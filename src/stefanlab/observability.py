@@ -49,7 +49,7 @@ from scipy.linalg import eigh
 
 from .domain import BoundaryPath, PhysicalSetup
 from .errors import ConvergenceError, GridError
-from .pde import Propagator, SchemeConfig
+from .pde import Propagator, SchemeConfig, propagator
 
 _DENSE_NODE_CAP = 32
 _DENSE_STEP_CAP = 64
@@ -89,9 +89,9 @@ def _seed(n_int: int) -> np.ndarray:
 def _propagator(path: BoundaryPath, potential, setup: PhysicalSetup,
                 cfg: SchemeConfig, b: float | None) -> Propagator:
     radius = setup.b if b is None else float(b)
-    if radius <= 0.0:
+    if not radius > 0.0:
         raise GridError(f"observation radius must be positive, got {radius}")
-    return Propagator(path, potential, cfg, control_radius=radius)
+    return propagator(path, potential, cfg, control_radius=radius)
 
 
 def _refinement_hint(cfg: SchemeConfig) -> str:

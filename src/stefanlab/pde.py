@@ -22,10 +22,18 @@ symmetric positive semidefinite by construction.  The transposed advection
 plus the radius-ratio factor is a consistent discretization of the
 continuous backward equation -phi_t - phi_rr + a phi = F on the moving
 domain, so nothing is lost against the analytical adjoint.
+
+`propagator` is how the solvers obtain their operators.  It hands a thread
+back the `Propagator` of that thread's previous call when the path, the
+potential, the control radius and the scheme are bitwise equal to it, so a
+run of calls on one frozen path and potential (an epsilon ladder and its
+replays) shares one build and one Gramian assembly.  Only that one entry per
+thread is kept; nothing else is cached.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +187,11 @@ def _edge_flux(values, radius):
     return du / radius
 
 
+def _check_steps(path, cfg):
+    if path.steps != cfg.m:
+        raise GridError(f"path has {path.steps} steps, scheme expects {cfg.m}")
+
+
 def _coerce_potential(potential, n, m):
     if potential is None:
         return np.zeros((n + 1, m + 1))
@@ -219,13 +232,13 @@ class Propagator:
     Factors every implicit tridiagonal once, so repeated forward and adjoint
     sweeps, and the blocked adjoint sweep of `assemble_forms`, reuse the
     same LU data; the adjoint sweeps solve the transposed systems from the
-    identical factorization, which is what makes duality exact.
+    identical factorization, which is what makes duality exact.  The solvers
+    obtain theirs through `propagator`, which reuses a thread's last one.
     """
 
     def __init__(self, path: BoundaryPath, potential, cfg: SchemeConfig,
                  control_radius: float | None = None):
-        if path.steps != cfg.m:
-            raise GridError(f"path has {path.steps} steps, scheme expects {cfg.m}")
+        _check_steps(path, cfg)
         self.path = path
         self.cfg = cfg
         n, m = cfg.n, cfg.m
@@ -257,9 +270,10 @@ class Propagator:
         self.space_w[0] *= 0.5
         self.space_w[-1] *= 0.5
 
+        self._forms = None
         self.mask = None
         if control_radius is not None:
-            if control_radius <= 0:
+            if not control_radius > 0:
                 raise GridError(f"control radius must be positive, got {control_radius}")
             radii_nodes = np.outer(self.rho, R)          # (n+1, m+1) physical radii
             self.mask = (radii_nodes < control_radius).astype(float)
@@ -402,6 +416,9 @@ class Propagator:
     def assemble_forms(self):
         """Interior Gramian G and t = 0 slice P from one blocked adjoint sweep.
 
+        The sweep runs on the first call only; later calls return the same
+        two arrays, which are read-only.
+
         The sweep starts from the (n-1) x (n-1) identity block.  With O_j
         the masked observation level j of that sweep and tau_j the
         trapezoid time weights,
@@ -415,6 +432,14 @@ class Propagator:
         inequality (backward sweep, then free forward sweep, by duality).
         """
         self._require_mask()
+        if self._forms is None:
+            G, P = self._assemble_forms()
+            G.setflags(write=False)
+            P.setflags(write=False)
+            self._forms = G, P
+        return self._forms
+
+    def _assemble_forms(self):
         ni = self.n - 1
         radii = self.path.radii
         weight = self.tau * radii / radii[-1]
@@ -478,6 +503,33 @@ class Propagator:
 # ---------------------------------------------------------------------------
 # free-function wrappers
 
+# the calling thread's last (key, Propagator) pair, as `entry`
+_last = threading.local()
+
+
+def propagator(path: BoundaryPath, potential, cfg: SchemeConfig,
+               control_radius: float | None = None) -> Propagator:
+    """The Propagator for these inputs, reusing the calling thread's last one.
+
+    The previous Propagator this thread obtained here is returned when the
+    scheme, the control radius and the bytes of the path samples and of the
+    potential all equal its own; otherwise a new one is built and replaces
+    it.  A reused Propagator holds exactly what a new build would hold, so
+    every result stays bitwise the same.
+    """
+    _check_steps(path, cfg)
+    pot = _coerce_potential(potential, cfg.n, cfg.m)
+    radius = None if control_radius is None else float(control_radius)
+    key = (cfg, radius, path.times.tobytes(), path.radii.tobytes(),
+           path.slopes.tobytes(), pot.tobytes())
+    entry = getattr(_last, "entry", None)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    _last.entry = None   # never hold two at once
+    prop = Propagator(path, pot, cfg, control_radius=radius)
+    _last.entry = key, prop
+    return prop
+
 
 def solve_forward(u0, path: BoundaryPath, potential, source, cfg: SchemeConfig,
                   control_radius: float | None = None) -> SpaceTimeField:
@@ -488,14 +540,14 @@ def solve_forward(u0, path: BoundaryPath, potential, source, cfg: SchemeConfig,
     level before it acts.
     """
     role = source.role if isinstance(source, SpaceTimeField) else ROLE_SOURCE
-    prop = Propagator(path, potential, cfg, control_radius=control_radius)
+    prop = propagator(path, potential, cfg, control_radius=control_radius)
     values = prop.run_forward(u0, source=source, source_role=role)
     return SpaceTimeField(values, role=ROLE_STATE)
 
 
 def solve_adjoint(phiT, path: BoundaryPath, potential, forcing, cfg: SchemeConfig) -> SpaceTimeField:
     """Backward solve from the final datum; exact transpose of solve_forward."""
-    prop = Propagator(path, potential, cfg)
+    prop = propagator(path, potential, cfg)
     values = prop.run_adjoint(phiT, forcing=forcing)
     return SpaceTimeField(values, role=ROLE_ADJOINT)
 
@@ -510,7 +562,7 @@ def solve_semilinear(u0, path: BoundaryPath, nonlinearity, cfg: SchemeConfig,
     keeps this stable at desk scales; non-finite growth raises with a
     refinement suggestion.
     """
-    prop = Propagator(path, None, cfg, control_radius=control_radius)
+    prop = propagator(path, None, cfg, control_radius=control_radius)
     values = prop.run_forward(u0, source=control, source_role=ROLE_CONTROL,
                               reaction=nonlinearity)
     return SpaceTimeField(values, role=ROLE_STATE)

@@ -26,8 +26,9 @@ def _sine_data(cfg, amplitude=0.1):
 
 
 def test_hum_config_validation():
-    with pytest.raises(GridError):
-        HUMConfig(epsilon=0.0)
+    for eps in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(GridError):
+            HUMConfig(epsilon=eps)
     with pytest.raises(GridError):
         HUMConfig(variant="soft")
     with pytest.raises(GridError):

@@ -104,3 +104,5 @@ def test_observation_radius_guard():
     setup, cfg, path = _setting(16, 32)
     with pytest.raises(GridError):
         estimate_constant(path, None, setup, cfg, b=-0.1)
+    with pytest.raises(GridError):
+        estimate_constant(path, None, setup, cfg, b=float("nan"))

@@ -190,6 +190,16 @@ def test_gramian_energy_equals_control_cost():
     assert energy == pytest.approx(prop.control_cost(obs) ** 2, rel=1e-10)
 
 
+def test_control_radius_must_be_positive():
+    cfg = SchemeConfig(n=16, m=16)
+    path = constant_path(1.0, 0.1, cfg.m)
+    for radius in (0.0, -0.3, float("nan")):
+        with pytest.raises(GridError):
+            Propagator(path, None, cfg, control_radius=radius)
+    # the full-window variant observes every node
+    assert np.all(Propagator(path, None, cfg, control_radius=np.inf).mask == 1.0)
+
+
 def test_control_source_requires_mask():
     cfg = SchemeConfig(n=16, m=16)
     path = constant_path(1.0, 0.1, cfg.m)
