@@ -25,12 +25,13 @@ flag, the STEFANLAB_OUT_DIR environment variable, the config's own out_dir,
 then `runs/<scenario>`.  A sweep puts every run in `<root>/<config-stem>`
 under its root (--out-dir, then STEFANLAB_OUT_DIR, then `sweeps`), whatever
 out_dir the config sets, and refuses configs that share a stem.  It runs
-its entries on a pool of --workers threads, one by default: the runs are
-mostly Python-level stepping that holds the interpreter lock, so more
-threads contend for it and a sweep gets slower, not faster.  It collects
-one row per run into `sweep.csv` (standard CSV: a cell holding a comma or
-a quote, such as an error message, is quoted), keeps going past
-individual failures, and exits nonzero if any row failed.
+its entries on a pool of --workers threads (at least 1), one by default:
+the runs are mostly Python-level stepping that holds the interpreter lock,
+so more threads contend for it and a sweep gets slower, not faster.  It
+collects one row per run, keyed by the config's file name, into
+`sweep.csv` (standard CSV: a cell holding a comma or a quote, such as an
+error message, is quoted), keeps going past individual failures, and
+exits nonzero if any row failed.
 
 Exit codes: 0 success, 1 scenario failure, 2 configuration or usage error.
 """
@@ -588,7 +589,8 @@ def _cmd_run(args) -> int:
 
 def _sweep_row(path: str, base: str) -> dict:
     stem = os.path.splitext(os.path.basename(path))[0]
-    row = {"config": path, "scenario": "", "status": "ok", "exit_code": 0, "error": ""}
+    row = {"config": os.path.basename(path), "scenario": "", "status": "ok", "exit_code": 0,
+           "error": ""}
     try:
         raw = load_config(path)
         ec = resolve_config(raw, out_dir=os.path.join(base, stem))
@@ -619,7 +621,7 @@ def _cmd_sweep(args) -> int:
               f"each sweep entry needs its own", file=sys.stderr)
         return 2
     base = args.out_dir or os.environ.get(_ENV_OUT) or "sweeps"
-    workers = max(1, min(args.workers, len(paths)))
+    workers = min(args.workers, len(paths))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(lambda p: _sweep_row(p, base), paths))
     fixed = ["config", "scenario", "status", "exit_code", "error"]
@@ -655,6 +657,8 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="thread pool size (default 1; runs hold the interpreter lock)")
     args = parser.parse_args(argv)
+    if args.command == "sweep" and args.workers < 1:
+        parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_sweep(args)

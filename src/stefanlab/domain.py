@@ -336,11 +336,11 @@ def write_field_csv(path, field: SpaceTimeField, grid: ReferenceGrid) -> None:
             f"field has {field.n_intervals} intervals, grid has {grid.n}"
         )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        # the writer formats Python floats with repr, the shortest round-trip
-        # form; one level at a time, so no Python copy of the field is held
-        writer.writerow(grid.nodes.tolist())
-        writer.writerows(level.tolist() for level in field.values.T)
+        # the bytes csv.writer would write: the repr of a float, the shortest
+        # round-trip form, holds no delimiter or quote, so no cell is quoted;
+        # one level at a time, so no Python copy of the field is held
+        for row in (grid.nodes, *field.values.T):
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def _csv_numbers(row, k: int) -> list[float]:

@@ -10,6 +10,9 @@ on the fixed reference interval.  One step of the theta scheme reads
     (I - theta dt L_{j+1}) u^{j+1} = (I + (1-theta) dt L_j) u^j + dt f_step,
 
 one tridiagonal solve per step (LAPACK gttrf/gttrs, factored once per step).
+One builder, `_theta_table`, forms both operators of every step in one
+array pass over the levels: a `Propagator` calls it once, on all m+1
+levels, and the coupled march of `stefan` on two levels per solve.
 
 The backward solver applies the exact transpose of each forward step, scaled
 by R_{j+1}/R_j so that adjacent time levels pair in the physical measure
@@ -85,54 +88,46 @@ class SchemeConfig:
         return SchemeConfig(2 * self.n, 2 * self.m, self.theta)
 
 
-def _interior_diagonals(rho_int, h, radius, slope, pot_col):
-    """Tridiagonal interior stencil of L = (1/R^2) d_rhorho + (rho R'/R) d_rho - a."""
-    diff = 1.0 / (radius * radius * h * h)
-    adv = rho_int * slope / (2.0 * h * radius)
-    lower = diff - adv
-    diag = -2.0 * diff - pot_col
-    upper = diff + adv
-    return lower, diag, upper
+def _theta_table(cfg, rho, dt, radii, slopes, pot, first=0):
+    """Both operators of every theta step along L >= 2 levels, in one pass.
 
-
-def _theta_step(cfg, rho_int, h, dt, j, here, there):
-    """Both operators of theta step j from its two levels.
-
-    here and there are (R, R', potential column) at levels j and j+1.
-    Returns the diagonals (sub, diag, super) of I + (1-theta) dt L_j and
-    the gttrf factors of I - theta dt L_{j+1}.
+    rho holds the n-1 interior nodes, radii and slopes the (L,) samples R,
+    R' of the levels and pot the (L, n-1) interior potential, one row per
+    level.  Step j, from level j to level j+1, gets the diagonals
+    (sub, diag, super) of I + (1-theta) dt L_j, each shaped (., 1) to
+    broadcast down an (n-1, k) block, and the gttrf factors of
+    I - theta dt L_{j+1}, with L_k = (1/R^2) d_rhorho + (rho R'/R) d_rho - a.
+    Returns the (explicit, factors) pairs; step j is reported as first + j.
     """
-    theta = cfg.theta
-    lo_j, dg_j, up_j = _interior_diagonals(rho_int, h, *here)
-    explicit = (
-        (1.0 - theta) * dt * lo_j[1:],
-        1.0 + (1.0 - theta) * dt * dg_j,
-        (1.0 - theta) * dt * up_j[:-1],
-    )
-    lo_n, dg_n, up_n = _interior_diagonals(rho_int, h, *there)
-    dlf, df, duf, du2, ipiv, info = _gttrf(
-        -theta * dt * lo_n[1:], 1.0 - theta * dt * dg_n, -theta * dt * up_n[:-1]
-    )
-    if info != 0:
-        raise InstabilityError(
-            f"implicit step {j} is singular (gttrf info={info})",
-            suggested_nodes=2 * cfg.n, suggested_steps=2 * cfg.m,
-        )
-    return explicit, (dlf, df, duf, du2, ipiv)
-
-
-def _down(values, ndim):
-    """values with unit axes appended, to broadcast down the leading axes of
-    an ndim-array whose trailing axis runs over the columns of a block."""
-    return values.reshape(values.shape + (1,) * (ndim - values.ndim))
+    h = 1.0 / cfg.n
+    col = radii[:, None]
+    diff = 1.0 / (col * col * h * h)
+    adv = rho * slopes[:, None] / (2.0 * h * col)
+    lower, diag, upper = diff - adv, -2.0 * diff - pot, diff + adv
+    ex, im = (1.0 - cfg.theta) * dt, cfg.theta * dt
+    # one array per diagonal, not one stacked array: numpy drops the
+    # interpreter lock on operands above 500 elements, a stacked operand on
+    # the coupled march's two levels passes that at desk grids, and every
+    # drop loses the march its share of the lock under sweep threads
+    sub, dg, sup = (ex * lower[:-1, 1:, None], 1.0 + ex * diag[:-1, :, None],
+                    ex * upper[:-1, :-1, None])
+    dl, d, du = -im * lower[1:, 1:], 1.0 - im * diag[1:], -im * upper[1:, :-1]
+    table = []
+    for j in range(len(d)):
+        # the implicit rows are scratch, so gttrf factors them in place
+        dlf, df, duf, du2, ipiv, info = _gttrf(dl[j], d[j], du[j], 1, 1, 1)
+        if info != 0:
+            raise InstabilityError(f"implicit step {first + j} is singular (gttrf info={info})",
+                                   suggested_nodes=2 * cfg.n, suggested_steps=2 * cfg.m)
+        table.append(((sub[j], dg[j], sup[j]), (dlf, df, duf, du2, ipiv)))
+    return table
 
 
 def _apply_explicit(explicit, x, transposed=False):
-    """Explicit operator (or its transpose) on an (n-1,) column or an (n-1, k) block."""
+    """Explicit operator (or its transpose) on an (n-1, k) block."""
     sub, dg, sup = explicit
     if transposed:
         sub, sup = sup, sub
-    sub, dg, sup = _down(sub, x.ndim), _down(dg, x.ndim), _down(sup, x.ndim)
     y = dg * x
     y[1:] += sub * x[:-1]
     y[:-1] += sup * x[1:]
@@ -140,21 +135,19 @@ def _apply_explicit(explicit, x, transposed=False):
 
 
 def _solve_implicit(factors, rhs, transposed=False):
-    """Implicit solve for an (n-1,) column or an (n-1, k) block."""
+    """Implicit solve for an (n-1, k) block."""
     dlf, df, duf, du2, ipiv = factors
-    out, info = _gttrs(dlf, df, duf, du2, ipiv, rhs.reshape(rhs.shape[0], -1),
-                       trans=b"T" if transposed else b"N")
+    out, info = _gttrs(dlf, df, duf, du2, ipiv, rhs, trans=b"T" if transposed else b"N")
     if info != 0:
         raise InstabilityError(f"tridiagonal solve failed (info={info})")
-    return out.reshape(rhs.shape)
+    return out
 
 
-def _forward_step(explicit, factors, x, dt, extra=None):
-    """Interior column at level j -> level j+1; extra is the step forcing."""
-    rhs = _apply_explicit(explicit, x)
+def _implicit_step(factors, base, dt, extra=None):
+    """Level j+1 from base, the explicit half of step j applied to level j."""
     if extra is not None:
-        rhs = rhs + dt * extra
-    return _solve_implicit(factors, rhs)
+        base = base + dt * extra
+    return _solve_implicit(factors, base)
 
 
 def _step_forcing(theta, here, there, lag=None):
@@ -170,8 +163,7 @@ def _step_forcing(theta, here, there, lag=None):
 
 
 def _lagged_reaction(nonlinearity, x, r_int):
-    """r f(u/r) on an interior column or block at physical radii r_int."""
-    r_int = _down(r_int, x.ndim)
+    """r f(u/r) on an (n-1, k) interior block at the (n-1, 1) physical radii r_int."""
     return r_int * nonlinearity.value(x / r_int)
 
 
@@ -208,13 +200,15 @@ def _coerce_potential(potential, n, m):
 
 def _check_initial(u0, n, block=False):
     """Initial or final data: an (n+1,) column or, with block set, an
-    (n+1, k) block of columns; every column must vanish at both endpoints."""
+    (n+1, k) block of columns; every entry must be finite and every column
+    must vanish at both endpoints."""
     u0 = np.asarray(u0, dtype=float)
     if u0.shape[:1] != (n + 1,) or u0.ndim > (2 if block else 1):
         expected = f"({n + 1},) or ({n + 1}, k)" if block else f"({n + 1},)"
         raise GridError(f"initial data shape {u0.shape}, expected {expected}")
-    # fmax skips NaN as max(1.0, nan) does, so a NaN entry sets no scale
-    scale = np.fmax(1.0, np.max(np.abs(u0), axis=0))
+    if not np.all(np.isfinite(u0)):
+        raise GridError("initial data must be finite")
+    scale = np.maximum(1.0, np.max(np.abs(u0), axis=0))
     bad = np.flatnonzero((np.abs(u0[0]) > 1e-12 * scale) | (np.abs(u0[-1]) > 1e-12 * scale))
     if bad.size:
         col = u0[:, bad[0]] if u0.ndim == 2 else u0
@@ -229,11 +223,14 @@ def _check_initial(u0, n, block=False):
 class Propagator:
     """Precomputed step operators for one (path, potential, scheme) triple.
 
-    Factors every implicit tridiagonal once, so repeated forward and adjoint
-    sweeps, and the blocked adjoint sweep of `assemble_forms`, reuse the
-    same LU data; the adjoint sweeps solve the transposed systems from the
-    identical factorization, which is what makes duality exact.  The solvers
-    obtain theirs through `propagator`, which reuses a thread's last one.
+    The step table is built once, by one `_theta_table` pass over all m+1
+    levels, and factors every implicit tridiagonal once, so repeated forward
+    and adjoint sweeps, and the blocked adjoint sweep of `assemble_forms`,
+    reuse the same LU data; the adjoint sweeps solve the transposed systems
+    from the identical factorization, which is what makes duality exact.
+    Sweeps carry the interior as an (n-1, k) block, k = 1 for one column.
+    The solvers obtain theirs through `propagator`, which reuses a thread's
+    last one.
     """
 
     def __init__(self, path: BoundaryPath, potential, cfg: SchemeConfig,
@@ -248,18 +245,10 @@ class Propagator:
         self.h = grid.spacing
         self.dt = path.dt
         self.pot = _coerce_potential(potential, n, m)
-        rho_int = self.rho[1:-1]
-        R, Rp = path.radii, path.slopes
-
-        self._explicit = []   # (sub, diag, super) of I + (1-theta) dt L_j
-        self._factors = []    # gttrf output for I - theta dt L_{j+1}
-        for j in range(m):
-            explicit, factors = _theta_step(
-                cfg, rho_int, self.h, self.dt, j,
-                (R[j], Rp[j], self.pot[1:-1, j]), (R[j + 1], Rp[j + 1], self.pot[1:-1, j + 1]),
-            )
-            self._explicit.append(explicit)
-            self._factors.append(factors)
+        R = path.radii
+        # (explicit diagonals, implicit factors) of each step j -> j+1
+        self._steps = _theta_table(cfg, self.rho[1:-1], self.dt, R, path.slopes,
+                                   self.pot[1:-1].T)
 
         self.ratio = R[1:] / R[:-1]
         # trapezoid weights in time and space for the physical pairings
@@ -294,14 +283,18 @@ class Propagator:
     # -- sweeps ------------------------------------------------------------------
 
     def _combine_source(self, source, masked, cols):
+        """The source as an (n+1, m+1, k) array, masked when asked."""
         src = source.values if isinstance(source, SpaceTimeField) else np.asarray(source, dtype=float)
+        if not np.all(np.isfinite(src)):
+            raise GridError("source must be finite")
         expected = (self.n + 1, self.m + 1) + cols
         if src.shape != expected:
             raise GridError(f"source shape {src.shape}, expected {expected}")
+        src = src.reshape(self.n + 1, self.m + 1, -1)
         if masked:
             if self.mask is None:
                 raise GridError("control source given but no control radius configured")
-            src = src * _down(self.mask, src.ndim)
+            src = src * self.mask[:, :, None]
         return src
 
     def run_forward(self, u0, source=None, source_role: str = ROLE_SOURCE,
@@ -325,45 +318,43 @@ class Propagator:
         if source is not None:
             src = self._combine_source(source, masked=(source_role == ROLE_CONTROL), cols=cols)
         theta = self.cfg.theta
-        rho_int = self.rho[1:-1]
+        rho_int = self.rho[1:-1, None]
         w = np.zeros((self.n + 1, self.m + 1) + cols)
         w[:, 0] = u0
-        x = u0[1:-1].copy()
-        for j in range(self.m):
+        trajectory = w.reshape(self.n + 1, self.m + 1, -1)
+        x = trajectory[1:-1, 0].copy()
+        for j, (explicit, factors) in enumerate(self._steps):
             here = there = lag = None
             if src is not None:
                 here, there = src[1:-1, j], src[1:-1, j + 1]
             if reaction is not None:
                 lag = _lagged_reaction(reaction, x, rho_int * self.path.radii[j])
-            x = _forward_step(self._explicit[j], self._factors[j], x, self.dt,
-                              _step_forcing(theta, here, there, lag))
-            w[1:-1, j + 1] = x
-        if not np.all(np.isfinite(w)):
-            raise InstabilityError(
-                "forward sweep produced non-finite values",
-                suggested_nodes=2 * self.n, suggested_steps=2 * self.m,
-            )
+            x = _implicit_step(factors, _apply_explicit(explicit, x), self.dt,
+                               _step_forcing(theta, here, there, lag))
+            trajectory[1:-1, j + 1] = x
+        self._require_finite("forward sweep", w)
         return w
 
     def _backward_steps(self, x, fsrc=None):
         """Exact transpose steps from level m down to level 0.
 
-        x is the interior final datum, one (n-1,) column or an (n-1, k)
-        block.  Yields (j, chi, x_j, w_next, w_here) for j = m-1, ..., 0:
-        chi solves the transposed implicit system of step j, x_j is the
-        backward solution at level j, and chi enters the observation at
-        level j+1 with weight w_next and at level j with weight w_here (the
-        theta average of the forward source, doubled at the end levels,
-        whose half trapezoid weights the pairing divides out).  Level j+1 is
-        complete once step j is yielded.
+        x is the interior final datum, an (n-1, k) block.  Yields
+        (j, chi, x_j, w_next, w_here) for j = m-1, ..., 0: chi solves the
+        transposed implicit system of step j, x_j is the backward solution
+        at level j, and chi enters the observation at level j+1 with weight
+        w_next and at level j with weight w_here (the theta average of the
+        forward source, doubled at the end levels, whose half trapezoid
+        weights the pairing divides out).  Level j+1 is complete once step j
+        is yielded.
         """
         theta = self.cfg.theta
         for j in range(self.m - 1, -1, -1):
+            explicit, factors = self._steps[j]
             rhs = x
             if fsrc is not None:
                 rhs = rhs + self.dt * (1.0 - theta) * fsrc[1:-1, j + 1]
-            chi = _solve_implicit(self._factors[j], rhs, transposed=True)
-            val = _apply_explicit(self._explicit[j], chi, transposed=True)
+            chi = _solve_implicit(factors, rhs, transposed=True)
+            val = _apply_explicit(explicit, chi, transposed=True)
             if fsrc is not None:
                 val = val + self.dt * theta * fsrc[1:-1, j]
             x = self.ratio[j] * val
@@ -376,6 +367,12 @@ class Propagator:
     def _require_mask(self):
         if self.mask is None:
             raise GridError("observation sweep needs a control radius")
+
+    def _require_finite(self, sweep, *arrays):
+        """Finite data that sweeps to non-finite values needs a finer grid."""
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise InstabilityError(f"{sweep} produced non-finite values",
+                                   suggested_nodes=2 * self.n, suggested_steps=2 * self.m)
 
     def run_adjoint(self, phiT, forcing=None, with_observation=False):
         """Backward sweep from the final datum phiT; exact transpose steps.
@@ -397,19 +394,17 @@ class Propagator:
             fsrc = self._combine_source(forcing, masked=False, cols=cols)
         phi = np.zeros((self.n + 1, self.m + 1) + cols)
         phi[:, self.m] = phiT
-        obs = np.zeros((self.n + 1, self.m + 1) + cols) if with_observation else None
-        for j, chi, x, w_next, w_here in self._backward_steps(phiT[1:-1].copy(), fsrc):
-            if obs is not None:
-                obs[1:-1, j + 1] += w_next * chi
-                obs[1:-1, j] += w_here * chi
-            phi[1:-1, j] = x
-        if not np.all(np.isfinite(phi)):
-            raise InstabilityError(
-                "backward sweep produced non-finite values",
-                suggested_nodes=2 * self.n, suggested_steps=2 * self.m,
-            )
+        trajectory = phi.reshape(self.n + 1, self.m + 1, -1)
+        obs = np.zeros_like(phi) if with_observation else None
+        samples = None if obs is None else obs.reshape(trajectory.shape)
+        for j, chi, x, w_next, w_here in self._backward_steps(trajectory[1:-1, -1].copy(), fsrc):
+            if samples is not None:
+                samples[1:-1, j + 1] += w_next * chi
+                samples[1:-1, j] += w_here * chi
+            trajectory[1:-1, j] = x
+        self._require_finite("backward sweep", phi)
         if obs is not None:
-            obs *= _down(self.mask, obs.ndim)
+            samples *= self.mask[:, :, None]
             return phi, obs
         return phi
 
@@ -453,11 +448,7 @@ class Propagator:
             pending = w_here * chi
         rows = pending[inside[:, 0]]
         G += weight[0] * (rows.T @ rows)
-        if not (np.all(np.isfinite(G)) and np.all(np.isfinite(x))):
-            raise InstabilityError(
-                "blocked backward sweep produced non-finite values",
-                suggested_nodes=2 * self.n, suggested_steps=2 * self.m,
-            )
+        self._require_finite("blocked backward sweep", G, x)
         return G, x
 
     def apply_gramian(self, phiT) -> np.ndarray:
@@ -476,27 +467,23 @@ class Propagator:
         """
         phiT = _check_initial(phiT, self.n, block=True)
         self._require_mask()
-        cols = phiT.shape[1:]
+        block = phiT.reshape(self.n + 1, -1)
         inside = self.mask[1:-1]
         reach = int(np.count_nonzero(inside.any(axis=1)))
-        obs = np.zeros((self.m + 1, reach) + cols)
-        for j, chi, _, w_next, w_here in self._backward_steps(phiT[1:-1].copy()):
+        obs = np.zeros((self.m + 1, reach, block.shape[1]))
+        for j, chi, _, w_next, w_here in self._backward_steps(block[1:-1].copy()):
             obs[j + 1] += w_next * chi[:reach]
             obs[j] += w_here * chi[:reach]
-        obs *= _down(inside[:reach].T, obs.ndim)
+        obs *= inside[:reach].T[:, :, None]
         theta = self.cfg.theta
-        x = np.zeros((self.n - 1,) + cols)
+        x = np.zeros_like(block[1:-1])
         extra = np.zeros_like(x)
-        for j in range(self.m):
+        for j, (explicit, factors) in enumerate(self._steps):
             extra[:reach] = _step_forcing(theta, obs[j], obs[j + 1])
-            x = _forward_step(self._explicit[j], self._factors[j], x, self.dt, extra)
-        if not np.all(np.isfinite(x)):
-            raise InstabilityError(
-                "Gramian sweeps produced non-finite values",
-                suggested_nodes=2 * self.n, suggested_steps=2 * self.m,
-            )
+            x = _implicit_step(factors, _apply_explicit(explicit, x), self.dt, extra)
+        self._require_finite("Gramian sweeps", x)
         out = np.zeros(phiT.shape)
-        out[1:-1] = x
+        out.reshape(block.shape)[1:-1] = x
         return out
 
 

@@ -52,13 +52,14 @@ from .errors import (
 )
 from .pde import (
     SchemeConfig,
+    _apply_explicit,
     _check_flux_field,
     _check_initial,
     _edge_flux,
-    _forward_step,
+    _implicit_step,
     _lagged_reaction,
     _step_forcing,
-    _theta_step,
+    _theta_table,
 )
 from .control import HUMConfig, HUMOutcome, solve_hum
 
@@ -225,6 +226,8 @@ def _coerce_control(control, n: int, m: int):
         values = control.values
     else:
         values = np.asarray(control, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise GridError("control must be finite")
     if values.shape != (n + 1, m + 1):
         raise GridError(f"control shape {values.shape}, expected {(n + 1, m + 1)}")
     return values
@@ -233,14 +236,15 @@ def _coerce_control(control, n: int, m: int):
 def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
     """March the line field and the free boundary together.
 
-    Step j runs on the theta-step kernel of `pde` between level j, at the
-    stored radius and slope (R_j, S_j), and level j+1.  With q_j the
-    melting rate of the accepted column at R_j, a predictor solves the
-    step at (R_j + dt q_j, q_j) and gives the rate q_pred; then
+    Step j runs on the theta-step kernel of `pde`, built on two levels:
+    level j, at the stored radius and slope (R_j, S_j), and level j+1.  With
+    q_j the melting rate of the accepted column at R_j, a predictor solves
+    the step at (R_j + dt q_j, q_j) and gives the rate q_pred; then
 
         R_{j+1} = R_j + dt (q_j + q_pred) / 2,   S_{j+1} = q_pred,
 
-    and the corrector solves the step again at (R_{j+1}, S_{j+1}).  The
+    and the corrector solves the step again at (R_{j+1}, S_{j+1}), reusing
+    the explicit half of level j that the predictor applied.  The
     rate q_{j+1} of the accepted column drives only the next radius update:
     the stored slope is the one the level-(j+1) operator used, so the
     realized path replays bitwise through `solve_forward` (or
@@ -256,13 +260,12 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
     u0 = _check_initial(u0, n)
     ctrl = _coerce_control(control, n, m)
     nl = setup.nonlinearity
-    grid = cfg.grid
-    rho_int = grid.nodes[1:-1]
-    h = grid.spacing
+    rho = cfg.grid.nodes[1:-1]
+    rho_int = rho[:, None]
     times = np.linspace(0.0, setup.T, m + 1)
     dt = float(times[1] - times[0])      # the realized path's own step
     theta = cfg.theta
-    no_pot = np.zeros(n - 1)
+    no_pot = np.zeros((2, n - 1))
 
     w = np.zeros((n + 1, m + 1))
     w[:, 0] = u0
@@ -272,27 +275,33 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
     def masked_column(j, radius):
         if ctrl is None:
             return None
-        return ctrl[1:-1, j] * (rho_int * radius < setup.b)
+        return ctrl[1:-1, j, None] * (rho_int * radius < setup.b)
 
-    def step(j, x, here, radius, slope, lag):
-        explicit, factors = _theta_step(cfg, rho_int, h, dt, j,
-                                        (radii[j], slopes[j], no_pot), (radius, slope, no_pot))
+    def operators(j, radius, slope):
+        """(explicit, factors) of step j, with level j+1 set to (radius, slope)."""
+        radii[j + 1], slopes[j + 1] = radius, slope
+        (pair,) = _theta_table(cfg, rho, dt, radii[j:j + 2], slopes[j:j + 2], no_pot, first=j)
+        return pair
+
+    def solve(j, factors, base, here, radius, lag):
         extra = _step_forcing(theta, here, masked_column(j + 1, radius), lag)
-        return _forward_step(explicit, factors, x, dt, extra)
+        return _implicit_step(factors, base, dt, extra)
 
     radii[0] = setup.R0
     q = slopes[0] = _melting_rate(u0, setup.R0)
-    x = u0[1:-1].copy()
+    x = u0[1:-1, None].copy()
     col = np.zeros(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m):
             here = masked_column(j, radii[j])
             lag = None if nl is None else _lagged_reaction(nl, x, rho_int * radii[j])
             r_pred = radii[j] + dt * q
-            col[1:-1] = step(j, x, here, r_pred, q, lag)
+            explicit, factors = operators(j, r_pred, q)
+            base = _apply_explicit(explicit, x)      # shared by predictor and corrector
+            col[1:-1] = solve(j, factors, base, here, r_pred, lag)[:, 0]
             q_pred = _melting_rate(col, r_pred)
             r_next = radii[j] + 0.5 * dt * (q + q_pred)
-            x_new = step(j, x, here, r_next, q_pred, lag)
+            x_new = solve(j, operators(j, r_next, q_pred)[1], base, here, r_next, lag)
 
             if not (np.all(np.isfinite(x_new)) and np.isfinite(r_next)):
                 raise InstabilityError(
@@ -307,10 +316,8 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
                     r_max=max(float(np.max(radii[:j + 1])), r_next),
                     first_index=j + 1,
                 )
-            radii[j + 1] = r_next
-            slopes[j + 1] = q_pred
-            x = x_new
-            w[1:-1, j + 1] = x
+            x = x_new     # level j+1 of radii and slopes holds (r_next, q_pred)
+            w[1:-1, j + 1] = x[:, 0]
             q = _melting_rate(w[:, j + 1], r_next)
 
     return SpaceTimeField(w, role=ROLE_STATE), BoundaryPath(times, radii, slopes)

@@ -318,6 +318,9 @@ def test_sweep_collects_rows_and_flags_failures(tmp_path):
     with open(os.path.join(base, "sweep.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
+    # each row names its config by file name, not by the path it was given
+    assert [r["config"] for r in rows] == ["hum-0.json", "hum-1.json", "hum-2.json",
+                                           "zz-bad.json"]
     assert [r["status"] for r in rows] == ["ok", "ok", "ok", "error"]
     finals = [float(r["final_norm"]) for r in rows[:3]]
     assert finals[0] >= finals[1] >= finals[2]
@@ -411,6 +414,20 @@ def test_sweep_shared_stem_exits_2(tmp_path, capsys):
     assert main(["sweep", "--configs", str(tmp_path / "*" / "same.json"),
                  "--out-dir", base]) == 2
     assert "same" in capsys.readouterr().err
+    assert not os.path.exists(base)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_sweep_workers_below_one_exits_2(tmp_path, capsys, workers):
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    _write(cfg_dir, "fwd.json", {"scenario": "forward", "scheme": {"n": 16, "m": 16}})
+    base = str(tmp_path / "swp")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--configs", str(cfg_dir / "*.json"), "--out-dir", base,
+              "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
     assert not os.path.exists(base)
 
 

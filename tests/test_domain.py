@@ -242,14 +242,17 @@ def test_field_csv_roundtrip(tmp_path):
 
 
 def test_field_csv_bytes_match_scalar_repr(tmp_path):
-    # the writer formats Python floats in bulk; its bytes must equal the
-    # scalar form repr(float(x)) row by row, csv line ends included
+    # the writer joins the reprs itself; its bytes must equal csv.writer's,
+    # both on the scalar form repr(float(x)) and on the float rows, csv line
+    # ends included
     import csv
     import io
 
     grid = ReferenceGrid(8)
     vals = np.random.default_rng(5).standard_normal((9, 6))
     vals[:, 1] = [-0.0, 5e-324, 1e300, -1e300, 3.0, -2.0, 0.0, 1e-310, 7.0]
+    vals[:, 4] = [1e16, -1e16, 1e-5, -1e-5, 0.1 + 0.2, 2.0 / 3.0, 1.0000000000000002,
+                  -2.2250738585072014e-308, 123456789.12345679]
     vals[4, 3] = 1e22
     field = SpaceTimeField(vals, role=ROLE_CONTROL)
     expected = io.StringIO(newline="")
@@ -257,9 +260,13 @@ def test_field_csv_bytes_match_scalar_repr(tmp_path):
     writer.writerow(repr(float(x)) for x in grid.nodes)
     for j in range(vals.shape[1]):
         writer.writerow(repr(float(x)) for x in vals[:, j])
+    as_floats = io.StringIO(newline="")
+    csv.writer(as_floats).writerows([grid.nodes.tolist()] + vals.T.tolist())
+    assert as_floats.getvalue() == expected.getvalue()
     target = tmp_path / "field.csv"
     write_field_csv(target, field, grid)
     assert target.read_bytes() == expected.getvalue().encode()
+    assert b"1e+16" in target.read_bytes() and b"1e-05" in target.read_bytes()
     assert b"\r\n" in target.read_bytes()
     back, _ = read_field_csv(target, role=ROLE_CONTROL)
     assert back.values.tobytes() == vals.tobytes()

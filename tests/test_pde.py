@@ -111,6 +111,20 @@ def test_forward_rejects_bad_initial_data():
         solve_forward(np.ones(cfg.n + 1), path, None, None, cfg)
     with pytest.raises(GridError):
         solve_forward(np.zeros(cfg.n), path, None, None, cfg)
+    # a non-finite entry is a data error, not a reason to refine the grid
+    for value in (np.nan, np.inf, -np.inf):
+        u0 = np.zeros(cfg.n + 1)
+        u0[4] = value
+        with pytest.raises(GridError, match="initial data must be finite"):
+            solve_forward(u0, path, None, None, cfg)
+        with pytest.raises(GridError, match="initial data must be finite"):
+            solve_adjoint(u0, path, None, None, cfg)
+        src = np.zeros((cfg.n + 1, cfg.m + 1))
+        src[4, 2] = value
+        with pytest.raises(GridError, match="source must be finite"):
+            solve_forward(np.zeros(cfg.n + 1), path, None, src, cfg)
+        with pytest.raises(GridError, match="source must be finite"):
+            solve_adjoint(np.zeros(cfg.n + 1), path, None, src, cfg)
 
 
 def test_singular_implicit_step_reports_refinement():
@@ -357,6 +371,56 @@ def test_block_sweeps_equal_column_sweeps_bitwise(n, m, theta, amp, freq, with_p
     assert est.constant == ref.constant and est.iterations == ref.iterations == n - 1
 
 
+def _reference_step(cfg, rho, dt, here, there):
+    """One theta step from its two levels, each (R, R', potential row), level
+    by level in the scalar arithmetic order the table must reproduce."""
+
+    def diagonals(radius, slope, pot):
+        h = 1.0 / cfg.n
+        diff = 1.0 / (radius * radius * h * h)
+        adv = rho * slope / (2.0 * h * radius)
+        return diff - adv, -2.0 * diff - pot, diff + adv
+
+    theta = cfg.theta
+    lo, dg, up = diagonals(*here)
+    explicit = ((1.0 - theta) * dt * lo[1:], 1.0 + (1.0 - theta) * dt * dg,
+                (1.0 - theta) * dt * up[:-1])
+    lo, dg, up = diagonals(*there)
+    dlf, df, duf, du2, ipiv, info = pde._gttrf(-theta * dt * lo[1:], 1.0 - theta * dt * dg,
+                                               -theta * dt * up[:-1])
+    assert info == 0
+    return explicit, (dlf, df, duf, du2, ipiv)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.integers(8, 40), levels=st.sampled_from([2, 2, 3, 9, 33]),
+       theta=st.floats(0.5, 1.0), dt=st.floats(1e-4, 0.05),
+       with_potential=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_theta_table_matches_level_by_level_steps_bitwise(n, levels, theta, dt, with_potential,
+                                                         seed):
+    # the one-pass table against each step built from its own two levels,
+    # on a moving path with a potential or none; two levels is the coupled
+    # march's use
+    rng = np.random.default_rng(seed)
+    cfg = SchemeConfig(n=n, m=max(levels - 1, 8), theta=theta)
+    rho = cfg.grid.nodes[1:-1]
+    radii = 1.0 + 0.4 * rng.uniform(-1.0, 1.0, levels)
+    slopes = rng.uniform(-3.0, 3.0, levels)
+    pot = np.zeros((levels, n - 1))
+    if with_potential:
+        pot = rng.uniform(-3.0, 3.0, pot.shape)
+    table = pde._theta_table(cfg, rho, dt, radii, slopes, pot)
+    assert len(table) == levels - 1
+    for j, (explicit, factors) in enumerate(table):
+        ref_explicit, ref_factors = _reference_step(cfg, rho, dt, (radii[j], slopes[j], pot[j]),
+                                                    (radii[j + 1], slopes[j + 1], pot[j + 1]))
+        for got, want in zip(explicit, ref_explicit):
+            assert got.shape == want.shape + (1,)
+            assert got[:, 0].tobytes() == want.tobytes()
+        for got, want in zip(factors, ref_factors):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_block_inputs_validated_in_one_place():
     cfg = SchemeConfig(n=12, m=10)
     path = constant_path(1.0, 0.2, cfg.m)
@@ -374,11 +438,24 @@ def test_block_inputs_validated_in_one_place():
         bad[-1, 1] = 1e-3                           # second column only
         with pytest.raises(EndpointConditionError, match="column 1"):
             sweep(bad)
+        bad[-1, 1] = np.nan                         # a NaN endpoint is non-finite first
+        with pytest.raises(GridError, match="must be finite"):
+            sweep(bad)
+        bad = good.copy()
+        bad[3, 0] = np.inf
+        with pytest.raises(GridError, match="must be finite"):
+            sweep(bad)
     # a block's source carries the block's axis: a plain (n+1, m+1) source is refused
     with pytest.raises(GridError):
         prop.run_forward(good, source=np.ones((cfg.n + 1, cfg.m + 1)))
     with pytest.raises(GridError):
         prop.run_adjoint(good, forcing=np.ones((cfg.n + 1, cfg.m + 1, 3)))
+    nan_block = np.zeros((cfg.n + 1, cfg.m + 1, 2))
+    nan_block[2, 3, 1] = np.nan
+    with pytest.raises(GridError, match="source must be finite"):
+        prop.run_forward(good, source=nan_block, source_role=ROLE_CONTROL)
+    with pytest.raises(GridError, match="source must be finite"):
+        prop.run_adjoint(good, forcing=nan_block)
     # the coupled march takes one column only
     with pytest.raises(GridError):
         coupled_solve(good, PhysicalSetup(T=0.2), None, cfg)

@@ -166,6 +166,24 @@ def test_coupled_rejects_wrong_control_role():
         coupled_solve(np.zeros(cfg.n + 1), setup, bad, cfg)
 
 
+def test_coupled_rejects_nonfinite_data():
+    # non-finite data is refused up front, before any step runs
+    setup = PhysicalSetup(T=0.2)
+    cfg = SchemeConfig(n=16, m=16)
+    u0 = np.zeros(cfg.n + 1)
+    for value in (np.nan, np.inf, -np.inf):
+        control = np.zeros((cfg.n + 1, cfg.m + 1))
+        control[3, 4] = value
+        with pytest.raises(GridError, match="control must be finite"):
+            coupled_solve(u0, setup, control, cfg)
+        bad = u0.copy()
+        bad[5] = value
+        with pytest.raises(GridError, match="initial data must be finite"):
+            coupled_solve(bad, setup, None, cfg)
+        with pytest.raises(GridError, match="initial data must be finite"):
+            fixed_point_iterate(bad, setup, FixedPointConfig(), HUMConfig(), cfg)
+
+
 def test_coupled_breach_raises():
     # cold data freezes the domain; the shrinking radius feeds back into the
     # rate and the boundary crosses R_star in finite time
