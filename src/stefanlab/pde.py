@@ -14,6 +14,15 @@ One builder, `_theta_table`, forms both operators of every step in one
 array pass over the levels: a `Propagator` calls it once, on all m+1
 levels, and the coupled march of `stefan` on two levels per solve.
 
+A `Propagator` sweep's step loop carries only the recursion: the explicit
+apply, the add of that step's forcing level, one gttrs and the store of the
+new level.  Work that does not depend on the recursion is one whole-array
+operation outside the loop: the theta averages of a source (times dt) for
+all m steps before it, and the observation of an adjoint sweep after it.
+Each keeps the per-step arithmetic and its order, so the outputs carry the
+same bits as a step-by-step evaluation.  Only a lagged reaction, which reads
+the current level, is formed inside the loop.
+
 The backward solver applies the exact transpose of each forward step, scaled
 by R_{j+1}/R_j so that adjacent time levels pair in the physical measure
 R(t) drho.  Consequently the discrete duality identity
@@ -36,6 +45,7 @@ thread is kept; nothing else is cached.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -75,6 +85,10 @@ class SchemeConfig:
     theta: float = 0.5
 
     def __post_init__(self):
+        for name in ("n", "m"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+                raise GridError(f"{name} must be an integer, got {size!r}")
         if self.n < 8 or self.m < 8:
             raise GridError(f"need n >= 8 and m >= 8, got ({self.n}, {self.m})")
         if not 0.5 <= self.theta <= 1.0:
@@ -143,6 +157,13 @@ def _solve_implicit(factors, rhs, transposed=False):
     return out
 
 
+def _level_major(scale, samples):
+    """scale * samples for (n-1, L, k) samples, as a new contiguous
+    (L, n-1, k) array: level j is one contiguous (n-1, k) block."""
+    rows, levels, cols = samples.shape
+    return np.multiply(scale, samples.transpose(1, 0, 2), out=np.empty((levels, rows, cols)))
+
+
 def _implicit_step(factors, base, dt, extra=None):
     """Level j+1 from base, the explicit half of step j applied to level j."""
     if extra is not None:
@@ -206,6 +227,8 @@ def _check_initial(u0, n, block=False):
     if u0.shape[:1] != (n + 1,) or u0.ndim > (2 if block else 1):
         expected = f"({n + 1},) or ({n + 1}, k)" if block else f"({n + 1},)"
         raise GridError(f"initial data shape {u0.shape}, expected {expected}")
+    if u0.size == 0:
+        raise GridError(f"initial data shape {u0.shape} has no columns")
     if not np.all(np.isfinite(u0)):
         raise GridError("initial data must be finite")
     scale = np.maximum(1.0, np.max(np.abs(u0), axis=0))
@@ -228,7 +251,10 @@ class Propagator:
     and adjoint sweeps, and the blocked adjoint sweep of `assemble_forms`,
     reuse the same LU data; the adjoint sweeps solve the transposed systems
     from the identical factorization, which is what makes duality exact.
-    Sweeps carry the interior as an (n-1, k) block, k = 1 for one column.
+    Sweeps carry the interior as an (n-1, k) block, k = 1 for one column;
+    whatever a sweep needs per step besides the recursion (source averages,
+    adjoint forcing shares, observation weights) is laid out level-major,
+    one contiguous (n-1, k) level per step, and formed outside its loop.
     The solvers obtain theirs through `propagator`, which reuses a thread's
     last one.
     """
@@ -251,6 +277,14 @@ class Propagator:
                                    self.pot[1:-1].T)
 
         self.ratio = R[1:] / R[:-1]
+        # the chi of backward step j enters the observation at level j+1
+        # with weight _obs_next[j] and at level j with _obs_here[j]: the theta
+        # average of the forward source, doubled at the end levels, whose
+        # half trapezoid weights the pairing divides out
+        self._obs_next = np.full(m, cfg.theta)
+        self._obs_next[-1] = 2.0 * cfg.theta
+        self._obs_here = (1.0 - cfg.theta) * self.ratio
+        self._obs_here[0] *= 2.0
         # trapezoid weights in time and space for the physical pairings
         self.tau = np.full(m + 1, self.dt)
         self.tau[0] *= 0.5
@@ -270,6 +304,8 @@ class Propagator:
     # -- inner products in the physical measure --------------------------------
 
     def slice_inner(self, u, v, k: int) -> float:
+        if not 0 <= k <= self.m:
+            raise GridError(f"time level {k} outside 0..{self.m}")
         return float(self.path.radii[k] * np.dot(u * self.space_w, v))
 
     def slice_norm(self, u, k: int) -> float:
@@ -308,29 +344,35 @@ class Propagator:
         nodes with rho_i R(t_j) < control_radius, time level by time level
         and column by column; any other source is applied as given.
         Sources are sampled on time nodes and enter each step through the
-        same theta average as the operator.  A reaction f (any object with a
-        value method) adds -r f(u/r) evaluated on the current level, lagged
-        one step.
+        same theta average as the operator; the averages of all m steps are
+        formed before the step loop, level-major, and scaled by dt there
+        too when no reaction follows.  A reaction f (any object with a value
+        method) adds -r f(u/r) evaluated on the current level, lagged one
+        step, so it stays in the loop: dt (average - lag) per step.
         """
         u0 = _check_initial(u0, self.n, block=True)
         cols = u0.shape[1:]
-        src = None
+        forcing = None
         if source is not None:
             src = self._combine_source(source, masked=(source_role == ROLE_CONTROL), cols=cols)
-        theta = self.cfg.theta
+            theta = self.cfg.theta
+            forcing = _level_major(theta, src[1:-1, 1:])
+            forcing += _level_major(1.0 - theta, src[1:-1, :-1])
+            if reaction is None:
+                forcing *= self.dt
         rho_int = self.rho[1:-1, None]
         w = np.zeros((self.n + 1, self.m + 1) + cols)
         w[:, 0] = u0
         trajectory = w.reshape(self.n + 1, self.m + 1, -1)
         x = trajectory[1:-1, 0].copy()
         for j, (explicit, factors) in enumerate(self._steps):
-            here = there = lag = None
-            if src is not None:
-                here, there = src[1:-1, j], src[1:-1, j + 1]
+            base = _apply_explicit(explicit, x)
             if reaction is not None:
                 lag = _lagged_reaction(reaction, x, rho_int * self.path.radii[j])
-            x = _implicit_step(factors, _apply_explicit(explicit, x), self.dt,
-                               _step_forcing(theta, here, there, lag))
+                base += self.dt * (-lag if forcing is None else forcing[j] - lag)
+            elif forcing is not None:
+                base += forcing[j]
+            x = _solve_implicit(factors, base)
             trajectory[1:-1, j + 1] = x
         self._require_finite("forward sweep", w)
         return w
@@ -338,31 +380,30 @@ class Propagator:
     def _backward_steps(self, x, fsrc=None):
         """Exact transpose steps from level m down to level 0.
 
-        x is the interior final datum, an (n-1, k) block.  Yields
-        (j, chi, x_j, w_next, w_here) for j = m-1, ..., 0: chi solves the
-        transposed implicit system of step j, x_j is the backward solution
-        at level j, and chi enters the observation at level j+1 with weight
-        w_next and at level j with weight w_here (the theta average of the
-        forward source, doubled at the end levels, whose half trapezoid
-        weights the pairing divides out).  Level j+1 is complete once step j
-        is yielded.
+        x is the interior final datum, an (n-1, k) block, and fsrc an
+        (n+1, m+1, k) forcing or None.  Yields (j, chi, x_j) for
+        j = m-1, ..., 0: chi solves the transposed implicit system of step
+        j and enters the observation at levels j+1 and j with the weights
+        _obs_next[j] and _obs_here[j]; x_j is the backward solution at level
+        j.  Level j+1 is complete once step j is yielded.  The forcing's
+        two theta-scaled shares of every step are formed before the loop,
+        level-major, so each step adds one precomputed level on each side
+        of its solve.
         """
-        theta = self.cfg.theta
+        after = before = None
+        if fsrc is not None:
+            theta = self.cfg.theta
+            after = _level_major(self.dt * (1.0 - theta), fsrc[1:-1, 1:])
+            before = _level_major(self.dt * theta, fsrc[1:-1, :-1])
         for j in range(self.m - 1, -1, -1):
             explicit, factors = self._steps[j]
-            rhs = x
-            if fsrc is not None:
-                rhs = rhs + self.dt * (1.0 - theta) * fsrc[1:-1, j + 1]
-            chi = _solve_implicit(factors, rhs, transposed=True)
-            val = _apply_explicit(explicit, chi, transposed=True)
-            if fsrc is not None:
-                val = val + self.dt * theta * fsrc[1:-1, j]
-            x = self.ratio[j] * val
-            w_next = theta if j + 1 < self.m else 2.0 * theta
-            w_here = (1.0 - theta) * self.ratio[j]
-            if j == 0:
-                w_here *= 2.0
-            yield j, chi, x, w_next, w_here
+            chi = _solve_implicit(factors, x if after is None else x + after[j],
+                                  transposed=True)
+            x = _apply_explicit(explicit, chi, transposed=True)
+            if before is not None:
+                x += before[j]
+            x *= self.ratio[j]
+            yield j, chi, x
 
     def _require_mask(self):
         if self.mask is None:
@@ -383,7 +424,11 @@ class Propagator:
         when with_observation is set.  The observation array holds the
         masked per-node control samples of the backward solution, i.e. the
         image of phiT under the transpose of the source-to-final-state map;
-        it is the HUM control candidate associated with phiT.
+        it is the HUM control candidate associated with phiT.  The step
+        loop only stores each chi, level-major; the observation is formed
+        after it in two whole-array adds, _obs_here[l] chi_l before
+        _obs_next[l-1] chi_{l-1} at every level l (the order in which a
+        step-by-step accumulation adds them), and masked once.
         """
         phiT = _check_initial(phiT, self.n, block=True)
         if with_observation:
@@ -395,18 +440,22 @@ class Propagator:
         phi = np.zeros((self.n + 1, self.m + 1) + cols)
         phi[:, self.m] = phiT
         trajectory = phi.reshape(self.n + 1, self.m + 1, -1)
-        obs = np.zeros_like(phi) if with_observation else None
-        samples = None if obs is None else obs.reshape(trajectory.shape)
-        for j, chi, x, w_next, w_here in self._backward_steps(trajectory[1:-1, -1].copy(), fsrc):
-            if samples is not None:
-                samples[1:-1, j + 1] += w_next * chi
-                samples[1:-1, j] += w_here * chi
+        final = trajectory[1:-1, -1].copy()
+        chis = np.empty((self.m,) + final.shape) if with_observation else None
+        for j, chi, x in self._backward_steps(final, fsrc):
             trajectory[1:-1, j] = x
+            if chis is not None:
+                chis[j] = chi
         self._require_finite("backward sweep", phi)
-        if obs is not None:
-            samples *= self.mask[:, :, None]
-            return phi, obs
-        return phi
+        if chis is None:
+            return phi
+        obs = np.zeros_like(phi)
+        samples = obs.reshape(trajectory.shape)
+        levels = samples[1:-1].transpose(1, 0, 2)          # (m+1, n-1, k) view
+        levels[:-1] += self._obs_here[:, None, None] * chis
+        levels[1:] += self._obs_next[:, None, None] * chis
+        samples *= self.mask[:, :, None]
+        return phi, obs
 
     def assemble_forms(self):
         """Interior Gramian G and t = 0 slice P from one blocked adjoint sweep.
@@ -441,11 +490,11 @@ class Propagator:
         inside = self.mask[1:-1] > 0.0
         G = np.zeros((ni, ni))
         pending = np.zeros((ni, ni))      # partial observation at level j
-        for j, chi, x, w_next, w_here in self._backward_steps(np.eye(ni)):
-            done = pending + w_next * chi
+        for j, chi, x in self._backward_steps(np.eye(ni)):
+            done = pending + self._obs_next[j] * chi
             rows = done[inside[:, j + 1]]
             G += weight[j + 1] * (rows.T @ rows)
-            pending = w_here * chi
+            pending = self._obs_here[j] * chi
         rows = pending[inside[:, 0]]
         G += weight[0] * (rows.T @ rows)
         self._require_finite("blocked backward sweep", G, x)
@@ -471,9 +520,9 @@ class Propagator:
         inside = self.mask[1:-1]
         reach = int(np.count_nonzero(inside.any(axis=1)))
         obs = np.zeros((self.m + 1, reach, block.shape[1]))
-        for j, chi, _, w_next, w_here in self._backward_steps(block[1:-1].copy()):
-            obs[j + 1] += w_next * chi[:reach]
-            obs[j] += w_here * chi[:reach]
+        for j, chi, _ in self._backward_steps(block[1:-1].copy()):
+            obs[j + 1] += self._obs_next[j] * chi[:reach]
+            obs[j] += self._obs_here[j] * chi[:reach]
         obs *= inside[:reach].T[:, :, None]
         theta = self.cfg.theta
         x = np.zeros_like(block[1:-1])

@@ -1,5 +1,10 @@
 """Theta-scheme transport on the mapped domain: accuracy, duality, Gramian."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +47,12 @@ def test_scheme_config_validation():
     with pytest.raises(GridError):
         SchemeConfig(n=16, m=16, theta=1.2)
     assert SchemeConfig(n=16, m=16).refined().n == 32
+    # grid sizes are integers: a float, even an integral one, or a bool is
+    # refused at construction, not later inside np.linspace
+    for sizes in ({"n": 8.5}, {"m": 8.0}, {"n": 16.0}, {"n": True}, {"m": "16"}):
+        with pytest.raises(GridError, match="must be an integer"):
+            SchemeConfig(**sizes)
+    assert SchemeConfig(n=np.int64(16), m=16) == SchemeConfig(n=16, m=16)
 
 
 def test_eigenmode_second_order_in_time():
@@ -212,6 +223,21 @@ def test_control_radius_must_be_positive():
             Propagator(path, None, cfg, control_radius=radius)
     # the full-window variant observes every node
     assert np.all(Propagator(path, None, cfg, control_radius=np.inf).mask == 1.0)
+
+
+def test_slice_pairings_check_level_index():
+    # k = -1 would pair in the measure of R(T), k = m+1 would index past it
+    cfg = SchemeConfig(n=16, m=12)
+    path = path_from_function(lambda t: 1.0 + t, lambda t: 1.0 + 0.0 * t, 0.3, cfg.m)
+    prop = Propagator(path, None, cfg)
+    u = np.sin(np.pi * cfg.grid.nodes)
+    for k in (-1, cfg.m + 1, -cfg.m - 1):
+        with pytest.raises(GridError, match=f"time level {k} outside 0..{cfg.m}"):
+            prop.slice_inner(u, u, k)
+        with pytest.raises(GridError, match="outside"):
+            prop.slice_norm(u, k)
+    assert prop.slice_norm(u, cfg.m) ** 2 == pytest.approx(prop.slice_inner(u, u, cfg.m))
+    assert prop.slice_inner(u, u, cfg.m) > prop.slice_inner(u, u, 0)
 
 
 def test_control_source_requires_mask():
@@ -421,6 +447,118 @@ def test_theta_table_matches_level_by_level_steps_bitwise(n, levels, theta, dt, 
             assert got.tobytes() == want.tobytes()
 
 
+def _reference_forward(prop, u0, src=None, reaction=None):
+    """The forward sweep step by step, in the per-step arithmetic the sweep
+    must reproduce: explicit apply, theta average of the step's two source
+    levels, minus the reaction lagged on level j, times dt, one solve.  src
+    is the (n+1, m+1, k) source, already masked."""
+    n, m, theta, dt = prop.n, prop.m, prop.cfg.theta, prop.dt
+    block = u0.reshape(n + 1, -1)
+    out = np.zeros((n + 1, m + 1, block.shape[1]))
+    out[:, 0] = block
+    rho_int = prop.rho[1:-1, None]
+    x = block[1:-1].copy()
+    for j, ((sub, dg, sup), factors) in enumerate(prop._steps):
+        base = dg * x
+        base[1:] += sub * x[:-1]
+        base[:-1] += sup * x[1:]
+        extra = None
+        if src is not None:
+            extra = theta * src[1:-1, j + 1] + (1.0 - theta) * src[1:-1, j]
+        if reaction is not None:
+            r_int = rho_int * prop.path.radii[j]
+            lag = r_int * reaction.value(x / r_int)
+            extra = -lag if extra is None else extra - lag
+        if extra is not None:
+            base = base + dt * extra
+        x, info = pde._gttrs(*factors, base)
+        assert info == 0
+        out[1:-1, j + 1] = x
+    return out.reshape((n + 1, m + 1) + u0.shape[1:])
+
+
+def _reference_adjoint(prop, phiT, forcing=None):
+    """The backward sweep and its masked observation step by step: forcing
+    shares on both sides of each transposed step, and each chi accumulated
+    into levels j+1 and j as soon as it is solved."""
+    n, m, theta, dt = prop.n, prop.m, prop.cfg.theta, prop.dt
+    radii = prop.path.radii
+    block = phiT.reshape(n + 1, -1)
+    phi = np.zeros((n + 1, m + 1, block.shape[1]))
+    phi[:, m] = block
+    obs = np.zeros_like(phi)
+    x = block[1:-1].copy()
+    for j in range(m - 1, -1, -1):
+        (sub, dg, sup), factors = prop._steps[j]
+        rhs = x
+        if forcing is not None:
+            rhs = rhs + dt * (1.0 - theta) * forcing[1:-1, j + 1]
+        chi, info = pde._gttrs(*factors, rhs, trans=b"T")
+        assert info == 0
+        val = dg * chi
+        val[1:] += sup * chi[:-1]
+        val[:-1] += sub * chi[1:]
+        if forcing is not None:
+            val = val + dt * theta * forcing[1:-1, j]
+        x = (radii[j + 1] / radii[j]) * val
+        w_next = theta if j + 1 < m else 2.0 * theta
+        w_here = (1.0 - theta) * (radii[j + 1] / radii[j])
+        if j == 0:
+            w_here *= 2.0
+        obs[1:-1, j + 1] += w_next * chi
+        obs[1:-1, j] += w_here * chi
+        phi[1:-1, j] = x
+    obs *= prop.mask[:, :, None]
+    shape = (n + 1, m + 1) + phiT.shape[1:]
+    return phi.reshape(shape), obs.reshape(shape)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.integers(8, 32), m=st.integers(8, 40),
+       theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
+       freq=st.integers(1, 3), with_potential=st.booleans(),
+       radius=st.sampled_from([0.2, 0.3, 0.45, np.inf]),
+       cols=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_sweeps_match_step_by_step_arithmetic_bitwise(n, m, theta, amp, freq, with_potential,
+                                                      radius, cols, seed):
+    # the sweeps form their forcing averages and observations outside the
+    # step loop; every output must still carry the bits of the per-step
+    # arithmetic written out above, for a column and for blocks
+    cfg = SchemeConfig(n=n, m=m, theta=theta)
+    path = path_from_function(lambda t: 1.0 + amp * np.sin(freq * np.pi * t),
+                              lambda t: amp * freq * np.pi * np.cos(freq * np.pi * t),
+                              0.4, m)
+    rng = np.random.default_rng(seed)
+    pot = rng.uniform(-3.0, 3.0, size=(n + 1, m + 1)) if with_potential else None
+    prop = Propagator(path, pot, cfg, control_radius=radius)
+    trailing = () if cols is None else (cols,)
+    u0 = np.zeros((n + 1,) + trailing)
+    u0[1:-1] = rng.standard_normal((n - 1,) + trailing)
+    src = rng.standard_normal((n + 1, m + 1) + trailing)
+    src3 = src.reshape(n + 1, m + 1, -1)
+    masked = src3 * prop.mask[:, :, None]
+    f = Nonlinearity.sine()
+
+    def same(got, want):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    same(prop.run_forward(u0), _reference_forward(prop, u0))
+    same(prop.run_forward(u0, source=src), _reference_forward(prop, u0, src3))
+    same(prop.run_forward(u0, source=src, source_role=ROLE_CONTROL),
+         _reference_forward(prop, u0, masked))
+    same(prop.run_forward(u0, reaction=f), _reference_forward(prop, u0, reaction=f))
+    same(prop.run_forward(u0, source=src, source_role=ROLE_CONTROL, reaction=f),
+         _reference_forward(prop, u0, masked, reaction=f))
+    same(prop.run_adjoint(u0), _reference_adjoint(prop, u0)[0])
+    same(prop.run_adjoint(u0, forcing=src), _reference_adjoint(prop, u0, src3)[0])
+    for forcing in (None, src):
+        phi, obs = prop.run_adjoint(u0, forcing=forcing, with_observation=True)
+        ref_phi, ref_obs = _reference_adjoint(prop, u0, None if forcing is None else src3)
+        same(phi, ref_phi)
+        same(obs, ref_obs)
+
+
 def test_block_inputs_validated_in_one_place():
     cfg = SchemeConfig(n=12, m=10)
     path = constant_path(1.0, 0.2, cfg.m)
@@ -459,6 +597,47 @@ def test_block_inputs_validated_in_one_place():
     # the coupled march takes one column only
     with pytest.raises(GridError):
         coupled_solve(good, PhysicalSetup(T=0.2), None, cfg)
+
+
+def test_empty_blocks_refused():
+    # LAPACK's gttrs with zero right-hand sides corrupted the heap, so an
+    # (n+1, 0) block is refused before any step; each call runs in a child
+    # process, so a regression fails here instead of killing the test run
+    import stefanlab
+
+    script = textwrap.dedent("""
+        import numpy as np
+        from stefanlab.domain import constant_path
+        from stefanlab.errors import GridError
+        from stefanlab.pde import Propagator, SchemeConfig
+
+        prop = Propagator(constant_path(1.0, 0.1, 8), None, SchemeConfig(n=8, m=8),
+                          control_radius=0.5)
+        empty = np.zeros((9, 0))
+        calls = {
+            "forward": lambda: prop.run_forward(empty),
+            "adjoint": lambda: prop.run_adjoint(empty),
+            "observation": lambda: prop.run_adjoint(empty, with_observation=True),
+            "gramian": lambda: prop.apply_gramian(empty),
+        }
+        for name, call in calls.items():
+            try:
+                call()
+                print(name, "returned")
+            except GridError as exc:
+                print(name, "refused:", exc)
+    """)
+    package_root = os.path.dirname(os.path.dirname(stefanlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["forward", "adjoint", "observation",
+                                                     "gramian"]
+    for line in lines:
+        assert line.endswith("refused: initial data shape (9, 0) has no columns"), line
 
 
 def test_block_control_source_masked_per_column():
