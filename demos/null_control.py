@@ -5,8 +5,9 @@ The control acts on the ball of radius b and is synthesized by minimizing
 the penalized dual functional: one Cholesky solve with the control Gramian,
 which a single blocked adjoint sweep assembles.  Shrinking the penalty drives the final norm down at the price of
 a larger control; the sparse variant instead pins the final norm at the
-penalty level exactly, and returns the zero control once the free dynamics
-already meet the target.
+penalty level exactly, through the same solve at the penalty a few Newton
+steps on a secular equation find, and returns the zero control once the
+free dynamics already meet the target.
 """
 
 import numpy as np
@@ -43,7 +44,7 @@ sharp = solve_hum(u0, path, None, setup.b,
                   HUMConfig(epsilon=eps, variant="exact"), cfg)
 print(f"sparse variant, epsilon {eps:g}: final norm {sharp.final_norm:.6e} "
       f"(pinned at the penalty), cost {sharp.cost:.4f}, "
-      f"{sharp.iterations} proximal iterations")
+      f"{sharp.iterations} Newton iterations")
 
 report = cost_report(sharp, u0, setup, path, None, cfg)
 print("cost report:")

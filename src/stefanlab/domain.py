@@ -11,6 +11,7 @@ the physical radius of node i at time t_j is rho_i * R(t_j).
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,12 @@ ROLES = (ROLE_STATE, ROLE_ADJOINT, ROLE_CONTROL, ROLE_SOURCE)
 DIRICHLET_ROLES = (ROLE_STATE, ROLE_ADJOINT)
 
 _ENDPOINT_TOL = 1e-10
+
+
+def require_integer(name: str, value, least: int) -> None:
+    """Refuse a count below least or not an integer; a bool or float never is one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise GridError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -45,7 +45,6 @@ thread is kept; nothing else is cached.
 
 from __future__ import annotations
 
-import numbers
 import threading
 from dataclasses import dataclass
 
@@ -61,6 +60,7 @@ from .domain import (
     BoundaryPath,
     ReferenceGrid,
     SpaceTimeField,
+    require_integer,
 )
 from .errors import (
     EndpointConditionError,
@@ -85,12 +85,8 @@ class SchemeConfig:
     theta: float = 0.5
 
     def __post_init__(self):
-        for name in ("n", "m"):
-            size = getattr(self, name)
-            if isinstance(size, bool) or not isinstance(size, numbers.Integral):
-                raise GridError(f"{name} must be an integer, got {size!r}")
-        if self.n < 8 or self.m < 8:
-            raise GridError(f"need n >= 8 and m >= 8, got ({self.n}, {self.m})")
+        require_integer("n", self.n, 8)
+        require_integer("m", self.m, 8)
         if not 0.5 <= self.theta <= 1.0:
             raise GridError(f"theta must lie in [1/2, 1], got {self.theta}")
 

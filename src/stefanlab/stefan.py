@@ -42,6 +42,7 @@ from .domain import (
     PhysicalSetup,
     SpaceTimeField,
     constant_path,
+    require_integer,
 )
 from .errors import (
     ConvergenceError,
@@ -343,12 +344,12 @@ class FixedPointConfig:
     epsilon_schedule: tuple = ()
 
     def __post_init__(self):
-        if not self.fp_tol > 0:
-            raise GridError(f"stopping tolerance must be positive, got {self.fp_tol}")
-        if self.max_outer < 1:
-            raise GridError("outer iteration cap must be at least 1")
-        if not all(e > 0 for e in self.epsilon_schedule):
-            raise GridError("epsilon schedule entries must be positive")
+        if not 0 < self.fp_tol < np.inf:
+            raise GridError(f"stopping tolerance must be positive and finite, got {self.fp_tol}")
+        require_integer("max_outer", self.max_outer, 1)
+        if not all(0 < e < np.inf for e in self.epsilon_schedule):
+            raise GridError("epsilon schedule entries must be positive and finite, "
+                            f"got {self.epsilon_schedule}")
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ROLE_ADJOINT, BoundaryPath, PhysicalSetup, SpaceTimeField
+from .domain import ROLE_ADJOINT, BoundaryPath, PhysicalSetup, SpaceTimeField, require_integer
 from .errors import DegenerateWeightError, FieldRoleError, GridError, OutOfDomainError
 
 # Space-time samples (radii per level, levels) on which `CarlemanParams.calibrate`
@@ -105,8 +105,8 @@ def _sampled_radii(path: BoundaryPath, count: int) -> np.ndarray:
 
 
 def _check_lam_s_k(lam, s, k) -> None:
-    if not (lam > 0 and s > 0):
-        raise GridError(f"lam and s must be positive, got ({lam}, {s})")
+    if not (0 < lam < np.inf and 0 < s < np.inf):
+        raise GridError(f"lam and s must be positive and finite, got ({lam}, {s})")
     if not float(k).is_integer() or k < 2:
         raise GridError(f"k must be an integer >= 2, got {k}")
 
@@ -126,8 +126,7 @@ class CarlemanConfig:
 
     def __post_init__(self):
         _check_lam_s_k(self.lam, self.s, self.k)
-        if self.trials < 1:
-            raise GridError(f"trials must be at least 1, got {self.trials}")
+        require_integer("trials", self.trials, 1)
 
 
 @dataclass(frozen=True)

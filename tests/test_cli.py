@@ -200,7 +200,7 @@ _TABLE = {"kind": "table", "s": [-1.0, 0.0, 1.0], "f": [-1.0, 0.0, 1.0]}
     ("carleman", {"trials": 0}, "carleman: trials"),
     ("carleman", {"k": 1}, "carleman: k"),
     ("hum", {"epsilon": float("nan")}, "hum.epsilon"),
-    ("hum", {"prox_tol": -1}, "hum: prox_tol"),
+    ("hum", {"prox_tol": -1}, "hum.prox_tol"),
     ("fixedpoint", {"fp_tol": float("nan")}, "fixedpoint.fp_tol"),
     ("fixedpoint", {"epsilon_schedule": [float("inf")]}, "fixedpoint.epsilon_schedule[0]"),
     ("carleman", {"lam": float("nan")}, "carleman.lam"),

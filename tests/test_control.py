@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from stefanlab import control
 from stefanlab.control import (
     HUMConfig,
     VARIANT_EXACT,
@@ -12,9 +15,9 @@ from stefanlab.control import (
     dense_gramian,
     solve_hum,
 )
-from stefanlab.domain import PhysicalSetup, constant_path, line_l2_norm
+from stefanlab.domain import PhysicalSetup, constant_path, line_l2_norm, path_from_function
 from stefanlab.errors import ConvergenceError, GridError
-from stefanlab.pde import SchemeConfig
+from stefanlab.pde import SchemeConfig, solve_forward
 
 _B = 0.3   # default control radius
 
@@ -31,11 +34,6 @@ def test_hum_config_validation():
             HUMConfig(epsilon=eps)
     with pytest.raises(GridError):
         HUMConfig(variant="soft")
-    with pytest.raises(GridError):
-        HUMConfig(prox_max_iter=0)
-    for tol in (0.0, -1.0, float("nan")):
-        with pytest.raises(GridError):
-            HUMConfig(prox_tol=tol)
 
 
 def test_quadratic_drives_final_norm_down():
@@ -67,11 +65,74 @@ def test_quadratic_optimality_and_eps_identity():
 def test_exact_variant_pins_final_norm_at_epsilon():
     cfg = SchemeConfig(n=20, m=40)
     path = constant_path(1.0, 0.5, cfg.m)
-    eps = 1e-4
-    out = solve_hum(_sine_data(cfg), path, None, _B,
-                    HUMConfig(epsilon=eps, variant=VARIANT_EXACT), cfg)
-    assert out.final_norm == pytest.approx(eps, rel=1e-2)
-    assert out.eps_identity_defect <= 1e-2
+    for eps, tol in ((1e-4, 1e-12), (1e-6, 1e-10)):
+        out = solve_hum(_sine_data(cfg), path, None, _B,
+                        HUMConfig(epsilon=eps, variant=VARIANT_EXACT), cfg)
+        assert out.final_norm == pytest.approx(eps, rel=tol)
+        assert out.eps_identity_defect <= tol
+        assert out.optimality_residual <= 1e-12
+        assert 0 < out.iterations <= 15
+
+
+def test_exact_optimality_residual_detects_a_wrong_penalty(monkeypatch):
+    # the residual takes mu = eps / ||phiT|| from the subgradient, not the
+    # penalty the solve used, so a penalty off the secular root shows in it
+    cfg = SchemeConfig(n=20, m=40)
+    path = constant_path(1.0, 0.5, cfg.m)
+    hum = HUMConfig(epsilon=1e-4, variant=VARIANT_EXACT)
+    assert solve_hum(_sine_data(cfg), path, None, _B, hum, cfg).optimality_residual <= 1e-12
+    root = control._secular_penalty
+    monkeypatch.setattr(control, "_secular_penalty",
+                        lambda *args: (1.01 * root(*args)[0], root(*args)[1]))
+    monkeypatch.setattr(control, "_PIN_TOL", np.inf)
+    assert solve_hum(_sine_data(cfg), path, None, _B, hum, cfg).optimality_residual > 1e-6
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(n=st.integers(8, 32), m=st.integers(8, 48), theta=st.floats(0.5, 1.0),
+       amp=st.floats(0.0, 0.3), freq=st.integers(1, 3), pot=st.floats(-3.0, 3.0),
+       radius=st.sampled_from([0.2, 0.3, 0.45, np.inf]),
+       modes=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+       exponent=st.floats(-5.0, -1.0))
+def test_exact_variant_against_dense_oracle(n, m, theta, amp, freq, pot, radius, modes,
+                                            exponent):
+    # oracle: the Gramian from one apply per unit column and numpy's solve.
+    # The minimizer solves (G + mu I) phi = -y with mu ||phi|| = eps in the
+    # interior Euclidean scaling
+    cfg = SchemeConfig(n=n, m=m, theta=theta)
+    path = path_from_function(lambda t: 1.0 + amp * np.sin(freq * np.pi * t),
+                              lambda t: amp * freq * np.pi * np.cos(freq * np.pi * t),
+                              0.4, m)
+    rho, t = np.meshgrid(cfg.grid.nodes, path.times, indexing="ij")
+    potential = pot * np.cos(np.pi * rho) * np.cos(np.pi * t)
+    u0 = sum(c * np.sin((k + 1) * np.pi * cfg.grid.nodes) for k, c in enumerate(modes))
+    u0[0] = u0[-1] = 0.0
+    eps = 10.0 ** exponent
+    eps_eff = eps / np.sqrt(path.radii[-1] * cfg.grid.spacing)
+    y = solve_forward(u0, path, potential, None, cfg).values[1:-1, -1]
+    assume(abs(np.linalg.norm(y) / eps_eff - 1.0) > 1e-9)
+    G = dense_gramian(path, potential, radius, cfg)
+    lam_max = np.linalg.eigvalsh(G)[-1]
+    hum = HUMConfig(epsilon=eps, variant=VARIANT_EXACT)
+    try:
+        out = solve_hum(u0, path, potential, radius, hum, cfg)
+    except ConvergenceError as exc:
+        # refused only for a root so near G's rounding floor that the pin loses
+        # accuracy: at lam_max / mu = 1e6 the penalized solve still overshoots eps
+        assert "out of reach" in str(exc)
+        mu = 1e-6 * lam_max
+        assert mu * np.linalg.norm(np.linalg.solve(G + mu * np.eye(n - 1), y)) > eps_eff
+        return
+    phi = out.phiT[1:-1]
+    if np.linalg.norm(y) <= eps_eff:
+        assert np.all(out.phiT == 0.0) and out.iterations == 0
+        return
+    assert np.all(np.isfinite(phi)) and np.any(phi != 0.0)
+    mu = eps_eff / np.linalg.norm(phi)
+    residual = np.linalg.norm((G + mu * np.eye(n - 1)) @ phi + y) / np.linalg.norm(y)
+    assert residual <= 1e-8
+    assert out.final_norm == pytest.approx(eps, rel=1e-10)
+    assert out.iterations <= 20
 
 
 def test_exact_variant_idles_when_target_already_met():
@@ -122,13 +183,53 @@ def test_dense_gramian_grid_cap():
         dense_gramian(path, None, _B, cfg)
 
 
-def test_prox_cap_raises_with_history():
+def test_prox_cap_raises_with_history(monkeypatch):
     cfg = SchemeConfig(n=24, m=48)
     path = constant_path(1.0, 0.5, cfg.m)
-    with pytest.raises(ConvergenceError) as err:
+    monkeypatch.setattr(HUMConfig, "prox_max_iter", 1)
+    with pytest.raises(ConvergenceError, match="did not settle") as err:
         solve_hum(_sine_data(cfg), path, None, _B,
-                  HUMConfig(epsilon=1e-4, variant=VARIANT_EXACT, prox_max_iter=50), cfg)
-    assert len(err.value.history) == 50   # one iterate move per iteration
+                  HUMConfig(epsilon=1e-4, variant=VARIANT_EXACT), cfg)
+    assert len(err.value.history) == 1   # one Newton step per iteration
+
+
+def test_root_below_rounding_floor_raises_with_history():
+    # rough data on a coarse Crank-Nicolson grid: the free final state keeps
+    # weight in directions where G is zero to rounding, so eps would need a
+    # penalty below G's rounding floor, which no control on the grid reaches
+    cfg = SchemeConfig(n=19, m=23)
+    path = constant_path(1.0, 0.5, cfg.m)
+    u0 = np.zeros(cfg.n + 1)
+    u0[1:-1] = np.random.default_rng(0).standard_normal(cfg.n - 1)
+    eps = 4.9e-3
+    with pytest.raises(ConvergenceError, match="out of reach") as err:
+        solve_hum(u0, path, None, _B, HUMConfig(epsilon=eps, variant=VARIANT_EXACT), cfg)
+    steps = np.array(err.value.history)
+    assert 0 < len(steps) < HUMConfig().prox_max_iter
+    assert np.all(steps > 0.0)   # Newton approaches the root from the right
+    # the iterates replayed from the oracle Gramian: the first one at or
+    # below the floor (n-1) eps_mach lam_max stops the iteration
+    lam_max = np.linalg.eigvalsh(dense_gramian(path, None, _B, cfg))[-1]
+    y = solve_forward(u0, path, None, None, cfg).values[1:-1, -1]
+    eps_eff = eps / np.sqrt(path.radii[-1] * cfg.grid.spacing)
+    mu = eps_eff * lam_max / (np.linalg.norm(y) - eps_eff) - np.cumsum(steps)
+    floor = (cfg.n - 1) * np.finfo(float).eps * lam_max
+    assert mu[-1] <= floor < mu[-2]
+
+
+def test_inaccurate_pin_raises_with_history():
+    # roots above G's rounding floor but near it: the Newton steps settle,
+    # yet the verified final norm misses eps by about 1e-5 and 5e-8 relative,
+    # so the solves are refused; a larger eps on the same grid pins to 1e-10
+    cfg = SchemeConfig(n=10, m=8, theta=1.0)
+    path = constant_path(1.0, 0.4, cfg.m)
+    u0 = 10.0 * np.sin(np.pi * cfg.grid.nodes)
+    for eps in (1e-5, 3e-5):
+        with pytest.raises(ConvergenceError, match="misses it by") as err:
+            solve_hum(u0, path, None, 0.2, HUMConfig(epsilon=eps, variant=VARIANT_EXACT), cfg)
+        assert 0 < len(err.value.history) < HUMConfig.prox_max_iter
+    out = solve_hum(u0, path, None, 0.2, HUMConfig(epsilon=1e-3, variant=VARIANT_EXACT), cfg)
+    assert out.final_norm == pytest.approx(1e-3, rel=1e-10)
 
 
 def test_cost_report_keys_and_values():

@@ -48,6 +48,18 @@ def test_nonlinearity_kinds_and_validation():
         Nonlinearity.from_table([0.5, 1.0], [0.0, 1.0])   # bracket misses 0
 
 
+def test_fixed_point_config_validation():
+    # a non-finite tolerance or schedule entry, or a cap that is not an
+    # integer, is refused at construction, not after the Picard loop has run
+    for bad in ({"fp_tol": float("inf")}, {"fp_tol": float("nan")}, {"fp_tol": 0.0},
+                {"max_outer": 0}, {"max_outer": 2.5}, {"max_outer": 20.0},
+                {"max_outer": True}, {"epsilon_schedule": (1e-3, float("inf"))},
+                {"epsilon_schedule": (float("nan"),)}, {"epsilon_schedule": (0.0,)}):
+        with pytest.raises(GridError):
+            FixedPointConfig(**bad)
+    assert FixedPointConfig(max_outer=np.int64(5)).max_outer == 5
+
+
 def test_nonlinearity_values():
     s = np.linspace(-2.0, 2.0, 41)
     assert np.array_equal(Nonlinearity.zero().value(s), np.zeros_like(s))

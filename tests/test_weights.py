@@ -10,6 +10,7 @@ from stefanlab.errors import DegenerateWeightError, FieldRoleError, GridError, O
 from stefanlab.pde import SchemeConfig, solve_adjoint
 from stefanlab.weights import (
     EMPIRICAL_RATIO_BOUND,
+    CarlemanConfig,
     CarlemanParams,
     CarlemanReport,
     ProfileReport,
@@ -91,9 +92,15 @@ def test_carleman_params_validation_and_calibration():
         CarlemanParams(lam=0.0, s=1.0, k=2, sup_alpha1=3.0)
     with pytest.raises(GridError):
         CarlemanParams(lam=1.0, s=1.0, k=1, sup_alpha1=3.0)
-    for k in (float("nan"), float("inf")):
+    for k in (float("nan"), float("inf"), 2.5, True):
         with pytest.raises(GridError):
             CarlemanParams(lam=1.0, s=1.0, k=k, sup_alpha1=3.0)
+    # an infinite lam or s would give infinite ratios; the trial count is an
+    # integer, never a bool or a float
+    for bad in ({"lam": float("inf")}, {"s": float("inf")}, {"lam": float("nan")},
+                {"trials": 0}, {"trials": True}, {"trials": 2.5}, {"trials": 24.0}):
+        with pytest.raises(GridError):
+            CarlemanConfig(**bad)
     params = CarlemanParams.calibrate(1.0, 1e-4, 2, setup, path)
     # alpha1 = 1 + alpha0 peaks at the origin value 2
     assert params.sup_alpha1 == pytest.approx(3.0, abs=1e-9)
