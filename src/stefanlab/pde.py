@@ -9,19 +9,27 @@ on the fixed reference interval.  One step of the theta scheme reads
 
     (I - theta dt L_{j+1}) u^{j+1} = (I + (1-theta) dt L_j) u^j + dt f_step,
 
-one tridiagonal solve per step (LAPACK gttrf/gttrs, factored once per step).
-One builder, `_theta_table`, forms both operators of every step in one
-array pass over the levels: a `Propagator` calls it once, on all m+1
-levels, and the coupled march of `stefan` on two levels per solve.
+with the implicit operator A_k = I - theta dt L_k factored once per level
+(LAPACK gttrf) and one gttrs solve per step.  `_stencil` forms L_k on every
+level in one array pass; `_theta_table` turns it into both operators of
+every step, and the coupled march of `stefan` builds one level at a time.
 
-A `Propagator` sweep's step loop carries only the recursion: the explicit
-apply, the add of that step's forcing level, one gttrs and the store of the
-new level.  Work that does not depend on the recursion is one whole-array
-operation outside the loop: the theta averages of a source (times dt) for
-all m steps before it, and the observation of an adjoint sweep after it.
-Each keeps the per-step arithmetic and its order, so the outputs carry the
-same bits as a step-by-step evaluation.  Only a lagged reaction, which reads
-the current level, is formed inside the loop.
+The two operators of a level share L_k, so B_k = I + (1-theta) dt L_k is
+exactly (1/theta) I - ((1-theta)/theta) A_k, and no sweep applies B as an
+operator inside its loop.  A forward sweep applies B_0 to u^0 only; once
+step j has solved A_{j+1} u^{j+1} = rhs_j, the explicit half of step j+1
+is (u^{j+1} - (1-theta) rhs_j) / theta (`_carry`), so each step is one
+forcing add, one gttrs, the store and that carry.  A backward sweep carries
+the transposed solve's unknown chi the same way, and B^T is applied only
+where a caller needs a backward level itself, in whole-array passes after
+the loop.  This is the same theta scheme; outputs differ from applying B at
+every step only by rounding, and not at all at theta = 1, where B = I.
+
+Work that does not depend on the recursion is one whole-array operation
+outside the loop: the theta averages of a source (times dt) for all m
+steps before it, and the observation and levels of an adjoint sweep after
+it.  Only a lagged reaction, which reads the current level, is formed
+inside the loop.
 
 The backward solver applies the exact transpose of each forward step, scaled
 by R_{j+1}/R_j so that adjacent time levels pair in the physical measure
@@ -71,6 +79,9 @@ from .errors import (
 
 _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(2),))
 
+# values per chunk of the whole-level passes after a backward sweep
+_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -98,43 +109,66 @@ class SchemeConfig:
         return SchemeConfig(2 * self.n, 2 * self.m, self.theta)
 
 
-def _theta_table(cfg, rho, dt, radii, slopes, pot, first=0):
-    """Both operators of every theta step along L >= 2 levels, in one pass.
-
-    rho holds the n-1 interior nodes, radii and slopes the (L,) samples R,
-    R' of the levels and pot the (L, n-1) interior potential, one row per
-    level.  Step j, from level j to level j+1, gets the diagonals
-    (sub, diag, super) of I + (1-theta) dt L_j, each shaped (., 1) to
-    broadcast down an (n-1, k) block, and the gttrf factors of
-    I - theta dt L_{j+1}, with L_k = (1/R^2) d_rhorho + (rho R'/R) d_rho - a.
-    Returns the (explicit, factors) pairs; step j is reported as first + j.
-    """
+def _stencil(cfg, rho, radii, slopes, pot):
+    """(lower, diag, upper) of L_k = (1/R^2) d_rhorho + (rho R'/R) d_rho - a
+    at the n-1 interior nodes rho of L levels, one row per level: radii and
+    slopes hold the (L,) samples R, R' and pot the (L, n-1) potential."""
     h = 1.0 / cfg.n
     col = radii[:, None]
     diff = 1.0 / (col * col * h * h)
     adv = rho * slopes[:, None] / (2.0 * h * col)
-    lower, diag, upper = diff - adv, -2.0 * diff - pot, diff + adv
-    ex, im = (1.0 - cfg.theta) * dt, cfg.theta * dt
     # one array per diagonal, not one stacked array: numpy drops the
-    # interpreter lock on operands above 500 elements, a stacked operand on
-    # the coupled march's two levels passes that at desk grids, and every
-    # drop loses the march its share of the lock under sweep threads
-    sub, dg, sup = (ex * lower[:-1, 1:, None], 1.0 + ex * diag[:-1, :, None],
-                    ex * upper[:-1, :-1, None])
-    dl, d, du = -im * lower[1:, 1:], 1.0 - im * diag[1:], -im * upper[1:, :-1]
-    table = []
+    # interpreter lock on operands above 500 elements, a stacked operand
+    # passes that at desk grids even for the coupled march's single level,
+    # and every drop loses the march its share of the lock under sweep threads
+    return diff - adv, -2.0 * diff - pot, diff + adv
+
+
+def _explicit_diagonals(cfg, dt, lower, diag, upper):
+    """(sub, diag, super) of I + (1-theta) dt L_k on each level of a
+    stencil, level-major, each level shaped (., 1) to broadcast down an
+    (n-1, k) block."""
+    ex = (1.0 - cfg.theta) * dt
+    return ex * lower[:, 1:, None], 1.0 + ex * diag[:, :, None], ex * upper[:, :-1, None]
+
+
+def _implicit_factors(cfg, dt, lower, diag, upper, first=0):
+    """gttrf factors of I - theta dt L_k on each level of a stencil; the
+    level in row j closes step first + j."""
+    im = cfg.theta * dt
+    dl, d, du = -im * lower[:, 1:], 1.0 - im * diag, -im * upper[:, :-1]
+    factors = []
     for j in range(len(d)):
         # the implicit rows are scratch, so gttrf factors them in place
         dlf, df, duf, du2, ipiv, info = _gttrf(dl[j], d[j], du[j], 1, 1, 1)
         if info != 0:
             raise InstabilityError(f"implicit step {first + j} is singular (gttrf info={info})",
                                    suggested_nodes=2 * cfg.n, suggested_steps=2 * cfg.m)
-        table.append(((sub[j], dg[j], sup[j]), (dlf, df, duf, du2, ipiv)))
-    return table
+        factors.append((dlf, df, duf, du2, ipiv))
+    return factors
+
+
+def _theta_table(cfg, rho, dt, radii, slopes, pot, first=0):
+    """Both operators of every theta step along L >= 2 levels, in one pass.
+
+    rho holds the n-1 interior nodes, radii and slopes the (L,) samples R,
+    R' of the levels and pot the (L, n-1) interior potential, one row per
+    level.  Step j, from level j to level j+1, gets the explicit diagonals
+    of level j (see `_explicit_diagonals`) and the gttrf factors of
+    I - theta dt L_{j+1}.  Returns the (explicit, factors) pairs; step j is
+    reported as first + j.  Each step's explicit diagonals are views of one
+    level-major array per diagonal, so whole-level passes can read them
+    through .base without a copy.
+    """
+    lower, diag, upper = _stencil(cfg, rho, radii, slopes, pot)
+    sub, dg, sup = _explicit_diagonals(cfg, dt, lower[:-1], diag[:-1], upper[:-1])
+    factors = _implicit_factors(cfg, dt, lower[1:], diag[1:], upper[1:], first)
+    return [((sub[j], dg[j], sup[j]), f) for j, f in enumerate(factors)]
 
 
 def _apply_explicit(explicit, x, transposed=False):
-    """Explicit operator (or its transpose) on an (n-1, k) block."""
+    """Explicit operator (or its transpose) on an (n-1, ...) array whose
+    trailing axes the diagonals broadcast over."""
     sub, dg, sup = explicit
     if transposed:
         sub, sup = sup, sub
@@ -142,6 +176,20 @@ def _apply_explicit(explicit, x, transposed=False):
     y[1:] += sub * x[:-1]
     y[:-1] += sup * x[1:]
     return y
+
+
+def _carry(theta, x, rhs):
+    """The explicit half of the next step from the solve A x = rhs just made.
+
+    A = I - theta dt L and B = I + (1-theta) dt L share L, so
+    B = (1/theta) I - ((1-theta)/theta) A and B x = (x - (1-theta) rhs) / theta,
+    with no operator applied.  Overwrites and returns rhs; at theta = 1,
+    where B = I, the result is x bit for bit.
+    """
+    rhs *= 1.0 - theta
+    np.subtract(x, rhs, out=rhs)
+    rhs /= theta
+    return rhs
 
 
 def _solve_implicit(factors, rhs, transposed=False):
@@ -158,13 +206,6 @@ def _level_major(scale, samples):
     (L, n-1, k) array: level j is one contiguous (n-1, k) block."""
     rows, levels, cols = samples.shape
     return np.multiply(scale, samples.transpose(1, 0, 2), out=np.empty((levels, rows, cols)))
-
-
-def _implicit_step(factors, base, dt, extra=None):
-    """Level j+1 from base, the explicit half of step j applied to level j."""
-    if extra is not None:
-        base = base + dt * extra
-    return _solve_implicit(factors, base)
 
 
 def _step_forcing(theta, here, there, lag=None):
@@ -246,13 +287,17 @@ class Propagator:
     levels, and factors every implicit tridiagonal once, so repeated forward
     and adjoint sweeps, and the blocked adjoint sweep of `assemble_forms`,
     reuse the same LU data; the adjoint sweeps solve the transposed systems
-    from the identical factorization, which is what makes duality exact.
-    Sweeps carry the interior as an (n-1, k) block, k = 1 for one column;
-    whatever a sweep needs per step besides the recursion (source averages,
-    adjoint forcing shares, observation weights) is laid out level-major,
-    one contiguous (n-1, k) level per step, and formed outside its loop.
-    The solvers obtain theirs through `propagator`, which reuses a thread's
-    last one.
+    from the identical factorization, which is what makes duality exact up
+    to rounding.  Sweep loops make one solve per step and carry the
+    right-hand side forward or chi backward (see the module docstring), so
+    the explicit diagonals are read only outside them: for B_0 u^0, and in
+    the whole-level passes that form backward levels, which read all m
+    levels at once through `_explicit`.  Sweeps carry the interior as an
+    (n-1, k) block, k = 1 for one column; whatever a sweep needs per step
+    besides the recursion (source averages, adjoint forcing shares,
+    observation weights) is laid out level-major, one contiguous (n-1, k)
+    level per step, and formed outside its loop.  The solvers obtain
+    theirs through `propagator`, which reuses a thread's last one.
     """
 
     def __init__(self, path: BoundaryPath, potential, cfg: SchemeConfig,
@@ -268,11 +313,18 @@ class Propagator:
         self.dt = path.dt
         self.pot = _coerce_potential(potential, n, m)
         R = path.radii
-        # (explicit diagonals, implicit factors) of each step j -> j+1
+        # (explicit diagonals, implicit factors) of each step j -> j+1, and
+        # the explicit diagonals of all m steps whole, level-major: the
+        # arrays each step's entries are views of
         self._steps = _theta_table(cfg, self.rho[1:-1], self.dt, R, path.slopes,
                                    self.pot[1:-1].T)
+        self._explicit = tuple(diagonal.base for diagonal in self._steps[0][0])
 
         self.ratio = R[1:] / R[:-1]
+        # the backward carry: chi_j enters the transposed solve of step j-1
+        # as _lift[j] chi_j and leaves its result as _drop[j] chi_j
+        self._lift = self.ratio / cfg.theta
+        self._drop = self.ratio * ((1.0 - cfg.theta) / cfg.theta)
         # the chi of backward step j enters the observation at level j+1
         # with weight _obs_next[j] and at level j with _obs_here[j]: the theta
         # average of the forward source, doubled at the end levels, whose
@@ -345,13 +397,17 @@ class Propagator:
         too when no reaction follows.  A reaction f (any object with a value
         method) adds -r f(u/r) evaluated on the current level, lagged one
         step, so it stays in the loop: dt (average - lag) per step.
+
+        The explicit operator is applied once, to u0; every later step's
+        explicit half is carried from the solve before it (`_carry`), so a
+        step is its forcing add, one gttrs, the store and the carry.
         """
         u0 = _check_initial(u0, self.n, block=True)
         cols = u0.shape[1:]
+        theta = self.cfg.theta
         forcing = None
         if source is not None:
             src = self._combine_source(source, masked=(source_role == ROLE_CONTROL), cols=cols)
-            theta = self.cfg.theta
             forcing = _level_major(theta, src[1:-1, 1:])
             forcing += _level_major(1.0 - theta, src[1:-1, :-1])
             if reaction is None:
@@ -359,47 +415,66 @@ class Propagator:
         rho_int = self.rho[1:-1, None]
         w = np.zeros((self.n + 1, self.m + 1) + cols)
         w[:, 0] = u0
-        trajectory = w.reshape(self.n + 1, self.m + 1, -1)
-        x = trajectory[1:-1, 0].copy()
-        for j, (explicit, factors) in enumerate(self._steps):
-            base = _apply_explicit(explicit, x)
+        interior = w.reshape(self.n + 1, self.m + 1, -1)[1:-1]
+        x = interior[:, 0]
+        rhs = _apply_explicit(self._steps[0][0], x)
+        for j, (_, factors) in enumerate(self._steps):
             if reaction is not None:
                 lag = _lagged_reaction(reaction, x, rho_int * self.path.radii[j])
-                base += self.dt * (-lag if forcing is None else forcing[j] - lag)
+                rhs += self.dt * (-lag if forcing is None else forcing[j] - lag)
             elif forcing is not None:
-                base += forcing[j]
-            x = _solve_implicit(factors, base)
-            trajectory[1:-1, j + 1] = x
+                rhs += forcing[j]
+            x = _solve_implicit(factors, rhs)
+            interior[:, j + 1] = x
+            rhs = _carry(theta, x, rhs)
         self._require_finite("forward sweep", w)
         return w
 
-    def _backward_steps(self, x, fsrc=None):
-        """Exact transpose steps from level m down to level 0.
+    def _backward_steps(self, x, after=None, before=None):
+        """Exact transpose steps from level m down to level 0, carrying chi.
 
-        x is the interior final datum, an (n-1, k) block, and fsrc an
-        (n+1, m+1, k) forcing or None.  Yields (j, chi, x_j) for
-        j = m-1, ..., 0: chi solves the transposed implicit system of step
-        j and enters the observation at levels j+1 and j with the weights
-        _obs_next[j] and _obs_here[j]; x_j is the backward solution at level
-        j.  Level j+1 is complete once step j is yielded.  The forcing's
-        two theta-scaled shares of every step are formed before the loop,
-        level-major, so each step adds one precomputed level on each side
-        of its solve.
+        x is the interior final datum, an (n-1, k) block; after and before
+        are the level-major forcing shares of `run_adjoint`, or None.
+        Yields (j, chi) for j = m-1, ..., 0: chi solves the transposed
+        implicit system of step j, A_{j+1}^T chi_j = x_{j+1} + after_j, and
+        enters the observation at levels j+1 and j with the weights
+        _obs_next[j] and _obs_here[j].  The backward solution at level j is
+        x_j = r_j (B_j^T chi_j + before_j), r_j = R_{j+1}/R_j, and since
+        B_j = (1/theta) I - ((1-theta)/theta) A_j, the next chi is
+
+            chi_{j-1} = A_j^{-T} (r_j (chi_j/theta + before_j) + after_{j-1})
+                        - r_j ((1-theta)/theta) chi_j,
+
+        so no level is formed here; `_levels` forms x_j where a caller needs
+        it.  With no forcing, r_j chi_j/theta is one product, chi_j _lift[j].
         """
-        after = before = None
-        if fsrc is not None:
-            theta = self.cfg.theta
-            after = _level_major(self.dt * (1.0 - theta), fsrc[1:-1, 1:])
-            before = _level_major(self.dt * theta, fsrc[1:-1, :-1])
-        for j in range(self.m - 1, -1, -1):
-            explicit, factors = self._steps[j]
-            chi = _solve_implicit(factors, x if after is None else x + after[j],
-                                  transposed=True)
-            x = _apply_explicit(explicit, chi, transposed=True)
-            if before is not None:
-                x += before[j]
-            x *= self.ratio[j]
-            yield j, chi, x
+        theta = self.cfg.theta
+        chi = _solve_implicit(self._steps[-1][1], x if after is None else x + after[-1],
+                              transposed=True)
+        yield self.m - 1, chi
+        for j in range(self.m - 1, 0, -1):
+            if before is None:
+                rhs = self._lift[j] * chi
+            else:
+                rhs = chi / theta
+                rhs += before[j]
+                rhs *= self.ratio[j]
+                rhs += after[j - 1]
+            below = _solve_implicit(self._steps[j - 1][1], rhs, transposed=True)
+            below -= self._drop[j] * chi
+            chi = below
+            yield j - 1, chi
+
+    def _levels(self, first, chis, before=None):
+        """Backward levels x_j = r_j (B_j^T chi_j + before_j) of the (n-1, L, k)
+        chi of levels first..first+L-1, as a new array of that shape."""
+        last = first + chis.shape[1]
+        explicit = tuple(d[first:last].transpose(1, 0, 2) for d in self._explicit)
+        x = _apply_explicit(explicit, chis, transposed=True)
+        if before is not None:
+            x += before[first:last].transpose(1, 0, 2)
+        x *= self.ratio[first:last, None]
+        return x
 
     def _require_mask(self):
         if self.mask is None:
@@ -420,36 +495,48 @@ class Propagator:
         when with_observation is set.  The observation array holds the
         masked per-node control samples of the backward solution, i.e. the
         image of phiT under the transpose of the source-to-final-state map;
-        it is the HUM control candidate associated with phiT.  The step
-        loop only stores each chi, level-major; the observation is formed
-        after it in two whole-array adds, _obs_here[l] chi_l before
-        _obs_next[l-1] chi_{l-1} at every level l (the order in which a
-        step-by-step accumulation adds them), and masked once.
+        it is the HUM control candidate associated with phiT.
+
+        The step loop stores each chi_j in the trajectory's own level j.
+        After it, chunks of levels are read twice: the observation adds
+        _obs_here[l] chi_l and _obs_next[l-1] chi_{l-1} at every level l,
+        and the chunk's chi are then replaced by the levels x_j (`_levels`);
+        the observation is masked once at the end.  No temporary is larger
+        than one chunk of about _CHUNK values.
         """
         phiT = _check_initial(phiT, self.n, block=True)
         if with_observation:
             self._require_mask()
         cols = phiT.shape[1:]
-        fsrc = None
+        after = before = None
         if forcing is not None:
             fsrc = self._combine_source(forcing, masked=False, cols=cols)
+            theta = self.cfg.theta
+            # the forcing's two theta-scaled shares of every step: after[j]
+            # enters the transposed solve of step j, before[j] the level j
+            after = _level_major(self.dt * (1.0 - theta), fsrc[1:-1, 1:])
+            before = _level_major(self.dt * theta, fsrc[1:-1, :-1])
         phi = np.zeros((self.n + 1, self.m + 1) + cols)
         phi[:, self.m] = phiT
         trajectory = phi.reshape(self.n + 1, self.m + 1, -1)
-        final = trajectory[1:-1, -1].copy()
-        chis = np.empty((self.m,) + final.shape) if with_observation else None
-        for j, chi, x in self._backward_steps(final, fsrc):
-            trajectory[1:-1, j] = x
-            if chis is not None:
-                chis[j] = chi
+        interior = trajectory[1:-1]
+        for j, chi in self._backward_steps(interior[:, -1], after, before):
+            interior[:, j] = chi
+        samples = None
+        if with_observation:
+            obs = np.zeros_like(phi)
+            samples = obs.reshape(trajectory.shape)
+        span = max(1, _CHUNK // interior[:, 0].size)
+        for first in range(0, self.m, span):
+            last = min(first + span, self.m)
+            chis = interior[:, first:last]
+            if samples is not None:
+                samples[1:-1, first:last] += self._obs_here[first:last, None] * chis
+                samples[1:-1, first + 1:last + 1] += self._obs_next[first:last, None] * chis
+            chis[...] = self._levels(first, chis, before)
         self._require_finite("backward sweep", phi)
-        if chis is None:
+        if samples is None:
             return phi
-        obs = np.zeros_like(phi)
-        samples = obs.reshape(trajectory.shape)
-        levels = samples[1:-1].transpose(1, 0, 2)          # (m+1, n-1, k) view
-        levels[:-1] += self._obs_here[:, None, None] * chis
-        levels[1:] += self._obs_next[:, None, None] * chis
         samples *= self.mask[:, :, None]
         return phi, obs
 
@@ -468,8 +555,9 @@ class Propagator:
         accumulated as soon as each level is complete, so only two levels
         are ever held; G equals the interior block of `apply_gramian`
         applied to the identity, up to rounding.  P is the sweep at t = 0,
-        and (R_0/R_T) P^T P is the numerator form of the observability
-        inequality (backward sweep, then free forward sweep, by duality).
+        the one level formed from its chi, and (R_0/R_T) P^T P is the
+        numerator form of the observability inequality (backward sweep,
+        then free forward sweep, by duality).
         """
         self._require_mask()
         if self._forms is None:
@@ -486,15 +574,16 @@ class Propagator:
         inside = self.mask[1:-1] > 0.0
         G = np.zeros((ni, ni))
         pending = np.zeros((ni, ni))      # partial observation at level j
-        for j, chi, x in self._backward_steps(np.eye(ni)):
+        for j, chi in self._backward_steps(np.eye(ni)):
             done = pending + self._obs_next[j] * chi
             rows = done[inside[:, j + 1]]
             G += weight[j + 1] * (rows.T @ rows)
             pending = self._obs_here[j] * chi
         rows = pending[inside[:, 0]]
         G += weight[0] * (rows.T @ rows)
-        self._require_finite("blocked backward sweep", G, x)
-        return G, x
+        P = self._levels(0, chi[:, None])[:, 0]
+        self._require_finite("blocked backward sweep", G, P)
+        return G, P
 
     def apply_gramian(self, phiT) -> np.ndarray:
         """Adjoint sweep, mask, forward sweep from zero data; state at T.
@@ -503,8 +592,10 @@ class Propagator:
         shape, and each column equals the image of that column alone, bit
         for bit.  Neither trajectory is kept: only the masked observation
         levels, on the rows the mask ever reaches (rho_i R_j < b holds on a
-        prefix of rows at every level), padded back to full height as the
-        forcing of each forward step.
+        prefix of rows at every level), added on those rows as the forcing
+        of each forward step.  No level of the backward sweep is formed,
+        and the forward sweep from zero data carries its right-hand side
+        from the first step on.
 
         Symmetric and positive semidefinite in the L2(0, R(T)) pairing, with
         <Gramian phiT, phiT> equal to the squared control cost of the masked
@@ -516,16 +607,16 @@ class Propagator:
         inside = self.mask[1:-1]
         reach = int(np.count_nonzero(inside.any(axis=1)))
         obs = np.zeros((self.m + 1, reach, block.shape[1]))
-        for j, chi, _ in self._backward_steps(block[1:-1].copy()):
+        for j, chi in self._backward_steps(block[1:-1]):
             obs[j + 1] += self._obs_next[j] * chi[:reach]
             obs[j] += self._obs_here[j] * chi[:reach]
         obs *= inside[:reach].T[:, :, None]
         theta = self.cfg.theta
-        x = np.zeros_like(block[1:-1])
-        extra = np.zeros_like(x)
-        for j, (explicit, factors) in enumerate(self._steps):
-            extra[:reach] = _step_forcing(theta, obs[j], obs[j + 1])
-            x = _implicit_step(factors, _apply_explicit(explicit, x), self.dt, extra)
+        rhs = np.zeros_like(block[1:-1])        # the explicit half of the zero datum
+        for j, (_, factors) in enumerate(self._steps):
+            rhs[:reach] += self.dt * _step_forcing(theta, obs[j], obs[j + 1])
+            x = _solve_implicit(factors, rhs)
+            rhs = _carry(theta, x, rhs)
         self._require_finite("Gramian sweeps", x)
         out = np.zeros(phiT.shape)
         out.reshape(block.shape)[1:-1] = x

@@ -15,8 +15,9 @@ three layers.
   the theta-step kernel of `pde`: an Euler predictor for the radius, then
   a trapezoid corrector that re-solves the step on the averaged radius.
   The slope stored at each level is the one its implicit operator used
-  (the predictor's rate), and the explicit half of the next step reuses
-  it, so the realized path replays bitwise through the plain solvers.
+  (the predictor's rate), and the explicit half of the next step is
+  carried from that operator's solve as the plain solvers carry it, so
+  the realized path replays bitwise through them.
 * Control: `linearize_and_control` freezes the reaction slope g(s) = f(s)/s
   on a given state iterate, synthesizes the penalized control on the frozen
   path, and pushes the boundary with the controlled flux;
@@ -54,18 +55,38 @@ from .errors import (
 from .pde import (
     SchemeConfig,
     _apply_explicit,
+    _carry,
     _check_flux_field,
     _check_initial,
     _edge_flux,
-    _implicit_step,
+    _explicit_diagonals,
+    _implicit_factors,
     _lagged_reaction,
+    _solve_implicit,
+    _stencil,
     _step_forcing,
-    _theta_table,
 )
 from .control import HUMConfig, HUMOutcome, solve_hum
 
 _KINDS = ("zero", "linear", "sine", "table")
 _SMALL_ARG = 1e-8
+
+
+def _table_samples(s, f):
+    """The samples of a tabulated f as float arrays, checked: matching 1-d
+    arrays of length >= 2, finite values, and strictly increasing abscissae
+    (which refuses NaN) that bracket s = 0."""
+    s = np.asarray(s, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if s.ndim != 1 or s.shape != f.shape or s.size < 2:
+        raise GridError("table needs matching 1-d sample arrays, length >= 2")
+    if not np.all(np.diff(s) > 0):
+        raise GridError("table abscissae must be strictly increasing")
+    if not np.all(np.isfinite(f)):
+        raise GridError("table values must be finite")
+    if not (s[0] <= 0.0 <= s[-1]):
+        raise GridError("table must bracket s = 0")
+    return s, f
 
 
 @dataclass(frozen=True)
@@ -95,17 +116,10 @@ class Nonlinearity:
             raise GridError(f"unknown nonlinearity kind {self.kind!r}")
         if not np.isfinite(self.amplitude):
             raise GridError("amplitude must be finite")
+        if self.kind == "table":
+            _table_samples(self.samples_s, self.samples_f)
         if self.lipschitz < 0 or not np.isfinite(self.lipschitz):
             raise GridError(f"Lipschitz bound must be >= 0, got {self.lipschitz}")
-        if self.kind == "table":
-            s = np.asarray(self.samples_s, dtype=float)
-            f = np.asarray(self.samples_f, dtype=float)
-            if s.ndim != 1 or s.shape != f.shape or s.size < 2:
-                raise GridError("table needs matching 1-d sample arrays, length >= 2")
-            if np.any(np.diff(s) <= 0):
-                raise GridError("table abscissae must be strictly increasing")
-            if not (s[0] <= 0.0 <= s[-1]):
-                raise GridError("table must bracket s = 0")
         if abs(float(np.asarray(self.value(0.0)))) > 1e-12:
             raise GridError("nonlinearity must vanish at zero")
 
@@ -127,13 +141,8 @@ class Nonlinearity:
     @classmethod
     def from_table(cls, s, f, slope_at_zero: float | None = None) -> "Nonlinearity":
         """Piecewise-linear f through the samples, constant outside their range."""
-        s = np.asarray(s, dtype=float)
-        f = np.asarray(f, dtype=float)
-        if s.size >= 2 and s.ndim == 1 and s.shape == f.shape:
-            secants = np.abs(np.diff(f) / np.diff(s)) if np.all(np.diff(s) > 0) else [np.inf]
-            lip = float(np.max(secants))
-        else:
-            lip = 0.0
+        s, f = _table_samples(s, f)
+        lip = float(np.max(np.abs(np.diff(f) / np.diff(s))))
         return cls(kind="table", samples_s=tuple(float(x) for x in s),
                    samples_f=tuple(float(x) for x in f), lipschitz=lip,
                    slope_at_zero=slope_at_zero)
@@ -237,15 +246,19 @@ def _coerce_control(control, n: int, m: int):
 def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
     """March the line field and the free boundary together.
 
-    Step j runs on the theta-step kernel of `pde`, built on two levels:
-    level j, at the stored radius and slope (R_j, S_j), and level j+1.  With
-    q_j the melting rate of the accepted column at R_j, a predictor solves
-    the step at (R_j + dt q_j, q_j) and gives the rate q_pred; then
+    Step j runs on the theta-step kernel of `pde`: the right-hand side of
+    step j is the explicit half of level j at the stored radius and slope
+    (R_j, S_j) plus the step's forcing, and each solve builds only the
+    implicit factors of its candidate level j+1.  With q_j the melting rate
+    of the accepted column at R_j, a predictor solves the step at
+    (R_j + dt q_j, q_j) and gives the rate q_pred; then
 
         R_{j+1} = R_j + dt (q_j + q_pred) / 2,   S_{j+1} = q_pred,
 
-    and the corrector solves the step again at (R_{j+1}, S_{j+1}), reusing
-    the explicit half of level j that the predictor applied.  The
+    and the corrector solves the step again at (R_{j+1}, S_{j+1}) from the
+    same explicit half.  That half is applied as an operator at step 0
+    only; every later one is carried from the corrector's solve
+    (`pde._carry`), exactly as `Propagator.run_forward` carries it.  The
     rate q_{j+1} of the accepted column drives only the next radius update:
     the stored slope is the one the level-(j+1) operator used, so the
     realized path replays bitwise through `solve_forward` (or
@@ -266,7 +279,7 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
     times = np.linspace(0.0, setup.T, m + 1)
     dt = float(times[1] - times[0])      # the realized path's own step
     theta = cfg.theta
-    no_pot = np.zeros((2, n - 1))
+    no_pot = np.zeros((1, n - 1))
 
     w = np.zeros((n + 1, m + 1))
     w[:, 0] = u0
@@ -278,31 +291,31 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
             return None
         return ctrl[1:-1, j, None] * (rho_int * radius < setup.b)
 
-    def operators(j, radius, slope):
-        """(explicit, factors) of step j, with level j+1 set to (radius, slope)."""
-        radii[j + 1], slopes[j + 1] = radius, slope
-        (pair,) = _theta_table(cfg, rho, dt, radii[j:j + 2], slopes[j:j + 2], no_pot, first=j)
-        return pair
+    def level(j):
+        return _stencil(cfg, rho, radii[j:j + 1], slopes[j:j + 1], no_pot)
 
-    def solve(j, factors, base, here, radius, lag):
+    def solve(j, base, here, radius, slope, lag):
+        """Step j with level j+1 set to (radius, slope); (solution, rhs)."""
+        radii[j + 1], slopes[j + 1] = radius, slope
+        (factors,) = _implicit_factors(cfg, dt, *level(j + 1), first=j)
         extra = _step_forcing(theta, here, masked_column(j + 1, radius), lag)
-        return _implicit_step(factors, base, dt, extra)
+        rhs = base if extra is None else base + dt * extra
+        return _solve_implicit(factors, rhs), rhs
 
     radii[0] = setup.R0
     q = slopes[0] = _melting_rate(u0, setup.R0)
     x = u0[1:-1, None].copy()
+    base = _apply_explicit([d[0] for d in _explicit_diagonals(cfg, dt, *level(0))], x)
     col = np.zeros(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m):
             here = masked_column(j, radii[j])
             lag = None if nl is None else _lagged_reaction(nl, x, rho_int * radii[j])
             r_pred = radii[j] + dt * q
-            explicit, factors = operators(j, r_pred, q)
-            base = _apply_explicit(explicit, x)      # shared by predictor and corrector
-            col[1:-1] = solve(j, factors, base, here, r_pred, lag)[:, 0]
+            col[1:-1] = solve(j, base, here, r_pred, q, lag)[0][:, 0]
             q_pred = _melting_rate(col, r_pred)
             r_next = radii[j] + 0.5 * dt * (q + q_pred)
-            x_new = solve(j, operators(j, r_next, q_pred)[1], base, here, r_next, lag)
+            x_new, rhs = solve(j, base, here, r_next, q_pred, lag)
 
             if not (np.all(np.isfinite(x_new)) and np.isfinite(r_next)):
                 raise InstabilityError(
@@ -320,6 +333,7 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
             x = x_new     # level j+1 of radii and slopes holds (r_next, q_pred)
             w[1:-1, j + 1] = x[:, 0]
             q = _melting_rate(w[:, j + 1], r_next)
+            base = _carry(theta, x, rhs)
 
     return SpaceTimeField(w, role=ROLE_STATE), BoundaryPath(times, radii, slopes)
 

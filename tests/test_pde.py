@@ -447,11 +447,11 @@ def test_theta_table_matches_level_by_level_steps_bitwise(n, levels, theta, dt, 
             assert got.tobytes() == want.tobytes()
 
 
-def _reference_forward(prop, u0, src=None, reaction=None):
-    """The forward sweep step by step, in the per-step arithmetic the sweep
-    must reproduce: explicit apply, theta average of the step's two source
-    levels, minus the reaction lagged on level j, times dt, one solve.  src
-    is the (n+1, m+1, k) source, already masked."""
+def _two_operator_forward(prop, u0, src=None, reaction=None):
+    """The forward sweep step by step with both operators of every step:
+    explicit apply, theta average of the step's two source levels, minus
+    the reaction lagged on level j, times dt, one solve.  src is the
+    (n+1, m+1, k) source, already masked."""
     n, m, theta, dt = prop.n, prop.m, prop.cfg.theta, prop.dt
     block = u0.reshape(n + 1, -1)
     out = np.zeros((n + 1, m + 1, block.shape[1]))
@@ -477,16 +477,34 @@ def _reference_forward(prop, u0, src=None, reaction=None):
     return out.reshape((n + 1, m + 1) + u0.shape[1:])
 
 
-def _reference_adjoint(prop, phiT, forcing=None):
-    """The backward sweep and its masked observation step by step: forcing
-    shares on both sides of each transposed step, and each chi accumulated
-    into levels j+1 and j as soon as it is solved."""
+def _observation(prop, chis, shape):
+    """Masked observation of the chi of every backward step (chis[j] for
+    step j), accumulated into levels j+1 and j as each is solved."""
+    n, m, theta = prop.n, prop.m, prop.cfg.theta
+    radii = prop.path.radii
+    obs = np.zeros((n + 1, m + 1, chis[0].shape[1]))
+    for j in range(m - 1, -1, -1):
+        w_next = theta if j + 1 < m else 2.0 * theta
+        w_here = (1.0 - theta) * (radii[j + 1] / radii[j])
+        if j == 0:
+            w_here *= 2.0
+        obs[1:-1, j + 1] += w_next * chis[j]
+        obs[1:-1, j] += w_here * chis[j]
+    obs *= prop.mask[:, :, None]
+    return obs.reshape(shape)
+
+
+def _two_operator_adjoint(prop, phiT, forcing=None):
+    """The backward sweep step by step with both operators of every step:
+    forcing shares on both sides of each transposed solve, then the
+    transposed explicit apply forms every level.  Returns the trajectory,
+    the masked observation and the chi of every step."""
     n, m, theta, dt = prop.n, prop.m, prop.cfg.theta, prop.dt
     radii = prop.path.radii
     block = phiT.reshape(n + 1, -1)
     phi = np.zeros((n + 1, m + 1, block.shape[1]))
     phi[:, m] = block
-    obs = np.zeros_like(phi)
+    chis = [None] * m
     x = block[1:-1].copy()
     for j in range(m - 1, -1, -1):
         (sub, dg, sup), factors = prop._steps[j]
@@ -501,16 +519,93 @@ def _reference_adjoint(prop, phiT, forcing=None):
         if forcing is not None:
             val = val + dt * theta * forcing[1:-1, j]
         x = (radii[j + 1] / radii[j]) * val
-        w_next = theta if j + 1 < m else 2.0 * theta
-        w_here = (1.0 - theta) * (radii[j + 1] / radii[j])
-        if j == 0:
-            w_here *= 2.0
-        obs[1:-1, j + 1] += w_next * chi
-        obs[1:-1, j] += w_here * chi
+        chis[j] = chi
         phi[1:-1, j] = x
-    obs *= prop.mask[:, :, None]
     shape = (n + 1, m + 1) + phiT.shape[1:]
-    return phi.reshape(shape), obs.reshape(shape)
+    return phi.reshape(shape), _observation(prop, chis, shape), chis
+
+
+def _carried_forward(prop, u0, src=None, reaction=None):
+    """The forward sweep step by step in the arithmetic the sweep must
+    reproduce: the explicit operator applied once, to u0; then per step
+    the forcing of `_two_operator_forward`, one solve, and the next
+    right-hand side carried as (x - (1-theta) rhs) / theta."""
+    n, m, theta, dt = prop.n, prop.m, prop.cfg.theta, prop.dt
+    block = u0.reshape(n + 1, -1)
+    out = np.zeros((n + 1, m + 1, block.shape[1]))
+    out[:, 0] = block
+    rho_int = prop.rho[1:-1, None]
+    x = block[1:-1].copy()
+    (sub, dg, sup), _ = prop._steps[0]
+    rhs = dg * x
+    rhs[1:] += sub * x[:-1]
+    rhs[:-1] += sup * x[1:]
+    for j, (_, factors) in enumerate(prop._steps):
+        avg = None
+        if src is not None:
+            avg = theta * src[1:-1, j + 1] + (1.0 - theta) * src[1:-1, j]
+        if reaction is not None:
+            r_int = rho_int * prop.path.radii[j]
+            lag = r_int * reaction.value(x / r_int)
+            rhs = rhs + dt * (-lag if avg is None else avg - lag)
+        elif avg is not None:
+            rhs = rhs + dt * avg
+        x, info = pde._gttrs(*factors, rhs)
+        assert info == 0
+        out[1:-1, j + 1] = x
+        rhs = (x - (1.0 - theta) * rhs) / theta
+    return out.reshape((n + 1, m + 1) + u0.shape[1:])
+
+
+def _carried_adjoint(prop, phiT, forcing=None):
+    """The backward sweep step by step in the arithmetic the sweep must
+    reproduce: each transposed solve takes r_j (chi_j/theta + before_j) +
+    after_{j-1} (r_j chi_j/theta as one product with no forcing) and gives
+    chi_{j-1} once r_j ((1-theta)/theta) chi_j is subtracted; each level is
+    then r_j (B_j^T chi_j + before_j).  Returns the trajectory and the
+    masked observation."""
+    n, m, theta, dt = prop.n, prop.m, prop.cfg.theta, prop.dt
+    radii = prop.path.radii
+    block = phiT.reshape(n + 1, -1)
+    phi = np.zeros((n + 1, m + 1, block.shape[1]))
+    phi[:, m] = block
+    chis = [None] * m
+    rhs = block[1:-1].copy()
+    if forcing is not None:
+        rhs = rhs + dt * (1.0 - theta) * forcing[1:-1, m]
+    for j in range(m - 1, -1, -1):
+        chi, info = pde._gttrs(*prop._steps[j][1], rhs, trans=b"T")
+        assert info == 0
+        if j + 1 < m:
+            chi = chi - (radii[j + 2] / radii[j + 1]) * ((1.0 - theta) / theta) * chis[j + 1]
+        chis[j] = chi
+        r = radii[j + 1] / radii[j]
+        if forcing is None:
+            rhs = (r / theta) * chi
+        elif j:
+            rhs = (chi / theta + dt * theta * forcing[1:-1, j]) * r
+            rhs = rhs + dt * (1.0 - theta) * forcing[1:-1, j]
+    for j in range(m):
+        (sub, dg, sup), _ = prop._steps[j]
+        chi = chis[j]
+        val = dg * chi
+        val[1:] += sup * chi[:-1]
+        val[:-1] += sub * chi[1:]
+        if forcing is not None:
+            val = val + dt * theta * forcing[1:-1, j]
+        phi[1:-1, j] = val * (radii[j + 1] / radii[j])
+    shape = (n + 1, m + 1) + phiT.shape[1:]
+    return phi.reshape(shape), _observation(prop, chis, shape)
+
+
+def _moving_setup(n, m, theta, amp, freq, with_potential, radius, seed, T=0.4):
+    cfg = SchemeConfig(n=n, m=m, theta=theta)
+    path = path_from_function(lambda t: 1.0 + amp * np.sin(freq * np.pi * t),
+                              lambda t: amp * freq * np.pi * np.cos(freq * np.pi * t),
+                              T, m)
+    rng = np.random.default_rng(seed)
+    pot = rng.uniform(-3.0, 3.0, size=(n + 1, m + 1)) if with_potential else None
+    return Propagator(path, pot, cfg, control_radius=radius), rng
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -521,16 +616,11 @@ def _reference_adjoint(prop, phiT, forcing=None):
        cols=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1))
 def test_sweeps_match_step_by_step_arithmetic_bitwise(n, m, theta, amp, freq, with_potential,
                                                       radius, cols, seed):
-    # the sweeps form their forcing averages and observations outside the
-    # step loop; every output must still carry the bits of the per-step
-    # arithmetic written out above, for a column and for blocks
-    cfg = SchemeConfig(n=n, m=m, theta=theta)
-    path = path_from_function(lambda t: 1.0 + amp * np.sin(freq * np.pi * t),
-                              lambda t: amp * freq * np.pi * np.cos(freq * np.pi * t),
-                              0.4, m)
-    rng = np.random.default_rng(seed)
-    pot = rng.uniform(-3.0, 3.0, size=(n + 1, m + 1)) if with_potential else None
-    prop = Propagator(path, pot, cfg, control_radius=radius)
+    # the sweeps carry the right-hand side forward and chi backward, and
+    # form their forcing averages, observations and backward levels outside
+    # the step loop; every output must still carry the bits of the carried
+    # recurrence written out above, for a column and for blocks
+    prop, rng = _moving_setup(n, m, theta, amp, freq, with_potential, radius, seed)
     trailing = () if cols is None else (cols,)
     u0 = np.zeros((n + 1,) + trailing)
     u0[1:-1] = rng.standard_normal((n - 1,) + trailing)
@@ -543,20 +633,110 @@ def test_sweeps_match_step_by_step_arithmetic_bitwise(n, m, theta, amp, freq, wi
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    same(prop.run_forward(u0), _reference_forward(prop, u0))
-    same(prop.run_forward(u0, source=src), _reference_forward(prop, u0, src3))
+    same(prop.run_forward(u0), _carried_forward(prop, u0))
+    same(prop.run_forward(u0, source=src), _carried_forward(prop, u0, src3))
     same(prop.run_forward(u0, source=src, source_role=ROLE_CONTROL),
-         _reference_forward(prop, u0, masked))
-    same(prop.run_forward(u0, reaction=f), _reference_forward(prop, u0, reaction=f))
+         _carried_forward(prop, u0, masked))
+    same(prop.run_forward(u0, reaction=f), _carried_forward(prop, u0, reaction=f))
     same(prop.run_forward(u0, source=src, source_role=ROLE_CONTROL, reaction=f),
-         _reference_forward(prop, u0, masked, reaction=f))
-    same(prop.run_adjoint(u0), _reference_adjoint(prop, u0)[0])
-    same(prop.run_adjoint(u0, forcing=src), _reference_adjoint(prop, u0, src3)[0])
+         _carried_forward(prop, u0, masked, reaction=f))
+    same(prop.run_adjoint(u0), _carried_adjoint(prop, u0)[0])
+    same(prop.run_adjoint(u0, forcing=src), _carried_adjoint(prop, u0, src3)[0])
     for forcing in (None, src):
         phi, obs = prop.run_adjoint(u0, forcing=forcing, with_observation=True)
-        ref_phi, ref_obs = _reference_adjoint(prop, u0, None if forcing is None else src3)
+        ref_phi, ref_obs = _carried_adjoint(prop, u0, None if forcing is None else src3)
         same(phi, ref_phi)
         same(obs, ref_obs)
+
+
+def _two_operator_forms(prop):
+    """G and P from the two-operator backward sweep of the identity block,
+    G accumulated level by level from level m down, as `assemble_forms` does."""
+    n, m = prop.n, prop.m
+    phi, obs, _ = _two_operator_adjoint(prop, np.eye(n + 1)[:, 1:-1])
+    radii = prop.path.radii
+    weight = prop.tau * radii / radii[-1]
+    inside = prop.mask[1:-1] > 0.0
+    G = np.zeros((n - 1, n - 1))
+    for level in range(m, -1, -1):
+        rows = obs[1:-1, level][inside[:, level]]
+        G += weight[level] * (rows.T @ rows)
+    return G, phi[1:-1, 0]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=st.integers(8, 32), m=st.integers(8, 40),
+       theta=st.just(1.0) | st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
+       freq=st.integers(1, 3), with_potential=st.booleans(),
+       radius=st.sampled_from([0.2, 0.3, 0.45, np.inf]),
+       cols=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_carried_sweeps_match_two_operator_step(n, m, theta, amp, freq, with_potential,
+                                                radius, cols, seed):
+    # B_j = (1/theta) I - ((1-theta)/theta) A_j holds exactly, so carrying
+    # the right-hand side and chi is the same theta scheme as applying B and
+    # then solving with A at every step: every sweep agrees with that to
+    # rounding, and bit for bit at theta = 1, where B = I
+    prop, rng = _moving_setup(n, m, theta, amp, freq, with_potential, radius, seed)
+    trailing = () if cols is None else (cols,)
+    u0 = np.zeros((n + 1,) + trailing)
+    u0[1:-1] = rng.standard_normal((n - 1,) + trailing)
+    src = rng.standard_normal((n + 1, m + 1) + trailing)
+    src3 = src.reshape(n + 1, m + 1, -1)
+    masked = src3 * prop.mask[:, :, None]
+    f = Nonlinearity.sine()
+
+    def close(got, want):
+        assert got.shape == want.shape
+        if theta == 1.0:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    close(prop.run_forward(u0, source=src), _two_operator_forward(prop, u0, src3))
+    close(prop.run_forward(u0, source=src, source_role=ROLE_CONTROL),
+          _two_operator_forward(prop, u0, masked))
+    close(prop.run_forward(u0, source=src, source_role=ROLE_CONTROL, reaction=f),
+          _two_operator_forward(prop, u0, masked, reaction=f))
+    for forcing in (None, src):
+        phi, obs = prop.run_adjoint(u0, forcing=forcing, with_observation=True)
+        ref_phi, ref_obs, _ = _two_operator_adjoint(prop, u0, None if forcing is None else src3)
+        close(phi, ref_phi)
+        close(obs, ref_obs)
+    # the Gramian apply: the masked observation as the control of a forward
+    # sweep from zero data, state at T
+    _, ref_obs, _ = _two_operator_adjoint(prop, u0)
+    ref_obs = ref_obs.reshape(src3.shape)
+    ref = _two_operator_forward(prop, np.zeros_like(u0), ref_obs)[:, -1]
+    close(prop.apply_gramian(u0), ref)
+    G, P = prop.assemble_forms()
+    ref_G, ref_P = _two_operator_forms(prop)
+    close(G, ref_G)
+    close(P, ref_P)
+
+
+def test_carried_sweeps_do_not_drift():
+    # a long Crank-Nicolson run, where the carry's rounding is least damped,
+    # stays within the same bound of the two-operator step
+    prop, rng = _moving_setup(200, 1000, 0.5, 0.3, 2, True, 0.3, 11)
+    n, m = prop.n, prop.m
+    u0 = np.zeros(n + 1)
+    u0[1:-1] = rng.standard_normal(n - 1)
+    src = rng.standard_normal((n + 1, m + 1))
+    masked = (src * prop.mask)[:, :, None]
+    f = Nonlinearity.sine()
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    close(prop.run_forward(u0, source=src, source_role=ROLE_CONTROL, reaction=f),
+          _two_operator_forward(prop, u0, masked, reaction=f))
+    phi, obs = prop.run_adjoint(u0, forcing=src, with_observation=True)
+    ref_phi, ref_obs, _ = _two_operator_adjoint(prop, u0, src[:, :, None])
+    close(phi, ref_phi)
+    close(obs, ref_obs)
+    _, ref_obs, _ = _two_operator_adjoint(prop, u0)
+    ref = _two_operator_forward(prop, np.zeros(n + 1), ref_obs[:, :, None])[:, -1]
+    close(prop.apply_gramian(u0), ref)
 
 
 def test_block_inputs_validated_in_one_place():

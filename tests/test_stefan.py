@@ -46,6 +46,16 @@ def test_nonlinearity_kinds_and_validation():
         Nonlinearity.from_table([0.0, 1.0], [0.1, 1.0])   # f(0) != 0
     with pytest.raises(GridError):
         Nonlinearity.from_table([0.5, 1.0], [0.0, 1.0])   # bracket misses 0
+    # a bad table is refused as a table, before any Lipschitz bound is formed
+    nan = float("nan")
+    for s, f, match in (([0.0, -1.0, 1.0], [0.0, 1.0, 2.0], "strictly increasing"),
+                        ([-1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0], "strictly increasing"),
+                        ([-1.0, nan, 1.0], [1.0, 0.0, 1.0], "strictly increasing"),
+                        ([nan, 0.0, 1.0], [1.0, 0.0, 1.0], "strictly increasing"),
+                        ([-1.0, 0.0, 1.0], [nan, 0.0, 1.0], "values must be finite"),
+                        ([-1.0, 0.0], [1.0, 0.0, 1.0], "matching 1-d")):
+        with pytest.raises(GridError, match=match):
+            Nonlinearity.from_table(s, f)
 
 
 def test_fixed_point_config_validation():
