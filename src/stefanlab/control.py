@@ -18,13 +18,19 @@ than 1e-10 relative is out of reach on the grid and raises ConvergenceError.
 All inner products are taken in L2(0, R(T)); the Gramian is symmetric
 positive semidefinite in that pairing by construction, and at desk grid
 sizes it is a small dense matrix, assembled on interior nodes by one blocked
-adjoint sweep (`Propagator.assemble_forms`).  The oracle `dense_gramian` builds the same
-matrix the slow way, one Gramian apply per interior unit column, all the
-columns in one blocked pass.
+adjoint sweep (`Propagator.assemble_forms`).  The same sweep leaves the
+t = 0 slice P of the backward sweeps of the unit data, and y_free(T) is
+taken from it by duality, (R(0)/R(T)) P^T u0 on interior nodes
+(`Propagator.free_final`), with no forward sweep.  The oracle
+`dense_gramian` builds the same matrix the slow way, one Gramian apply per
+interior unit column, all the columns in one blocked pass.
 
-The controlled final state, the optimality residual, and the identity
-y(T) = -eps phiT (quadratic variant) are cheap a posteriori checks; the
-outcome carries them.
+Once G is assembled, a solve makes two column sweeps: the backward sweep
+that yields the control, which keeps only its masked observation
+(`Propagator.run_observation`), and one verification forward sweep under
+that control.  The controlled final state, the optimality residual, and the
+identity y(T) = -eps phiT (quadratic variant) are cheap a posteriori checks
+on it; the outcome carries them.
 
 Every function here takes its operators from `pde.propagator`: consecutive
 calls in one thread with a bitwise-equal path, potential, control radius and
@@ -99,7 +105,7 @@ class HUMOutcome:
 
 def apply_gramian(phiT, path: BoundaryPath, potential, control_radius: float,
                   cfg: SchemeConfig) -> np.ndarray:
-    """One Gramian application: adjoint sweep, mask, forward sweep, state at T."""
+    """One Gramian application: observation sweep, forward sweep, state at T."""
     prop = propagator(path, potential, cfg, control_radius=control_radius)
     return prop.apply_gramian(phiT)
 
@@ -124,12 +130,13 @@ def solve_hum(u0, path: BoundaryPath, potential, control_radius: float,
     """Synthesize the control for initial line field u0 on a frozen path.
 
     Returns the optimal backward datum, the control samples (masked to the
-    control region at every time level), the controlled trajectory from one
-    verification forward solve, and the scalar diagnostics.
+    control region at every time level) from one observation sweep, the
+    controlled trajectory from one verification forward solve, and the
+    scalar diagnostics.  u0 is checked before any step runs.
     """
     prop = propagator(path, potential, cfg, control_radius=control_radius)
     n, m = cfg.n, cfg.m
-    y_free = prop.run_forward(u0)[:, -1]
+    y_free = prop.free_final(u0)
     G, _ = prop.assemble_forms()
 
     # both variants solve (G + mu I) phiT = -y_free(T); the exact one at the
@@ -148,7 +155,7 @@ def solve_hum(u0, path: BoundaryPath, potential, control_radius: float,
         raise ConvergenceError(f"Gramian factorization failed at ({n}, {m}): {exc}") from exc
     phiT = np.pad(sol, 1)
 
-    _, obs = prop.run_adjoint(phiT, with_observation=True)
+    obs = prop.run_observation(phiT)
     control = SpaceTimeField(obs, role=ROLE_CONTROL)
     cost = prop.control_cost(obs)
 

@@ -25,11 +25,12 @@ where a caller needs a backward level itself, in whole-array passes after
 the loop.  This is the same theta scheme; outputs differ from applying B at
 every step only by rounding, and not at all at theta = 1, where B = I.
 
-Work that does not depend on the recursion is one whole-array operation
-outside the loop: the theta averages of a source (times dt) for all m
-steps before it, and the observation and levels of an adjoint sweep after
-it.  Only a lagged reaction, which reads the current level, is formed
-inside the loop.
+Work that does not depend on the recursion is done in whole-array passes,
+not per step: the theta averages of a source (times dt) for all m steps
+before the loop, the levels of an adjoint sweep after it, and the
+observation of an adjoint sweep once per chunk of levels, as soon as the
+chunk's chi are in.  Only a lagged reaction, which reads the current level,
+is formed at every step.
 
 The backward solver applies the exact transpose of each forward step, scaled
 by R_{j+1}/R_j so that adjacent time levels pair in the physical measure
@@ -79,7 +80,7 @@ from .errors import (
 
 _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(2),))
 
-# values per chunk of the whole-level passes after a backward sweep
+# values per chunk of the whole-level passes of a backward sweep
 _CHUNK = 1 << 15
 
 
@@ -220,9 +221,18 @@ def _step_forcing(theta, here, there, lag=None):
     return extra
 
 
-def _lagged_reaction(nonlinearity, x, r_int):
-    """r f(u/r) on an (n-1, k) interior block at the (n-1, 1) physical radii r_int."""
-    return r_int * nonlinearity.value(x / r_int)
+def _radial_profile(u, rho_int, radius):
+    """(z, r): z = u/r of interior line-field rows u at the physical radii
+    r = rho_int radius, with rho_int the (n-1, 1) interior nodes and radius
+    one level's R or the (m+1,) radii of a whole (n-1, m+1) field."""
+    r = rho_int * radius
+    return u / r, r
+
+
+def _lagged_reaction(nonlinearity, x, rho_int, radius):
+    """r f(u/r) on an (n-1, k) interior block of the level with radius R."""
+    z, r = _radial_profile(x, rho_int, radius)
+    return r * nonlinearity.value(z)
 
 
 def _edge_flux(values, radius):
@@ -348,6 +358,9 @@ class Propagator:
                 raise GridError(f"control radius must be positive, got {control_radius}")
             radii_nodes = np.outer(self.rho, R)          # (n+1, m+1) physical radii
             self.mask = (radii_nodes < control_radius).astype(float)
+            # rho_i R_j < b holds on a prefix of rows at every level: the
+            # interior rows the mask ever reaches
+            self._reach = int(np.count_nonzero(self.mask[1:-1].any(axis=1)))
 
     # -- inner products in the physical measure --------------------------------
 
@@ -420,7 +433,7 @@ class Propagator:
         rhs = _apply_explicit(self._steps[0][0], x)
         for j, (_, factors) in enumerate(self._steps):
             if reaction is not None:
-                lag = _lagged_reaction(reaction, x, rho_int * self.path.radii[j])
+                lag = _lagged_reaction(reaction, x, rho_int, self.path.radii[j])
                 rhs += self.dt * (-lag if forcing is None else forcing[j] - lag)
             elif forcing is not None:
                 rhs += forcing[j]
@@ -486,27 +499,18 @@ class Propagator:
             raise InstabilityError(f"{sweep} produced non-finite values",
                                    suggested_nodes=2 * self.n, suggested_steps=2 * self.m)
 
-    def run_adjoint(self, phiT, forcing=None, with_observation=False):
+    def run_adjoint(self, phiT, forcing=None):
         """Backward sweep from the final datum phiT; exact transpose steps.
 
         phiT is an (n+1,) column or an (n+1, k) block, shaped and checked as
         the initial data of `run_forward`, and a forcing carries the block's
-        trailing axis.  Returns the trajectory, or (trajectory, observation)
-        when with_observation is set.  The observation array holds the
-        masked per-node control samples of the backward solution, i.e. the
-        image of phiT under the transpose of the source-to-final-state map;
-        it is the HUM control candidate associated with phiT.
-
-        The step loop stores each chi_j in the trajectory's own level j.
-        After it, chunks of levels are read twice: the observation adds
-        _obs_here[l] chi_l and _obs_next[l-1] chi_{l-1} at every level l,
-        and the chunk's chi are then replaced by the levels x_j (`_levels`);
-        the observation is masked once at the end.  No temporary is larger
-        than one chunk of about _CHUNK values.
+        trailing axis.  Returns the trajectory.  The step loop stores each
+        chi_j in the trajectory's own level j; after it, chunks of about
+        _CHUNK values are replaced by the levels x_j (`_levels`).  A caller
+        that needs only the control samples of the sweep uses
+        `run_observation`, which forms no level.
         """
         phiT = _check_initial(phiT, self.n, block=True)
-        if with_observation:
-            self._require_mask()
         cols = phiT.shape[1:]
         after = before = None
         if forcing is not None:
@@ -518,27 +522,65 @@ class Propagator:
             before = _level_major(self.dt * theta, fsrc[1:-1, :-1])
         phi = np.zeros((self.n + 1, self.m + 1) + cols)
         phi[:, self.m] = phiT
-        trajectory = phi.reshape(self.n + 1, self.m + 1, -1)
-        interior = trajectory[1:-1]
+        interior = phi.reshape(self.n + 1, self.m + 1, -1)[1:-1]
         for j, chi in self._backward_steps(interior[:, -1], after, before):
             interior[:, j] = chi
-        samples = None
-        if with_observation:
-            obs = np.zeros_like(phi)
-            samples = obs.reshape(trajectory.shape)
         span = max(1, _CHUNK // interior[:, 0].size)
         for first in range(0, self.m, span):
-            last = min(first + span, self.m)
-            chis = interior[:, first:last]
-            if samples is not None:
-                samples[1:-1, first:last] += self._obs_here[first:last, None] * chis
-                samples[1:-1, first + 1:last + 1] += self._obs_next[first:last, None] * chis
+            chis = interior[:, first:min(first + span, self.m)]
             chis[...] = self._levels(first, chis, before)
         self._require_finite("backward sweep", phi)
-        if samples is None:
-            return phi
-        samples *= self.mask[:, :, None]
-        return phi, obs
+        return phi
+
+    def run_observation(self, phiT):
+        """Masked control samples of the backward sweep from phiT.
+
+        phiT is an (n+1,) column or an (n+1, k) block, shaped and checked as
+        in `run_adjoint`; the result is (n+1, m+1), or (n+1, m+1, k) for a
+        block.  It holds the masked per-node control samples of the backward
+        solution, i.e. the image of phiT under the transpose of the
+        source-to-final-state map: the HUM control candidate associated with
+        phiT.  It is the sweep of `_observation` on every interior row, not
+        only on those the mask reaches, so every entry, the signed zeros
+        outside the control region included, carries the bits of the
+        per-step accumulation; no backward level is formed.
+        """
+        phiT = _check_initial(phiT, self.n, block=True)
+        self._require_mask()
+        levels = self._observation(phiT.reshape(self.n + 1, -1), self.n - 1)
+        self._require_finite("observation sweep", levels)
+        obs = np.zeros((self.n + 1, self.m + 1) + phiT.shape[1:])
+        obs.reshape(self.n + 1, self.m + 1, -1)[1:-1] = levels.transpose(1, 0, 2)
+        return obs
+
+    def _observation(self, block, rows):
+        """Masked observation levels of the backward sweep from the (n+1, k)
+        block, on its first `rows` interior rows, level-major: (m+1, rows, k).
+
+        The step loop keeps each chi_j's first rows in a ring of one chunk
+        of levels, about _CHUNK values.  Once the chunk's lowest chi is in,
+        one pass per weight adds _obs_here[l] chi_l and _obs_next[l-1]
+        chi_{l-1} into the zeroed levels through one product buffer, so
+        every level is the zero-started sum of its two products, bit for
+        bit as accumulating them step by step gives it; the mask multiplies
+        once at the end.
+        """
+        m = self.m
+        obs = np.zeros((m + 1, rows, block.shape[1]))
+        span = max(1, _CHUNK // max(1, obs[0].size))
+        chis = np.empty((min(span, m),) + obs.shape[1:])
+        product = np.empty_like(chis)
+        for j, chi in self._backward_steps(block[1:-1]):
+            chis[j % span] = chi[:rows]
+            if j % span == 0:            # the ring holds levels j .. last-1
+                last = min(j + span, m)
+                ring, part = chis[:last - j], product[:last - j]
+                np.multiply(self._obs_here[j:last, None, None], ring, out=part)
+                obs[j:last] += part
+                np.multiply(self._obs_next[j:last, None, None], ring, out=part)
+                obs[j + 1:last + 1] += part
+        obs *= self.mask[1:rows + 1].T[:, :, None]
+        return obs
 
     def assemble_forms(self):
         """Interior Gramian G and t = 0 slice P from one blocked adjoint sweep.
@@ -553,7 +595,8 @@ class Propagator:
             G = (1/R_T) sum_j tau_j R_j O_j^T O_j,
 
         accumulated as soon as each level is complete, so only two levels
-        are ever held; G equals the interior block of `apply_gramian`
+        are ever held, and only on the rows the mask ever reaches: no other
+        row enters G.  G equals the interior block of `apply_gramian`
         applied to the identity, up to rounding.  P is the sweep at t = 0,
         the one level formed from its chi, and (R_0/R_T) P^T P is the
         numerator form of the observability inequality (backward sweep,
@@ -568,34 +611,54 @@ class Propagator:
         return self._forms
 
     def _assemble_forms(self):
-        ni = self.n - 1
+        ni, reach = self.n - 1, self._reach
         radii = self.path.radii
         weight = self.tau * radii / radii[-1]
-        inside = self.mask[1:-1] > 0.0
+        # the mask covers a prefix of rows at every level: its length per level
+        inside = np.count_nonzero(self.mask[1:-1], axis=0)
         G = np.zeros((ni, ni))
-        pending = np.zeros((ni, ni))      # partial observation at level j
+        # the observation levels on the rows that ever enter G: level j+1
+        # complete, level j partial
+        done = np.empty((reach, ni))
+        pending = np.zeros((reach, ni))
         for j, chi in self._backward_steps(np.eye(ni)):
-            done = pending + self._obs_next[j] * chi
-            rows = done[inside[:, j + 1]]
+            np.multiply(self._obs_next[j], chi[:reach], out=done)
+            done += pending
+            rows = done[:inside[j + 1]]
             G += weight[j + 1] * (rows.T @ rows)
-            pending = self._obs_here[j] * chi
-        rows = pending[inside[:, 0]]
+            np.multiply(self._obs_here[j], chi[:reach], out=pending)
+        rows = pending[:inside[0]]
         G += weight[0] * (rows.T @ rows)
         P = self._levels(0, chi[:, None])[:, 0]
         self._require_finite("blocked backward sweep", G, P)
         return G, P
 
+    def free_final(self, u0) -> np.ndarray:
+        """The free state at T, the last level of `run_forward(u0)`, by duality.
+
+        u0 is an (n+1,) column, checked before the forms are assembled.
+        Column i of the t = 0 slice P of `assemble_forms` is the backward
+        sweep of the interior unit datum e_i, so the duality identity gives
+        R_T y(T)_i = R_0 (P^T u0)_i on interior nodes: one product against
+        the assembled P, equal to the forward sweep up to rounding.  Needs
+        a control radius, as `assemble_forms` does.
+        """
+        u0 = _check_initial(u0, self.n)
+        _, P = self.assemble_forms()
+        radii = self.path.radii
+        return np.pad((radii[0] / radii[-1]) * (P.T @ u0[1:-1]), 1)
+
     def apply_gramian(self, phiT) -> np.ndarray:
-        """Adjoint sweep, mask, forward sweep from zero data; state at T.
+        """Observation sweep, then forward sweep from zero data; state at T.
 
         phiT is an (n+1,) column or an (n+1, k) block; the result has its
         shape, and each column equals the image of that column alone, bit
-        for bit.  Neither trajectory is kept: only the masked observation
-        levels, on the rows the mask ever reaches (rho_i R_j < b holds on a
-        prefix of rows at every level), added on those rows as the forcing
-        of each forward step.  No level of the backward sweep is formed,
-        and the forward sweep from zero data carries its right-hand side
-        from the first step on.
+        for bit.  Neither trajectory is kept: the backward half is the
+        sweep of `run_observation` (`_observation`), kept only on the rows
+        the mask ever reaches, whose levels are added on those rows as the
+        forcing of each forward step.  No level of the backward sweep is
+        formed, and the forward sweep from zero data carries its right-hand
+        side from the first step on.
 
         Symmetric and positive semidefinite in the L2(0, R(T)) pairing, with
         <Gramian phiT, phiT> equal to the squared control cost of the masked
@@ -604,13 +667,8 @@ class Propagator:
         phiT = _check_initial(phiT, self.n, block=True)
         self._require_mask()
         block = phiT.reshape(self.n + 1, -1)
-        inside = self.mask[1:-1]
-        reach = int(np.count_nonzero(inside.any(axis=1)))
-        obs = np.zeros((self.m + 1, reach, block.shape[1]))
-        for j, chi in self._backward_steps(block[1:-1]):
-            obs[j + 1] += self._obs_next[j] * chi[:reach]
-            obs[j] += self._obs_here[j] * chi[:reach]
-        obs *= inside[:reach].T[:, :, None]
+        reach = self._reach
+        obs = self._observation(block, reach)
         theta = self.cfg.theta
         rhs = np.zeros_like(block[1:-1])        # the explicit half of the zero datum
         for j, (_, factors) in enumerate(self._steps):

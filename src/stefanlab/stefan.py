@@ -19,8 +19,8 @@ three layers.
   carried from that operator's solve as the plain solvers carry it, so
   the realized path replays bitwise through them.
 * Control: `linearize_and_control` freezes the reaction slope g(s) = f(s)/s
-  on a given state iterate, synthesizes the penalized control on the frozen
-  path, and pushes the boundary with the controlled flux;
+  at z = u/r of a given state iterate, synthesizes the penalized control
+  on the frozen path, and pushes the boundary with the controlled flux;
   `fixed_point_iterate` applies that map repeatedly (Picard) until the
   state and the boundary stop moving in the sup norm, optionally continuing
   along a schedule of decreasing penalties.
@@ -62,6 +62,7 @@ from .pde import (
     _explicit_diagonals,
     _implicit_factors,
     _lagged_reaction,
+    _radial_profile,
     _solve_implicit,
     _stencil,
     _step_forcing,
@@ -310,7 +311,7 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m):
             here = masked_column(j, radii[j])
-            lag = None if nl is None else _lagged_reaction(nl, x, rho_int * radii[j])
+            lag = None if nl is None else _lagged_reaction(nl, x, rho_int, radii[j])
             r_pred = radii[j] + dt * q
             col[1:-1] = solve(j, base, here, r_pred, q, lag)[0][:, 0]
             q_pred = _melting_rate(col, r_pred)
@@ -416,18 +417,25 @@ def linearize_and_control(zbar, rbar: BoundaryPath, u0, setup: PhysicalSetup,
                           hum: HUMConfig, cfg: SchemeConfig) -> LambdaOutcome:
     """Linearize the reaction on an iterate, control, update the boundary.
 
-    The potential is the secant slope of the setup's nonlinearity sampled
-    pointwise on the iterate field (no nonlinearity means no potential, and
-    the zero kind produces an exactly zero potential, so this path is then
-    bit-identical to the plain control pipeline).  The penalized control is
-    synthesized on the frozen path, and the controlled state's boundary
-    flux drives the boundary update.
+    The reaction the solvers apply to the line field u = r z is r f(u/r)
+    (`pde._lagged_reaction`), and r f(u/r) = g(u/r) u with the secant slope
+    g(s) = f(s)/s.  So the potential is g(ubar/r) on the interior nodes,
+    with ubar the iterate and r = rho_i Rbar_j the physical radii of the
+    frozen path; the two endpoint rows, which no step reads, stay zero.  No
+    nonlinearity means no potential, and the zero kind produces an exactly
+    zero potential, so this path is then bit-identical to the plain control
+    pipeline.  The penalized control is synthesized on the frozen path, and
+    the controlled state's boundary flux drives the boundary update.
     """
     vals = zbar.values if isinstance(zbar, SpaceTimeField) else np.asarray(zbar, dtype=float)
     if vals.shape != (cfg.n + 1, cfg.m + 1):
         raise GridError(f"iterate shape {vals.shape}, expected {(cfg.n + 1, cfg.m + 1)}")
     nl = setup.nonlinearity
-    potential = None if nl is None else np.asarray(nl.slope(vals), dtype=float)
+    potential = None
+    if nl is not None:
+        z, _ = _radial_profile(vals[1:-1], cfg.grid.nodes[1:-1, None], rbar.radii)
+        potential = np.zeros_like(vals)
+        potential[1:-1] = nl.slope(z)
 
     outcome = solve_hum(u0, rbar, potential, setup.b, hum, cfg)
     new_path = integrate_boundary(outcome.state, rbar, setup)

@@ -16,7 +16,7 @@ from stefanlab.control import (
     solve_hum,
 )
 from stefanlab.domain import PhysicalSetup, constant_path, line_l2_norm, path_from_function
-from stefanlab.errors import ConvergenceError, GridError
+from stefanlab.errors import ConvergenceError, EndpointConditionError, GridError
 from stefanlab.pde import SchemeConfig, solve_forward
 
 _B = 0.3   # default control radius
@@ -159,6 +159,24 @@ def test_zero_data_gives_zero_control():
     assert out.final_norm == 0.0
     assert out.cost_ratio == 0.0
     assert np.array_equal(out.control.values, np.zeros((cfg.n + 1, cfg.m + 1)))
+
+
+def test_bad_initial_data_refused_before_any_step(monkeypatch):
+    # the free final state comes from the assembled forms, and u0 is checked
+    # before they are assembled
+    from stefanlab import pde
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before the initial data check")
+
+    monkeypatch.setattr(pde, "_solve_implicit", no_step)
+    cfg = SchemeConfig(n=16, m=24)
+    path = constant_path(1.0, 0.3, cfg.m)
+    u0 = _sine_data(cfg)
+    for bad, error in ((np.pad(u0, (0, 1)), GridError), (u0 + 1e-3, EndpointConditionError),
+                       (np.where(u0 > 0.05, np.nan, u0), GridError)):
+        with pytest.raises(error):
+            solve_hum(bad, path, None, _B, HUMConfig(), cfg)
 
 
 def test_matrix_free_matches_dense_gramian():

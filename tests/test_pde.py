@@ -210,7 +210,7 @@ def test_gramian_energy_equals_control_cost():
     prop = Propagator(path, None, cfg, control_radius=0.3)
     x = np.zeros(cfg.n + 1)
     x[1:-1] = rng.standard_normal(cfg.n - 1)
-    _, obs = prop.run_adjoint(x, with_observation=True)
+    obs = prop.run_observation(x)
     energy = prop.slice_inner(prop.apply_gramian(x), x, cfg.m)
     assert energy == pytest.approx(prop.control_cost(obs) ** 2, rel=1e-10)
 
@@ -261,7 +261,9 @@ def test_observation_sweeps_check_mask_before_stepping(monkeypatch):
     phiT = np.zeros(cfg.n + 1)
     phiT[1:-1] = 1.0
     with pytest.raises(GridError):
-        prop.run_adjoint(phiT, with_observation=True)
+        prop.run_observation(phiT)
+    with pytest.raises(GridError):
+        prop.apply_gramian(phiT)
     with pytest.raises(GridError):
         prop.assemble_forms()
 
@@ -382,10 +384,7 @@ def test_block_sweeps_equal_column_sweeps_bitwise(n, m, theta, amp, freq, with_p
     want = np.stack([prop.run_adjoint(block[:, i], forcing=src[..., i]) for i in range(3)],
                     axis=-1)
     assert np.array_equal(got, want)
-    phi, obs = prop.run_adjoint(block, with_observation=True)
-    for i in range(3):
-        phi_i, obs_i = prop.run_adjoint(block[:, i], with_observation=True)
-        assert np.array_equal(phi[..., i], phi_i) and np.array_equal(obs[..., i], obs_i)
+    assert np.array_equal(prop.run_observation(block), _stack(prop.run_observation, block))
     assert np.array_equal(prop.apply_gramian(block), _stack(prop.apply_gramian, block))
 
     unit = np.eye(n + 1)[:, 1:-1]
@@ -642,11 +641,43 @@ def test_sweeps_match_step_by_step_arithmetic_bitwise(n, m, theta, amp, freq, wi
          _carried_forward(prop, u0, masked, reaction=f))
     same(prop.run_adjoint(u0), _carried_adjoint(prop, u0)[0])
     same(prop.run_adjoint(u0, forcing=src), _carried_adjoint(prop, u0, src3)[0])
-    for forcing in (None, src):
-        phi, obs = prop.run_adjoint(u0, forcing=forcing, with_observation=True)
-        ref_phi, ref_obs = _carried_adjoint(prop, u0, None if forcing is None else src3)
-        same(phi, ref_phi)
-        same(obs, ref_obs)
+    same(prop.run_observation(u0), _carried_adjoint(prop, u0)[1])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.integers(8, 40), m=st.integers(8, 40),
+       theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
+       freq=st.integers(1, 3), with_potential=st.booleans(),
+       radius=st.sampled_from([0.2, 0.3, 0.45, np.inf]),
+       seed=st.integers(0, 2**32 - 1))
+def test_free_final_by_duality_matches_forward_sweep(n, m, theta, amp, freq, with_potential,
+                                                     radius, seed):
+    # the free state at T from the assembled t = 0 slice, against the
+    # forward sweep it replaces, on moving paths under bounded potentials
+    prop, rng = _moving_setup(n, m, theta, amp, freq, with_potential, radius, seed)
+    u0 = np.zeros(n + 1)
+    u0[1:-1] = rng.standard_normal(n - 1)
+    want = prop.run_forward(u0)[:, -1]
+    got = prop.free_final(u0)
+    assert got.shape == want.shape and got[0] == got[-1] == 0.0
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_chunked_level_passes_keep_the_bits(monkeypatch):
+    # chunks of a few levels, a count that does not divide m: the level
+    # passes of run_adjoint and the observation ring wrap many times and
+    # must still give the bits of the carried recurrence
+    prop, rng = _moving_setup(24, 37, 0.7, 0.2, 2, True, 0.45, 3)
+    n, m = prop.n, prop.m
+    u0 = np.zeros((n + 1, 3))
+    u0[1:-1] = rng.standard_normal((n - 1, 3))
+    src = rng.standard_normal((n + 1, m + 1, 3))
+    gram = prop.apply_gramian(u0)
+    monkeypatch.setattr(pde, "_CHUNK", 5 * (n - 1) * 3)
+    phi, _ = _carried_adjoint(prop, u0, src)
+    assert prop.run_adjoint(u0, forcing=src).tobytes() == phi.tobytes()
+    assert prop.run_observation(u0).tobytes() == _carried_adjoint(prop, u0)[1].tobytes()
+    assert prop.apply_gramian(u0).tobytes() == gram.tobytes()
 
 
 def _two_operator_forms(prop):
@@ -698,13 +729,12 @@ def test_carried_sweeps_match_two_operator_step(n, m, theta, amp, freq, with_pot
     close(prop.run_forward(u0, source=src, source_role=ROLE_CONTROL, reaction=f),
           _two_operator_forward(prop, u0, masked, reaction=f))
     for forcing in (None, src):
-        phi, obs = prop.run_adjoint(u0, forcing=forcing, with_observation=True)
-        ref_phi, ref_obs, _ = _two_operator_adjoint(prop, u0, None if forcing is None else src3)
-        close(phi, ref_phi)
-        close(obs, ref_obs)
+        ref_phi, _, _ = _two_operator_adjoint(prop, u0, None if forcing is None else src3)
+        close(prop.run_adjoint(u0, forcing=forcing), ref_phi)
+    _, ref_obs, _ = _two_operator_adjoint(prop, u0)
+    close(prop.run_observation(u0), ref_obs)
     # the Gramian apply: the masked observation as the control of a forward
     # sweep from zero data, state at T
-    _, ref_obs, _ = _two_operator_adjoint(prop, u0)
     ref_obs = ref_obs.reshape(src3.shape)
     ref = _two_operator_forward(prop, np.zeros_like(u0), ref_obs)[:, -1]
     close(prop.apply_gramian(u0), ref)
@@ -730,11 +760,10 @@ def test_carried_sweeps_do_not_drift():
 
     close(prop.run_forward(u0, source=src, source_role=ROLE_CONTROL, reaction=f),
           _two_operator_forward(prop, u0, masked, reaction=f))
-    phi, obs = prop.run_adjoint(u0, forcing=src, with_observation=True)
-    ref_phi, ref_obs, _ = _two_operator_adjoint(prop, u0, src[:, :, None])
-    close(phi, ref_phi)
-    close(obs, ref_obs)
+    ref_phi, _, _ = _two_operator_adjoint(prop, u0, src[:, :, None])
+    close(prop.run_adjoint(u0, forcing=src), ref_phi)
     _, ref_obs, _ = _two_operator_adjoint(prop, u0)
+    close(prop.run_observation(u0), ref_obs)
     ref = _two_operator_forward(prop, np.zeros(n + 1), ref_obs[:, :, None])[:, -1]
     close(prop.apply_gramian(u0), ref)
 
@@ -745,7 +774,7 @@ def test_block_inputs_validated_in_one_place():
     prop = Propagator(path, None, cfg, control_radius=0.4)
     good = np.zeros((cfg.n + 1, 2))
     good[1:-1] = 1.0
-    for sweep in (prop.run_forward, prop.run_adjoint, prop.apply_gramian):
+    for sweep in (prop.run_forward, prop.run_adjoint, prop.run_observation, prop.apply_gramian):
         with pytest.raises(GridError):
             sweep(np.zeros((cfg.n + 1, 2, 2)))      # a 3-D array
         with pytest.raises(GridError):
@@ -797,7 +826,7 @@ def test_empty_blocks_refused():
         calls = {
             "forward": lambda: prop.run_forward(empty),
             "adjoint": lambda: prop.run_adjoint(empty),
-            "observation": lambda: prop.run_adjoint(empty, with_observation=True),
+            "observation": lambda: prop.run_observation(empty),
             "gramian": lambda: prop.apply_gramian(empty),
         }
         for name, call in calls.items():

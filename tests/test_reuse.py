@@ -146,6 +146,27 @@ def test_ladder_costs_one_build_and_one_assembly(monkeypatch):
     assert counts == {"build": 1, "assembly": 1}
 
 
+def test_ladder_rungs_cost_two_column_sweeps(monkeypatch):
+    # once G and P are assembled, a rung is the observation sweep and the
+    # verification sweep: 2m column solves, the free final state coming
+    # from P by duality
+    columns = []
+    solve = pde._solve_implicit
+
+    def counted(factors, rhs, transposed=False):
+        columns.append(rhs.shape[1])
+        return solve(factors, rhs, transposed)
+
+    monkeypatch.setattr(pde, "_solve_implicit", counted)
+    cfg, path, pot, u0 = _case(20, 30)
+    costs = []
+    for eps in (1e-2, 1e-4, 1e-6):
+        columns.clear()
+        solve_hum(u0, path, pot, _B, HUMConfig(epsilon=eps), cfg)
+        costs.append(sum(columns))
+    assert costs == [(cfg.n - 1) * cfg.m + 2 * cfg.m, 2 * cfg.m, 2 * cfg.m]
+
+
 def test_assembled_forms_are_read_only():
     cfg, path, pot, _ = _case(12, 16)
     prop = Propagator(path, pot, cfg, control_radius=_B)

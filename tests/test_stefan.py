@@ -285,6 +285,27 @@ def test_fixed_point_converges_for_small_data():
     assert np.all(result.path.radii <= setup.E)
 
 
+def test_fixed_point_solves_the_semilinear_problem():
+    # the solvers apply the reaction r f(u/r) to the line field u, so the
+    # fixed point must freeze the potential g(u/r), g(s) = f(s)/s: replayed
+    # with its own control on its own path through solve_semilinear, its
+    # state is matched up to the first-order error of the lagged reaction
+    f = Nonlinearity.from_table([-1.0, -0.1, 0.0, 0.1, 1.0], [-0.2, -0.1, 0.0, 0.5, 0.6])
+    setup = PhysicalSetup(T=0.5, z0=lambda r: 0.3 * np.sin(np.pi * r), nonlinearity=f)
+    gaps = []
+    for n in (30, 60):
+        cfg = SchemeConfig(n=n, m=2 * n)
+        result = fixed_point_iterate(None, setup, FixedPointConfig(), HUMConfig(epsilon=1e-4),
+                                     cfg)
+        assert result.converged
+        replay = solve_semilinear(setup.initial_line_field(cfg.grid), result.path, f, cfg,
+                                  control=result.control, control_radius=setup.b)
+        state = result.state.values
+        gaps.append(np.max(np.abs(replay.values - state)) / np.max(np.abs(state)))
+    assert gaps[0] <= 3e-3
+    assert gaps[1] <= 0.6 * gaps[0]
+
+
 def test_fixed_point_trivial_data_converges_immediately():
     setup = PhysicalSetup(T=0.5, nonlinearity=Nonlinearity.sine())
     cfg = SchemeConfig(n=16, m=16)
