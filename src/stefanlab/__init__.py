@@ -18,13 +18,9 @@ from .domain import (
     ROLE_SOURCE,
     ROLE_STATE,
     constant_path,
-    evaluate_in_ball,
     h1_seminorm,
-    lift_radial,
     line_l2_norm,
-    norm_equivalence,
     path_from_function,
-    project_radial,
     read_field_csv,
     write_field_csv,
 )
@@ -39,7 +35,6 @@ from .pde import (
 from .control import (
     HUMConfig,
     HUMOutcome,
-    apply_gramian,
     cost_report,
     dense_gramian,
     solve_hum,

@@ -72,7 +72,7 @@ from .errors import (
     RadiusBoundsError,
     RadiusBreachError,
 )
-from .observability import ObservabilityConfig, dense_constant, estimate_constant
+from .observability import _DENSE_NODE_CAP, _DENSE_STEP_CAP, ObservabilityConfig, dense_constant, estimate_constant
 from .pde import SchemeConfig, boundary_flux, propagator, solve_adjoint, solve_forward, solve_semilinear
 from .stefan import FixedPointConfig, Nonlinearity, coupled_solve, fixed_point_iterate, write_history_csv
 from .weights import CarlemanConfig, CarlemanParams, carleman_sides, check_weight_profile
@@ -293,6 +293,8 @@ def resolve_config(raw: dict, out_dir: str | None = None,
                           f"expected one of {', '.join(_SCENARIOS)}, got {scenario!r}")
     if seed is None:
         seed = _value(raw.get("seed", 0), int, "seed")
+    if seed < 0:
+        raise ConfigError("seed", f"expected a non-negative integer, got {seed!r}")
     resolved_out = out_dir or os.environ.get(_ENV_OUT) or raw.get("out_dir") \
         or os.path.join("runs", scenario)
     if not isinstance(resolved_out, str):
@@ -526,7 +528,7 @@ def _scenario_observability(ec: ExperimentConfig) -> dict:
         "potential": "zero",
         "iterations": estimate.iterations,
     }
-    if cfg.n <= 32 and cfg.m <= 64:
+    if cfg.n <= _DENSE_NODE_CAP and cfg.m <= _DENSE_STEP_CAP:
         dense = dense_constant(path, None, setup, cfg, ec.observability)
         summary["dense_constant"] = dense.constant
         summary["dense_gap"] = abs(estimate.constant - dense.constant) / abs(dense.constant)

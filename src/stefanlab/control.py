@@ -103,21 +103,14 @@ class HUMOutcome:
     eps_identity_defect: float
 
 
-def apply_gramian(phiT, path: BoundaryPath, potential, control_radius: float,
-                  cfg: SchemeConfig) -> np.ndarray:
-    """One Gramian application: observation sweep, forward sweep, state at T."""
-    prop = propagator(path, potential, cfg, control_radius=control_radius)
-    return prop.apply_gramian(phiT)
-
-
 def dense_gramian(path: BoundaryPath, potential, control_radius: float,
                   cfg: SchemeConfig) -> np.ndarray:
     """Gramian assembly by Gramian applies; validation oracle for small grids.
 
-    One blocked `apply_gramian` on every interior unit column at once: each
-    column is an adjoint sweep, mask and forward sweep of its own, bitwise
-    equal to the apply of that unit vector alone, and independent of the
-    accumulated sums of `assemble_forms`.
+    One blocked `Propagator.apply_gramian` on every interior unit column at
+    once: each column is an adjoint sweep, mask and forward sweep of its
+    own, bitwise equal to the apply of that unit vector alone, and
+    independent of the accumulated sums of `assemble_forms`.
     """
     if cfg.n > 64 or cfg.m > 128:
         raise GridError(f"dense assembly capped at (64, 128), got ({cfg.n}, {cfg.m})")

@@ -56,8 +56,7 @@ class ReferenceGrid:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise GridError(f"need at least 2 intervals, got n={self.n}")
+        require_integer("n", self.n, 2)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -165,23 +164,6 @@ class BoundaryPath:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def require_bounds(self, r_min: float, r_max: float) -> None:
-        lo, hi = float(np.min(self.radii)), float(np.max(self.radii))
-        if lo < r_min or hi > r_max:
-            raise RadiusBoundsError(
-                f"path leaves [{r_min:g}, {r_max:g}]: min={lo:.6g}, max={hi:.6g}"
-            )
-
-    def c1_defect(self) -> float:
-        """Max gap between stored slopes and centered differences of the radii.
-
-        O(dt^2) for smooth paths; used as a consistency diagnostic.
-        """
-        if self.steps < 2:
-            return 0.0
-        approx = (self.radii[2:] - self.radii[:-2]) / (2.0 * self.dt)
-        return float(np.max(np.abs(approx - self.slopes[1:-1])))
-
     def radius_at(self, t: float) -> float:
         """Linear interpolation of R between samples."""
         if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
@@ -236,80 +218,6 @@ class SpaceTimeField:
     @property
     def n_steps(self) -> int:
         return self.values.shape[1] - 1
-
-
-# ---------------------------------------------------------------------------
-# radial <-> line-field conversions
-
-
-def lift_radial(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Line field u(r) = r z(r) from profile samples z on the nodes radii.
-
-    Requires z to vanish at the outer node so that u inherits the Dirichlet
-    condition exactly.
-    """
-    z = np.asarray(z, dtype=float)
-    r = np.asarray(radii, dtype=float)
-    if z.shape != r.shape or z.ndim != 1:
-        raise GridError(f"profile and radii shapes differ: {z.shape} vs {r.shape}")
-    scale = max(1.0, float(np.max(np.abs(z))))
-    if abs(z[-1]) > _ENDPOINT_TOL * scale:
-        raise EndpointConditionError(f"profile must vanish at the boundary, got {z[-1]:.3e}")
-    u = r * z
-    u[-1] = 0.0
-    return u
-
-
-def project_radial(u: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Profile z(r) = u(r)/r with the removable singularity filled at r = 0.
-
-    z(0) is the one-sided second order derivative of u at 0, since
-    u(r) = r z(r) gives u'(0) = z(0).
-    """
-    u = np.asarray(u, dtype=float)
-    r = np.asarray(radii, dtype=float)
-    if u.shape != r.shape or u.ndim != 1 or u.size < 3:
-        raise GridError("need matching 1-d arrays with at least 3 nodes")
-    scale = max(1.0, float(np.max(np.abs(u))))
-    if abs(u[0]) > _ENDPOINT_TOL * scale:
-        raise EndpointConditionError(f"line field must vanish at r=0, got {u[0]:.3e}")
-    z = np.empty_like(u)
-    z[1:] = u[1:] / r[1:]
-    h = r[1] - r[0]
-    z[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    return z
-
-
-def norm_equivalence(z: np.ndarray, u: np.ndarray, radii: np.ndarray) -> tuple[float, float]:
-    """Trapezoid values of int z^2 r^2 dr and int u^2 dr.
-
-    For u = lift_radial(z) the two integrands coincide pointwise, so the
-    returned numbers agree to rounding; each one approximates its continuous
-    integral to O(h^2).  The 3-d ball norm is 4*pi times the first value.
-    """
-    z = np.asarray(z, dtype=float)
-    u = np.asarray(u, dtype=float)
-    r = np.asarray(radii, dtype=float)
-    if not (z.shape == u.shape == r.shape):
-        raise GridError("z, u, radii must share a shape")
-    weighted = float(np.trapezoid(z * z * r * r, r))
-    flat = float(np.trapezoid(u * u, r))
-    return weighted, flat
-
-
-def evaluate_in_ball(z: np.ndarray, radii: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Values of the radial profile at 3-d points by interpolation in |x|."""
-    z = np.asarray(z, dtype=float)
-    r = np.asarray(radii, dtype=float)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != 3:
-        raise GridError(f"points must be (k, 3), got {pts.shape}")
-    rho = np.sqrt(np.sum(pts * pts, axis=1))
-    if np.any(rho > r[-1] * (1.0 + 1e-12)):
-        raise OutOfDomainError(
-            f"point radius {float(np.max(rho)):.6g} exceeds ball radius {r[-1]:.6g}"
-        )
-    return np.interp(rho, r, z)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from scipy.linalg import eigh
 
 from .domain import BoundaryPath, PhysicalSetup
 from .errors import ConvergenceError, GridError
-from .pde import Propagator, SchemeConfig, propagator
+from .pde import SchemeConfig, propagator
 
 _DENSE_NODE_CAP = 32
 _DENSE_STEP_CAP = 64
@@ -86,14 +86,6 @@ def _seed(n_int: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _propagator(path: BoundaryPath, potential, setup: PhysicalSetup,
-                cfg: SchemeConfig, b: float | None) -> Propagator:
-    radius = setup.b if b is None else float(b)
-    if not radius > 0.0:
-        raise GridError(f"observation radius must be positive, got {radius}")
-    return propagator(path, potential, cfg, control_radius=radius)
-
-
 def _refinement_hint(cfg: SchemeConfig) -> str:
     return (f"denominator form is numerically singular at ({cfg.n}, {cfg.m}); "
             f"refine to ({2 * cfg.n}, {2 * cfg.m}) or enlarge the observation radius")
@@ -124,7 +116,7 @@ def estimate_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
     degenerate full-window variant (observation everywhere).
     """
     obs = obs or ObservabilityConfig()
-    prop = _propagator(path, potential, setup, cfg, b)
+    prop = propagator(path, potential, cfg, control_radius=setup.b if b is None else b)
     gram, slice0 = prop.assemble_forms()
     amat = (path.radii[0] / path.radii[-1]) * (slice0.T @ slice0)
     s = _seed(cfg.n - 1)
@@ -149,7 +141,7 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
             f"dense assembly capped at ({_DENSE_NODE_CAP}, {_DENSE_STEP_CAP}), "
             f"got ({cfg.n}, {cfg.m})")
     obs = obs or ObservabilityConfig()
-    prop = _propagator(path, potential, setup, cfg, b)
+    prop = propagator(path, potential, cfg, control_radius=setup.b if b is None else b)
     n_int = cfg.n - 1
     s = _seed(n_int)
     # interior unit columns, then the padded seed as one more column

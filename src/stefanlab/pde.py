@@ -11,8 +11,9 @@ on the fixed reference interval.  One step of the theta scheme reads
 
 with the implicit operator A_k = I - theta dt L_k factored once per level
 (LAPACK gttrf) and one gttrs solve per step.  `_stencil` forms L_k on every
-level in one array pass; `_theta_table` turns it into both operators of
-every step, and the coupled march of `stefan` builds one level at a time.
+level in one array pass, `_explicit_diagonals` and `_implicit_factors` turn
+it into the two operators, and the coupled march of `stefan` builds one
+level at a time.
 
 The two operators of a level share L_k, so B_k = I + (1-theta) dt L_k is
 exactly (1/theta) I - ((1-theta)/theta) A_k, and no sweep applies B as an
@@ -149,24 +150,6 @@ def _implicit_factors(cfg, dt, lower, diag, upper, first=0):
     return factors
 
 
-def _theta_table(cfg, rho, dt, radii, slopes, pot, first=0):
-    """Both operators of every theta step along L >= 2 levels, in one pass.
-
-    rho holds the n-1 interior nodes, radii and slopes the (L,) samples R,
-    R' of the levels and pot the (L, n-1) interior potential, one row per
-    level.  Step j, from level j to level j+1, gets the explicit diagonals
-    of level j (see `_explicit_diagonals`) and the gttrf factors of
-    I - theta dt L_{j+1}.  Returns the (explicit, factors) pairs; step j is
-    reported as first + j.  Each step's explicit diagonals are views of one
-    level-major array per diagonal, so whole-level passes can read them
-    through .base without a copy.
-    """
-    lower, diag, upper = _stencil(cfg, rho, radii, slopes, pot)
-    sub, dg, sup = _explicit_diagonals(cfg, dt, lower[:-1], diag[:-1], upper[:-1])
-    factors = _implicit_factors(cfg, dt, lower[1:], diag[1:], upper[1:], first)
-    return [((sub[j], dg[j], sup[j]), f) for j, f in enumerate(factors)]
-
-
 def _apply_explicit(explicit, x, transposed=False):
     """Explicit operator (or its transpose) on an (n-1, ...) array whose
     trailing axes the diagonals broadcast over."""
@@ -293,21 +276,21 @@ def _check_initial(u0, n, block=False):
 class Propagator:
     """Precomputed step operators for one (path, potential, scheme) triple.
 
-    The step table is built once, by one `_theta_table` pass over all m+1
-    levels, and factors every implicit tridiagonal once, so repeated forward
-    and adjoint sweeps, and the blocked adjoint sweep of `assemble_forms`,
-    reuse the same LU data; the adjoint sweeps solve the transposed systems
-    from the identical factorization, which is what makes duality exact up
-    to rounding.  Sweep loops make one solve per step and carry the
-    right-hand side forward or chi backward (see the module docstring), so
-    the explicit diagonals are read only outside them: for B_0 u^0, and in
-    the whole-level passes that form backward levels, which read all m
-    levels at once through `_explicit`.  Sweeps carry the interior as an
-    (n-1, k) block, k = 1 for one column; whatever a sweep needs per step
-    besides the recursion (source averages, adjoint forcing shares,
-    observation weights) is laid out level-major, one contiguous (n-1, k)
-    level per step, and formed outside its loop.  The solvers obtain
-    theirs through `propagator`, which reuses a thread's last one.
+    The operators are built once, from one `_stencil` pass over all m+1
+    levels, and every implicit tridiagonal is factored once, so repeated
+    forward and adjoint sweeps, and the blocked adjoint sweep of
+    `assemble_forms`, reuse the same LU data; the adjoint sweeps solve the
+    transposed systems from the identical factorization, which is what makes
+    duality exact up to rounding.  Sweep loops make one solve per step and
+    carry the right-hand side forward or chi backward (see the module
+    docstring), so the explicit diagonals are read only outside them: for
+    B_0 u^0, and in the whole-level passes that form backward levels, which
+    read all m levels at once through `_explicit`.  Sweeps carry the
+    interior as an (n-1, k) block, k = 1 for one column; whatever a sweep
+    needs per step besides the recursion (source averages, adjoint forcing
+    shares, observation weights) is laid out level-major, one contiguous
+    (n-1, k) level per step, and formed outside its loop.  The solvers
+    obtain theirs through `propagator`, which reuses a thread's last one.
     """
 
     def __init__(self, path: BoundaryPath, potential, cfg: SchemeConfig,
@@ -323,12 +306,12 @@ class Propagator:
         self.dt = path.dt
         self.pot = _coerce_potential(potential, n, m)
         R = path.radii
-        # (explicit diagonals, implicit factors) of each step j -> j+1, and
-        # the explicit diagonals of all m steps whole, level-major: the
-        # arrays each step's entries are views of
-        self._steps = _theta_table(cfg, self.rho[1:-1], self.dt, R, path.slopes,
-                                   self.pot[1:-1].T)
-        self._explicit = tuple(diagonal.base for diagonal in self._steps[0][0])
+        # step j, from level j to level j+1, applies the explicit diagonals
+        # of level j (level-major, one (m, ., 1) array per diagonal) and
+        # solves with the gttrf factors of I - theta dt L_{j+1}
+        lower, diag, upper = _stencil(cfg, self.rho[1:-1], R, path.slopes, self.pot[1:-1].T)
+        self._explicit = _explicit_diagonals(cfg, self.dt, lower[:-1], diag[:-1], upper[:-1])
+        self._factors = _implicit_factors(cfg, self.dt, lower[1:], diag[1:], upper[1:])
 
         self.ratio = R[1:] / R[:-1]
         # the backward carry: chi_j enters the transposed solve of step j-1
@@ -430,8 +413,8 @@ class Propagator:
         w[:, 0] = u0
         interior = w.reshape(self.n + 1, self.m + 1, -1)[1:-1]
         x = interior[:, 0]
-        rhs = _apply_explicit(self._steps[0][0], x)
-        for j, (_, factors) in enumerate(self._steps):
+        rhs = _apply_explicit(tuple(d[0] for d in self._explicit), x)
+        for j, factors in enumerate(self._factors):
             if reaction is not None:
                 lag = _lagged_reaction(reaction, x, rho_int, self.path.radii[j])
                 rhs += self.dt * (-lag if forcing is None else forcing[j] - lag)
@@ -462,7 +445,7 @@ class Propagator:
         it.  With no forcing, r_j chi_j/theta is one product, chi_j _lift[j].
         """
         theta = self.cfg.theta
-        chi = _solve_implicit(self._steps[-1][1], x if after is None else x + after[-1],
+        chi = _solve_implicit(self._factors[-1], x if after is None else x + after[-1],
                               transposed=True)
         yield self.m - 1, chi
         for j in range(self.m - 1, 0, -1):
@@ -473,7 +456,7 @@ class Propagator:
                 rhs += before[j]
                 rhs *= self.ratio[j]
                 rhs += after[j - 1]
-            below = _solve_implicit(self._steps[j - 1][1], rhs, transposed=True)
+            below = _solve_implicit(self._factors[j - 1], rhs, transposed=True)
             below -= self._drop[j] * chi
             chi = below
             yield j - 1, chi
@@ -671,7 +654,7 @@ class Propagator:
         obs = self._observation(block, reach)
         theta = self.cfg.theta
         rhs = np.zeros_like(block[1:-1])        # the explicit half of the zero datum
-        for j, (_, factors) in enumerate(self._steps):
+        for j, factors in enumerate(self._factors):
             rhs[:reach] += self.dt * _step_forcing(theta, obs[j], obs[j + 1])
             x = _solve_implicit(factors, rhs)
             rhs = _carry(theta, x, rhs)

@@ -69,7 +69,7 @@ def test_criterion_02_discrete_duality():
             lambda t: 1.0 + amp * np.sin(freq * np.pi * t + phase),
             lambda t: amp * freq * np.pi * np.cos(freq * np.pi * t + phase),
             0.3, cfg.m)
-        path.require_bounds(0.8, 1.2)
+        assert 0.8 <= path.radii.min() and path.radii.max() <= 1.2
         pot = rng.uniform(-2.0, 2.0, size=(cfg.n + 1, cfg.m + 1))
         u0 = np.zeros(cfg.n + 1)
         u0[1:-1] = rng.standard_normal(cfg.n - 1)

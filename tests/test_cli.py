@@ -205,10 +205,11 @@ _TABLE = {"kind": "table", "s": [-1.0, 0.0, 1.0], "f": [-1.0, 0.0, 1.0]}
     ("fixedpoint", {"epsilon_schedule": [float("inf")]}, "fixedpoint.epsilon_schedule[0]"),
     ("carleman", {"lam": float("nan")}, "carleman.lam"),
     ("physical", {"T": float("inf")}, "physical.T"),
+    ("seed", -1, "seed"),
 ], ids=["schedule-string", "schedule-bool", "table-strings", "table-slope-string",
         "sine-slope", "z0-phase", "carleman-trials", "carleman-k", "hum-epsilon-nan",
         "prox-tol-negative", "fp-tol-nan", "schedule-infinity", "carleman-lam-nan",
-        "horizon-infinity"])
+        "horizon-infinity", "seed-negative"])
 def test_malformed_nested_value_exits_2(tmp_path, capsys, section, body, path):
     scenario = "carleman" if section == "carleman" else "fixedpoint"
     cfg = _write(tmp_path, "bad.json", {
@@ -288,6 +289,14 @@ def test_seed_flag_changes_random_scenario(tmp_path):
     assert b["duality_defect"] <= 1e-12
 
 
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {"scenario": "forward", "scheme": {"n": 16, "m": 16}})
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out-dir", out, "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_env_var_sets_out_dir(tmp_path, monkeypatch):
     target = str(tmp_path / "envout")
     monkeypatch.setenv("STEFANLAB_OUT_DIR", target)
@@ -334,6 +343,8 @@ def test_sweep_config_errors_become_whole_csv_rows(tmp_path):
     _write(cfg_dir, "bad.json", {"scenario": "fixedpoint",
                                  "fixedpoint": {"epsilon_schedule": ["x"]}})
     _write(cfg_dir, "warp.json", {"scenario": "warp"})
+    _write(cfg_dir, "neg.json", {"scenario": "adjoint",
+                                 "scheme": {"n": 16, "m": 16}, "seed": -1})
     _write(cfg_dir, "good.json", {"scenario": "forward",
                                   "scheme": {"n": 16, "m": 16}})
     base = str(tmp_path / "swp")
@@ -350,6 +361,8 @@ def test_sweep_config_errors_become_whole_csv_rows(tmp_path):
         "scenario: expected one of forward, convergence, semilinear, adjoint, "
         "hum, stefan, fixedpoint, carleman, observability, got 'warp'")
     assert rows["warp.json"]["final_norm"] == ""
+    assert rows["neg.json"]["exit_code"] == "2"
+    assert rows["neg.json"]["error"].startswith("seed: ")
 
 
 def test_sweep_all_ok_exits_0(tmp_path):

@@ -10,14 +10,13 @@ from stefanlab.control import (
     HUMConfig,
     VARIANT_EXACT,
     VARIANT_QUADRATIC,
-    apply_gramian,
     cost_report,
     dense_gramian,
     solve_hum,
 )
 from stefanlab.domain import PhysicalSetup, constant_path, line_l2_norm, path_from_function
 from stefanlab.errors import ConvergenceError, EndpointConditionError, GridError
-from stefanlab.pde import SchemeConfig, solve_forward
+from stefanlab.pde import SchemeConfig, propagator, solve_forward
 
 _B = 0.3   # default control radius
 
@@ -189,7 +188,7 @@ def test_matrix_free_matches_dense_gramian():
     rng = np.random.default_rng(8)
     x = np.zeros(cfg.n + 1)
     x[1:-1] = rng.standard_normal(cfg.n - 1)
-    free = apply_gramian(x, path, None, _B, cfg)[1:-1]
+    free = propagator(path, None, cfg, control_radius=_B).apply_gramian(x)[1:-1]
     assert np.allclose(free, G @ x[1:-1], rtol=0.0,
                        atol=1e-8 * np.max(np.abs(free)))
 

@@ -1,4 +1,4 @@
-"""Geometry containers, radial conversions, norms, CSV interchange."""
+"""Geometry containers, norms, CSV interchange."""
 
 import os
 import subprocess
@@ -17,13 +17,9 @@ from stefanlab.domain import (
     ROLE_CONTROL,
     ROLE_STATE,
     constant_path,
-    evaluate_in_ball,
     h1_seminorm,
-    lift_radial,
     line_l2_norm,
-    norm_equivalence,
     path_from_function,
-    project_radial,
     read_field_csv,
     write_field_csv,
 )
@@ -41,8 +37,9 @@ def test_reference_grid_nodes_and_spacing():
     assert grid.nodes.shape == (11,)
     assert grid.nodes[0] == 0.0 and grid.nodes[-1] == 1.0
     assert grid.spacing == pytest.approx(0.1, abs=0.0)
-    with pytest.raises(GridError):
-        ReferenceGrid(1)
+    for bad in (1, 10.0, 2.5, True):
+        with pytest.raises(GridError):
+            ReferenceGrid(bad)
 
 
 def test_setup_defaults_satisfy_ordering():
@@ -85,7 +82,6 @@ def test_constant_path_properties():
     assert path.dt == pytest.approx(0.025, rel=1e-15)
     assert path.horizon == pytest.approx(0.5, rel=1e-15)
     assert np.all(path.radii == 1.25)
-    assert path.c1_defect() == 0.0
 
 
 def test_path_rejects_nonuniform_times():
@@ -110,88 +106,11 @@ def test_path_rejects_nonfinite_slopes():
             BoundaryPath(t, np.ones(5), slopes)
 
 
-def test_path_require_bounds():
-    path = constant_path(1.0, 1.0, 4)
-    path.require_bounds(0.5, 1.5)
-    with pytest.raises(RadiusBoundsError):
-        path.require_bounds(1.1, 1.5)
-
-
-def test_c1_defect_second_order():
-    # quadratic path: centered differences reproduce the slope exactly,
-    # a cubic leaves an O(dt^2) defect
-    defects = []
-    for m in (20, 40):
-        path = path_from_function(lambda t: 1.0 + t ** 3,
-                                  lambda t: 3.0 * t ** 2, 1.0, m)
-        defects.append(path.c1_defect())
-    assert defects[0] > 0.0
-    assert defects[0] / defects[1] == pytest.approx(4.0, rel=0.05)
-
-
 def test_radius_at_interpolates():
     path = path_from_function(lambda t: 1.0 + t, lambda t: np.ones_like(t), 1.0, 10)
     assert path.radius_at(0.35) == pytest.approx(1.35, rel=1e-14)
     with pytest.raises(OutOfDomainError):
         path.radius_at(1.5)
-
-
-def test_lift_project_roundtrip():
-    rng = np.random.default_rng(0)
-    r = np.linspace(0.0, 1.3, 41)
-    z = rng.standard_normal(41)
-    z[-1] = 0.0
-    u = lift_radial(z, r)
-    assert u[0] == 0.0 and u[-1] == 0.0
-    back = project_radial(u, r)
-    # away from the origin the division is exact; node 0 is a one-sided
-    # derivative and only consistent for smooth profiles
-    assert np.allclose(back[1:], z[1:], rtol=0.0, atol=1e-14)
-
-
-def test_project_origin_value_consistent():
-    r = np.linspace(0.0, 1.0, 201)
-    z = np.cos(r) * (1.0 - r)            # smooth, z(1) = 0
-    u = lift_radial(z, r)
-    back = project_radial(u, r)
-    assert back[0] == pytest.approx(z[0], abs=1e-4)
-
-
-def test_lift_rejects_nonvanishing_boundary():
-    r = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(EndpointConditionError):
-        lift_radial(np.ones(11), r)
-
-
-def test_project_rejects_nonvanishing_origin():
-    r = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(EndpointConditionError):
-        project_radial(np.ones(11), r)
-
-
-def test_norm_equivalence_pointwise_identity():
-    rng = np.random.default_rng(1)
-    r = np.linspace(0.0, 0.9, 33)
-    z = rng.standard_normal(33)
-    z[-1] = 0.0
-    u = lift_radial(z, r)
-    weighted, flat = norm_equivalence(z, u, r)
-    assert weighted == pytest.approx(flat, rel=1e-14)
-
-
-def test_evaluate_in_ball_matches_profile():
-    r = np.linspace(0.0, 1.0, 101)
-    z = 1.0 - r * r
-    pts = np.array([[0.3, 0.0, 0.0], [0.0, 0.4, 0.3], [0.0, 0.0, 0.0]])
-    vals = evaluate_in_ball(z, r, pts)
-    expected = 1.0 - np.array([0.09, 0.25, 0.0])
-    assert np.allclose(vals, expected, atol=1e-4)
-
-
-def test_evaluate_in_ball_rejects_outside():
-    r = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(OutOfDomainError):
-        evaluate_in_ball(np.ones(11), r, np.array([[1.2, 0.0, 0.0]]))
 
 
 def test_line_l2_norm_sine_closed_form():

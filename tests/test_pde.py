@@ -169,7 +169,7 @@ def test_duality_battery_random_paths_and_potentials():
             lambda t: 1.0 + amp * np.sin(freq * np.pi * t + phase),
             lambda t: amp * freq * np.pi * np.cos(freq * np.pi * t + phase),
             0.3, cfg.m)
-        path.require_bounds(0.8, 1.2)
+        assert 0.8 <= path.radii.min() and path.radii.max() <= 1.2
         pot = rng.uniform(-2.0, 2.0, size=(cfg.n + 1, cfg.m + 1))
         u0 = np.zeros(cfg.n + 1)
         u0[1:-1] = rng.standard_normal(cfg.n - 1)
@@ -307,7 +307,6 @@ def _dense_constant_columns(path, potential, setup, cfg, obs=None, b=None):
         ObservabilityConfig,
         ObservabilityEstimate,
         _dominant,
-        _propagator,
         _seed,
     )
 
@@ -316,7 +315,7 @@ def _dense_constant_columns(path, potential, setup, cfg, obs=None, b=None):
             f"dense assembly capped at ({_DENSE_NODE_CAP}, {_DENSE_STEP_CAP}), "
             f"got ({cfg.n}, {cfg.m})")
     obs = obs or ObservabilityConfig()
-    prop = _propagator(path, potential, setup, cfg, b)
+    prop = pde.propagator(path, potential, cfg, control_radius=setup.b if b is None else b)
     n_int = cfg.n - 1
 
     def pad(x):
@@ -398,7 +397,7 @@ def test_block_sweeps_equal_column_sweeps_bitwise(n, m, theta, amp, freq, with_p
 
 def _reference_step(cfg, rho, dt, here, there):
     """One theta step from its two levels, each (R, R', potential row), level
-    by level in the scalar arithmetic order the table must reproduce."""
+    by level in the scalar arithmetic order the operators must reproduce."""
 
     def diagonals(radius, slope, pot):
         h = 1.0 / cfg.n
@@ -421,11 +420,11 @@ def _reference_step(cfg, rho, dt, here, there):
 @given(n=st.integers(8, 40), levels=st.sampled_from([2, 2, 3, 9, 33]),
        theta=st.floats(0.5, 1.0), dt=st.floats(1e-4, 0.05),
        with_potential=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_theta_table_matches_level_by_level_steps_bitwise(n, levels, theta, dt, with_potential,
-                                                         seed):
-    # the one-pass table against each step built from its own two levels,
-    # on a moving path with a potential or none; two levels is the coupled
-    # march's use
+def test_step_operators_match_level_by_level_steps_bitwise(n, levels, theta, dt,
+                                                          with_potential, seed):
+    # the one-pass operators against each step built from its own two
+    # levels, on a moving path with a potential or none; two levels is the
+    # coupled march's use
     rng = np.random.default_rng(seed)
     cfg = SchemeConfig(n=n, m=max(levels - 1, 8), theta=theta)
     rho = cfg.grid.nodes[1:-1]
@@ -434,9 +433,12 @@ def test_theta_table_matches_level_by_level_steps_bitwise(n, levels, theta, dt, 
     pot = np.zeros((levels, n - 1))
     if with_potential:
         pot = rng.uniform(-3.0, 3.0, pot.shape)
-    table = pde._theta_table(cfg, rho, dt, radii, slopes, pot)
-    assert len(table) == levels - 1
-    for j, (explicit, factors) in enumerate(table):
+    lower, diag, upper = pde._stencil(cfg, rho, radii, slopes, pot)
+    explicit_all = pde._explicit_diagonals(cfg, dt, lower[:-1], diag[:-1], upper[:-1])
+    factors_all = pde._implicit_factors(cfg, dt, lower[1:], diag[1:], upper[1:])
+    assert len(factors_all) == levels - 1
+    for j, factors in enumerate(factors_all):
+        explicit = tuple(d[j] for d in explicit_all)
         ref_explicit, ref_factors = _reference_step(cfg, rho, dt, (radii[j], slopes[j], pot[j]),
                                                     (radii[j + 1], slopes[j + 1], pot[j + 1]))
         for got, want in zip(explicit, ref_explicit):
@@ -457,7 +459,8 @@ def _two_operator_forward(prop, u0, src=None, reaction=None):
     out[:, 0] = block
     rho_int = prop.rho[1:-1, None]
     x = block[1:-1].copy()
-    for j, ((sub, dg, sup), factors) in enumerate(prop._steps):
+    for j, factors in enumerate(prop._factors):
+        sub, dg, sup = (d[j] for d in prop._explicit)
         base = dg * x
         base[1:] += sub * x[:-1]
         base[:-1] += sup * x[1:]
@@ -506,11 +509,11 @@ def _two_operator_adjoint(prop, phiT, forcing=None):
     chis = [None] * m
     x = block[1:-1].copy()
     for j in range(m - 1, -1, -1):
-        (sub, dg, sup), factors = prop._steps[j]
+        sub, dg, sup = (d[j] for d in prop._explicit)
         rhs = x
         if forcing is not None:
             rhs = rhs + dt * (1.0 - theta) * forcing[1:-1, j + 1]
-        chi, info = pde._gttrs(*factors, rhs, trans=b"T")
+        chi, info = pde._gttrs(*prop._factors[j], rhs, trans=b"T")
         assert info == 0
         val = dg * chi
         val[1:] += sup * chi[:-1]
@@ -535,11 +538,11 @@ def _carried_forward(prop, u0, src=None, reaction=None):
     out[:, 0] = block
     rho_int = prop.rho[1:-1, None]
     x = block[1:-1].copy()
-    (sub, dg, sup), _ = prop._steps[0]
+    sub, dg, sup = (d[0] for d in prop._explicit)
     rhs = dg * x
     rhs[1:] += sub * x[:-1]
     rhs[:-1] += sup * x[1:]
-    for j, (_, factors) in enumerate(prop._steps):
+    for j, factors in enumerate(prop._factors):
         avg = None
         if src is not None:
             avg = theta * src[1:-1, j + 1] + (1.0 - theta) * src[1:-1, j]
@@ -573,7 +576,7 @@ def _carried_adjoint(prop, phiT, forcing=None):
     if forcing is not None:
         rhs = rhs + dt * (1.0 - theta) * forcing[1:-1, m]
     for j in range(m - 1, -1, -1):
-        chi, info = pde._gttrs(*prop._steps[j][1], rhs, trans=b"T")
+        chi, info = pde._gttrs(*prop._factors[j], rhs, trans=b"T")
         assert info == 0
         if j + 1 < m:
             chi = chi - (radii[j + 2] / radii[j + 1]) * ((1.0 - theta) / theta) * chis[j + 1]
@@ -585,7 +588,7 @@ def _carried_adjoint(prop, phiT, forcing=None):
             rhs = (chi / theta + dt * theta * forcing[1:-1, j]) * r
             rhs = rhs + dt * (1.0 - theta) * forcing[1:-1, j]
     for j in range(m):
-        (sub, dg, sup), _ = prop._steps[j]
+        sub, dg, sup = (d[j] for d in prop._explicit)
         chi = chis[j]
         val = dg * chi
         val[1:] += sup * chi[:-1]

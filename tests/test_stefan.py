@@ -306,6 +306,28 @@ def test_fixed_point_solves_the_semilinear_problem():
     assert gaps[1] <= 0.6 * gaps[0]
 
 
+def test_fixed_point_control_drives_the_free_boundary_march_to_it():
+    # the closed loop: the fixed point's own control, fed to the real
+    # free-boundary march, reproduces the fixed point's radius and state up
+    # to the first-order error of the lagged reaction
+    setup = PhysicalSetup(T=0.5, z0=lambda r: 0.3 * np.sin(np.pi * r),
+                          nonlinearity=Nonlinearity.sine())
+    radius_gaps, state_gaps = [], []
+    for n in (30, 60):
+        cfg = SchemeConfig(n=n, m=2 * n)
+        result = fixed_point_iterate(None, setup, FixedPointConfig(fp_tol=1e-10, max_outer=60),
+                                     HUMConfig(epsilon=1e-6), cfg)
+        assert result.converged
+        state, path = coupled_solve(setup.initial_line_field(cfg.grid), setup, result.control,
+                                    cfg)
+        fixed = result.state.values
+        radius_gaps.append(np.max(np.abs(path.radii - result.path.radii)))
+        state_gaps.append(np.max(np.abs(state.values - fixed)) / np.max(np.abs(fixed)))
+    assert radius_gaps[0] <= 6e-4 and state_gaps[0] <= 2e-3
+    assert radius_gaps[1] <= 0.6 * radius_gaps[0]
+    assert state_gaps[1] <= 0.6 * state_gaps[0]
+
+
 def test_fixed_point_trivial_data_converges_immediately():
     setup = PhysicalSetup(T=0.5, nonlinearity=Nonlinearity.sine())
     cfg = SchemeConfig(n=16, m=16)
