@@ -52,14 +52,7 @@ import numpy as np
 
 from . import __version__
 from .control import HUMConfig, solve_hum
-from .domain import (
-    ROLE_ADJOINT,
-    PhysicalSetup,
-    SpaceTimeField,
-    constant_path,
-    line_l2_norm,
-    write_field_csv,
-)
+from .domain import PhysicalSetup, constant_path, line_l2_norm, write_field_csv
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -486,10 +479,8 @@ def _scenario_carleman(ec: ExperimentConfig) -> dict:
     block = propagator(path, None, cfg).run_adjoint(phiT)
     trials = []
     monotone = True
-    for i in range(section.trials):
-        phi = SpaceTimeField(block[:, :, i], role=ROLE_ADJOINT)
-        report = carleman_sides(phi, None, params, setup, path)
-        report_doubled = carleman_sides(phi, None, doubled, setup, path)
+    for report, report_doubled in zip(carleman_sides(block, None, params, setup, path),
+                                      carleman_sides(block, None, doubled, setup, path)):
         monotone = monotone and report_doubled.ratio <= report.ratio * (1 + 1e-12)
         row = report.as_dict()
         row["ratio_doubled_s"] = report_doubled.ratio
@@ -501,6 +492,7 @@ def _scenario_carleman(ec: ExperimentConfig) -> dict:
         "k": params.k,
         "sup_alpha1": params.sup_alpha1,
         "boundary_profile_zero_max": profile.boundary_value_max,
+        "profile": asdict(profile),
         "trials": trials,
     })
     return {

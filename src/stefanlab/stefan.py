@@ -348,10 +348,11 @@ class FixedPointConfig:
     """Stopping parameters and penalty schedule of the outer iteration.
 
     The iteration stops once the sup-norm changes of state, radius and slope
-    all drop below fp_tol, and fails after max_outer applications of the
-    map.  The epsilon schedule, when nonempty, continues the converged
-    iteration at each listed penalty (warm started) to record the
-    final-norm decay.
+    all drop below fp_tol.  It fails after max_outer applications of the
+    map, or earlier once the three changes repeat those of two iterations
+    back (a period-2 cycle).  The epsilon schedule, when nonempty,
+    continues the converged iteration at each listed penalty (warm
+    started) to record the final-norm decay.
     """
 
     fp_tol: float = 1e-6
@@ -442,8 +443,20 @@ def linearize_and_control(zbar, rbar: BoundaryPath, u0, setup: PhysicalSetup,
     return LambdaOutcome(state=outcome.state, path=new_path, hum=outcome)
 
 
+def _repeats(rec: IterationRecord, earlier: IterationRecord) -> bool:
+    """Whether rec's three differences equal earlier's to 1e-12 relative."""
+    return all(abs(a - b) <= 1e-12 * max(abs(a), abs(b)) for a, b in (
+        (rec.dz_sup, earlier.dz_sup), (rec.dR_sup, earlier.dR_sup),
+        (rec.dRp_sup, earlier.dRp_sup)))
+
+
 def _picard(u0, zbar, rbar, setup, fpc, hum, cfg, history, offset):
-    """Iterate the map until the pair stops moving; returns (last, count, ok)."""
+    """Iterate the map until the pair stops moving; returns (last, count, ok).
+
+    A map whose differences repeat those of two iterations back has settled
+    on a period-2 cycle, which no further iteration leaves: that raises
+    `ConvergenceError` with the history at once, not after max_outer maps.
+    """
     lam = None
     for k in range(1, fpc.max_outer + 1):
         prev_vals = zbar.values if isinstance(zbar, SpaceTimeField) else np.asarray(zbar, dtype=float)
@@ -459,6 +472,11 @@ def _picard(u0, zbar, rbar, setup, fpc, hum, cfg, history, offset):
         zbar, rbar = lam.state, lam.path
         if max(dz, dR, dRp) < fpc.fp_tol:
             return lam, k, True
+        if k >= 3 and _repeats(history[-1], history[-3]):
+            raise ConvergenceError(
+                f"fixed point is caught in a period-2 cycle: the differences of outer "
+                f"iteration {offset + k} ({dz:.6e}, {dR:.6e}, {dRp:.6e}) repeat those of "
+                f"iteration {offset + k - 2}", history=history)
     return lam, fpc.max_outer, False
 
 

@@ -29,10 +29,18 @@ Every evaluation goes through one array helper, `_profile`, which takes a
 vector of boundary radii R(t_j) and radii that broadcast against it.  The
 pointwise functions call it for one time; the calibration, the profile
 report and the weighted energy each call it once on a whole space-time
-sample.  In particular the weighted energy is evaluated on the
-(n+1) x J array of its J interior levels: each integral is one trapezoid
-along axis 0 (space) followed by one sum over the levels with the weights
-tw_j R(t_j), tw the trapezoid weights of the time window.
+sample.  The quintic is evaluated in Horner form.
+
+The weighted energy takes one adjoint field or an (n+1, m+1, k) block of
+backward trajectories, the k columns of one blocked `run_adjoint`, and
+gives one report per column.  The weights live on the (n+1) x J array of
+the J interior levels and are built once per call.  Each integral folds
+the space trapezoid weights, the time weights tw_j R(t_j) (tw the
+trapezoid weights of the time window) and its weight factor into one
+(n+1) x J quadrature field, and contracts that field against the squared
+derivatives of all columns at once.  The columns are walked in chunks of
+about `pde._CHUNK` values per (n+1) x J x k array, squared in place, so a
+call's transient memory does not grow with k.
 """
 
 from __future__ import annotations
@@ -42,7 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ROLE_ADJOINT, BoundaryPath, PhysicalSetup, SpaceTimeField, require_integer
-from .errors import DegenerateWeightError, FieldRoleError, GridError, OutOfDomainError
+from .errors import (
+    DegenerateWeightError,
+    EndpointConditionError,
+    FieldRoleError,
+    GridError,
+    OutOfDomainError,
+)
+from .pde import _CHUNK
 
 # Space-time samples (radii per level, levels) on which `CarlemanParams.calibrate`
 # takes sup alpha1 and `check_weight_profile` checks the profile's landmarks.
@@ -56,15 +71,14 @@ _PROFILE_RADII, _PROFILE_TIMES = 801, 33
 def bump_poly(w, z):
     """p(w, z); p(0, z) = 0, p(1, z) = 1 for every z."""
     w = np.asarray(w, dtype=float)
-    return (z * w + (10.0 - 6.0 * z) * w ** 3
-            + (8.0 * z - 15.0) * w ** 4 + (6.0 - 3.0 * z) * w ** 5)
+    return w * (z + w * w * ((10.0 - 6.0 * z) + w * ((8.0 * z - 15.0) + w * (6.0 - 3.0 * z))))
 
 
 def bump_poly_dw(w, z):
     """d p / d w; vanishes identically at w = 1, equals z at w = 0."""
     w = np.asarray(w, dtype=float)
-    return (z + 3.0 * (10.0 - 6.0 * z) * w ** 2
-            + 4.0 * (8.0 * z - 15.0) * w ** 3 + 5.0 * (6.0 - 3.0 * z) * w ** 4)
+    return z + w * w * (3.0 * (10.0 - 6.0 * z)
+                        + w * (4.0 * (8.0 * z - 15.0) + w * (5.0 * (6.0 - 3.0 * z))))
 
 
 def _profile(r: np.ndarray, R, b: float, derivative: bool = False) -> np.ndarray:
@@ -274,26 +288,53 @@ class CarlemanReport:
             "margin")}
 
 
-def carleman_sides(phi: SpaceTimeField, forcing, params: CarlemanParams,
-                   setup: PhysicalSetup, path: BoundaryPath,
-                   margin: float | None = None) -> CarlemanReport:
+def _check_block(values: np.ndarray) -> None:
+    """What `SpaceTimeField` checks of an adjoint field, column by column."""
+    # max and min propagate nan and carry an infinity, so they are finite
+    # exactly when every value is: no boolean block is formed
+    top, bottom = np.max(values, axis=(0, 1)), np.min(values, axis=(0, 1))
+    if not (np.all(np.isfinite(top)) and np.all(np.isfinite(bottom))):
+        raise GridError("field values must be finite")
+    scale = np.maximum(1.0, np.maximum(top, -bottom))
+    worst = np.maximum(np.max(np.abs(values[0]), axis=0), np.max(np.abs(values[-1]), axis=0))
+    bad = np.flatnonzero(worst > 1e-12 * scale)
+    if bad.size:
+        raise EndpointConditionError(
+            f"adjoint field must vanish on endpoint rows, worst={worst[bad[0]]:.3e} "
+            f"in column {bad[0]}")
+
+
+def carleman_sides(phi, forcing, params: CarlemanParams, setup: PhysicalSetup,
+                   path: BoundaryPath, margin: float | None = None):
     """Evaluate the weighted energy of phi and the observation/source bound.
 
-    phi must be a backward (adjoint) trajectory on the reference grid of the
-    path; derivatives are taken by second-order differences on the fixed
-    grid and converted to physical time and radial derivatives with the
-    chain rule of the moving map r = rho R(t).  The time quadrature runs on
-    the interior node window [delta T, T - delta T]; delta defaults to one
-    time step and is clamped to at least one step so the centered time
-    stencil stays inside the horizon.
+    phi is one backward (adjoint) `SpaceTimeField` on the reference grid of
+    the path, giving one report, or an (n+1, m+1, k) block of backward
+    trajectories (the output of a blocked `run_adjoint`), giving a list of
+    k reports; a forcing has the shape of phi's values.  A block is checked
+    column by column as the field is on construction.  Derivatives are
+    taken by second-order differences on the fixed grid and converted to
+    physical time and radial derivatives with the chain rule of the moving
+    map r = rho R(t).  The time quadrature runs on the interior node window
+    [delta T, T - delta T]; delta defaults to one time step and is clamped
+    to at least one step so the centered time stencil stays inside the
+    horizon.
     """
-    if phi.role != ROLE_ADJOINT:
-        raise FieldRoleError(f"weighted energy expects an adjoint field, got {phi.role!r}")
-    values = phi.values
+    if isinstance(phi, SpaceTimeField):
+        if phi.role != ROLE_ADJOINT:
+            raise FieldRoleError(f"weighted energy expects an adjoint field, got {phi.role!r}")
+        shape = phi.values.shape
+        values = phi.values[:, :, None]
+    else:
+        values = np.asarray(phi, dtype=float)
+        shape = values.shape
+        if values.ndim != 3:
+            raise GridError(f"expected an (n+1, m+1, k) block, got shape {shape}")
+    _check_block(values)
     m = path.steps
-    if phi.n_steps != m:
-        raise GridError(f"field has {phi.n_steps} steps, path has {m}")
-    n = phi.n_intervals
+    if shape[1] - 1 != m:
+        raise GridError(f"field has {shape[1] - 1} steps, path has {m}")
+    n = shape[0] - 1
     h = 1.0 / n
     dt = path.dt
     T = path.horizon
@@ -306,19 +347,16 @@ def carleman_sides(phi: SpaceTimeField, forcing, params: CarlemanParams,
     fvals = None
     if forcing is not None:
         fvals = forcing.values if isinstance(forcing, SpaceTimeField) else np.asarray(forcing)
-        if fvals.shape != values.shape:
+        if fvals.shape != shape:
             raise GridError("forcing shape must match the field")
+        fvals = fvals.reshape(values.shape)
 
+    # the weights depend on the path and the window only: one (n+1, J) field
+    # each, shared by every column
     rho = np.linspace(0.0, 1.0, n + 1)[:, None]
     js = np.arange(j_lo, j_hi + 1)
     R = path.radii[js]
     Rp = path.slopes[js]
-    w_r = _d1(values, h, axis=0)[:, js]
-    phi_r = w_r / R
-    phi_rr = _d2_space(values, h)[:, js] / (R * R)
-    phi_t = _d1(values, dt, axis=1)[:, js] - rho * (Rp / R) * w_r
-    col = values[:, js]
-
     r_nodes = rho * R
     wv = _weights(r_nodes, path.times[js], R, params, setup.b, T)
     lam, s = params.lam, params.s
@@ -327,27 +365,68 @@ def carleman_sides(phi: SpaceTimeField, forcing, params: CarlemanParams,
     sxi = s * wv.xi
     dens = lam ** 4 * (s ** 3) * wv.xi ** 3
 
+    # each integral is one contraction of an (n+1, J) quadrature field q
+    # against a squared derivative: q holds the space trapezoid weights
+    # (dx = h) times the time weights tw_j R_j, tw the trapezoid weights of
+    # the window, times the weight factor of the integrand
     tw = np.full(js.size, dt)
     tw[0] *= 0.5
     tw[-1] *= 0.5
+    sw = np.full((n + 1, 1), h)
+    sw[0] *= 0.5
+    sw[-1] *= 0.5
+    quad = sw * (tw * R)
+    q_time = quad * expw / sxi                  # phi_t^2 and phi_rr^2
+    q_gradient = quad * expw * lam ** 2 * sxi   # phi_r^2
+    q_zero = quad * expw * dens                 # phi^2
+    q_obs = quad * np.where(r_nodes < setup.b, dens, 0.0)
+    q_src = quad * expw
+    q_boundary = tw * expw[-1] * lam * sxi[-1]  # phi_r^2 on the last row
+    drift = (rho * (Rp / R))[:, :, None]
+    radii = R[:, None]     # broadcasts over the (n+1, J, columns) chunks
 
-    def integral(density):
-        return float(np.sum(tw * R * np.trapezoid(density, dx=h, axis=0)))
+    def contract(q, squares):
+        return q.ravel() @ squares.reshape(q.size, -1)
 
-    lhs_time = integral(expw * phi_t ** 2 / sxi)
-    lhs_second = integral(expw * phi_rr ** 2 / sxi)
-    lhs_gradient = integral(expw * lam ** 2 * sxi * phi_r ** 2)
-    lhs_zero = integral(expw * dens * col ** 2)
-    lhs_boundary = float(np.sum(tw * expw[-1] * lam * sxi[-1] * phi_r[-1] ** 2))
-    rhs_observation = integral(np.where(r_nodes < setup.b, dens * col ** 2, 0.0))
-    rhs_source = 0.0 if fvals is None else integral(expw * fvals[:, js] ** 2)
+    k = values.shape[2]
+    sums = np.empty((7, k))
+    span = max(1, _CHUNK // quad.size)
+    for c in range(0, k, span):
+        cols = slice(c, c + span)
+        window = values[:, j_lo - 1:j_hi + 2, cols]
+        col = window[:, 1:-1]
+        phi_r = _d1(col, h, axis=0)     # the reference slope w_r until divided by R
+        # centered time difference: the window is interior, j_lo >= 1 and
+        # j_hi <= m - 1, so this is np.gradient's formula there
+        phi_t = window[:, 2:] - window[:, :-2]
+        phi_t /= 2.0 * dt
+        phi_t -= drift * phi_r
+        phi_r /= radii
+        phi_rr = _d2_space(col, h)
+        phi_rr /= radii * radii
+        for a in (phi_t, phi_rr, phi_r):
+            np.square(a, out=a)
+        col2 = np.square(col)
+        sums[0, cols] = contract(q_time, phi_t)
+        sums[1, cols] = contract(q_time, phi_rr)
+        sums[2, cols] = contract(q_gradient, phi_r)
+        sums[3, cols] = contract(q_zero, col2)
+        sums[4, cols] = q_boundary @ phi_r[-1]
+        sums[5, cols] = contract(q_obs, col2)
+        sums[6, cols] = 0.0 if fvals is None else contract(
+            q_src, np.square(fvals[:, j_lo:j_hi + 1, cols]))
+        # free this chunk's arrays before the next chunk's are formed
+        del phi_t, phi_rr, phi_r, col2
 
+    lhs_time, lhs_second, lhs_gradient, lhs_zero, lhs_boundary, rhs_observation, rhs_source = sums
     lhs = lhs_time + lhs_second + lhs_gradient + lhs_zero + lhs_boundary
     rhs = rhs_observation + rhs_source
-    ratio = lhs / rhs if rhs > 0.0 else np.inf
-    return CarlemanReport(
-        lhs_time=lhs_time, lhs_second=lhs_second, lhs_gradient=lhs_gradient,
-        lhs_zero=lhs_zero, lhs_boundary=lhs_boundary, lhs_total=lhs,
-        rhs_observation=rhs_observation, rhs_source=rhs_source, rhs_total=rhs,
-        ratio=ratio, margin=delta,
-    )
+    reports = [CarlemanReport(
+        lhs_time=float(lhs_time[c]), lhs_second=float(lhs_second[c]),
+        lhs_gradient=float(lhs_gradient[c]), lhs_zero=float(lhs_zero[c]),
+        lhs_boundary=float(lhs_boundary[c]), lhs_total=float(lhs[c]),
+        rhs_observation=float(rhs_observation[c]), rhs_source=float(rhs_source[c]),
+        rhs_total=float(rhs[c]),
+        ratio=float(lhs[c] / rhs[c]) if rhs[c] > 0.0 else np.inf, margin=delta,
+    ) for c in range(k)]
+    return reports[0] if isinstance(phi, SpaceTimeField) else reports

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from stefanlab.control import HUMConfig
 from stefanlab.domain import BoundaryPath, read_field_csv
 from stefanlab.pde import SchemeConfig, solve_forward
 from stefanlab.stefan import FixedPointConfig
-from stefanlab.weights import CarlemanConfig
+from stefanlab.weights import CarlemanConfig, ProfileReport
 
 _SINE = {"kind": "sine", "amplitude": 0.05}
 
@@ -160,8 +161,15 @@ def test_run_carleman_writes_trials(tmp_path):
     assert main(["run", "--config", cfg]) == 0
     report = _load(out, "carleman-report.json")
     assert len(report["trials"]) == 3
+    # the whole profile report, its boundary value also under the old key
+    assert set(report["profile"]) == {f.name for f in fields(ProfileReport)}
+    assert report["profile"]["boundary_value_max"] == report["boundary_profile_zero_max"]
+    assert report["profile"]["annulus_min_abs_slope"] > 0.0
     summary = _load(out, "summary.json")
+    assert set(summary) == {"trials", "max_ratio", "min_ratio", "max_ratio_doubled_s",
+                            "monotone_under_s_doubling", "sup_alpha1"}
     assert summary["monotone_under_s_doubling"] is True
+    assert summary["max_ratio"] == max(t["ratio"] for t in report["trials"])
 
 
 def test_malformed_geometry_exits_2(tmp_path, capsys):

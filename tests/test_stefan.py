@@ -20,6 +20,7 @@ from stefanlab.errors import (
     GridError,
     RadiusBreachError,
 )
+from stefanlab import stefan
 from stefanlab.pde import SchemeConfig, solve_forward, solve_semilinear
 from stefanlab.stefan import (
     FixedPointConfig,
@@ -362,6 +363,34 @@ def test_fixed_point_exhaustion_raises_with_history():
     with pytest.raises(ConvergenceError) as err:
         fixed_point_iterate(None, setup, fpc, HUMConfig(), cfg)
     assert len(err.value.history) == 2
+
+
+def test_fixed_point_period_two_cycle_raises_early(monkeypatch):
+    # f = -5 sin on a unit sine datum at 30 x 60: the map settles on a
+    # period-2 cycle (dz 1.366263e-2 on every iteration, the cost ratio
+    # alternating 0.9833 / 0.9883), which is named once the differences
+    # repeat those of two iterations back, long before max_outer
+    setup = PhysicalSetup(T=0.5, z0=lambda r: np.sin(np.pi * r),
+                          nonlinearity=Nonlinearity.sine(-5.0))
+    fpc = FixedPointConfig(fp_tol=1e-10, max_outer=60)
+    hum = HUMConfig(epsilon=1e-4)
+    with pytest.raises(ConvergenceError, match="period-2 cycle") as err:
+        fixed_point_iterate(None, setup, fpc, hum, SchemeConfig(n=30, m=60))
+    history = err.value.history
+    assert len(history) < 40
+    assert history[-1].dz_sup == pytest.approx(1.366263e-2, rel=1e-6)
+    assert history[-1].cost_ratio == pytest.approx(0.98327, rel=1e-4)
+    assert history[-2].cost_ratio == pytest.approx(0.98827, rel=1e-4)
+
+    # refined, the same data converges, and the check leaves the run's bits
+    cfg = SchemeConfig(n=60, m=120)
+    result = fixed_point_iterate(None, setup, fpc, hum, cfg)
+    assert result.converged and result.iterations == 22
+    monkeypatch.setattr(stefan, "_repeats", lambda rec, earlier: False)
+    unchecked = fixed_point_iterate(None, setup, fpc, hum, cfg)
+    assert unchecked.iterations == 22
+    assert result.state.values.tobytes() == unchecked.state.values.tobytes()
+    assert result.path.radii.tobytes() == unchecked.path.radii.tobytes()
 
 
 def test_write_history_csv(tmp_path):

@@ -1,13 +1,29 @@
 """Weight profile structure and the weighted-energy diagnostic."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stefanlab.domain import PhysicalSetup, SpaceTimeField, constant_path, path_from_function
-from stefanlab.errors import DegenerateWeightError, FieldRoleError, GridError, OutOfDomainError
-from stefanlab.pde import SchemeConfig, solve_adjoint
+from stefanlab import weights
+from stefanlab.domain import (
+    ROLE_ADJOINT,
+    PhysicalSetup,
+    SpaceTimeField,
+    constant_path,
+    path_from_function,
+)
+from stefanlab.errors import (
+    DegenerateWeightError,
+    EndpointConditionError,
+    FieldRoleError,
+    GridError,
+    OutOfDomainError,
+)
+from stefanlab.pde import SchemeConfig, propagator, solve_adjoint
 from stefanlab.weights import (
     EMPIRICAL_RATIO_BOUND,
     CarlemanConfig,
@@ -178,6 +194,113 @@ def test_carleman_margin_guard():
     phi = solve_adjoint(phiT, path, None, None, cfg)
     with pytest.raises(DegenerateWeightError):
         carleman_sides(phi, None, params, setup, path, margin=0.6)
+
+
+def _wobbling_path(horizon, amp, freq, m):
+    return path_from_function(
+        lambda t: 1.0 + amp * np.sin(freq * np.pi * t / horizon),
+        lambda t: amp * freq * np.pi / horizon * np.cos(freq * np.pi * t / horizon),
+        horizon, m)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.integers(8, 40), m=st.integers(8, 48), k=st.integers(1, 5),
+       amp=st.floats(0.0, 0.15), margin=st.one_of(st.none(), st.floats(0.0, 0.3)),
+       forced=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_block_columns_match_single_fields(n, m, k, amp, margin, forced, seed):
+    # a block of k backward trajectories gives, column by column, the report
+    # of that column alone as an adjoint field; only the order in which the
+    # contractions sum differs
+    setup = PhysicalSetup(T=0.5)
+    cfg = SchemeConfig(n=n, m=m)
+    path = _wobbling_path(setup.T, amp, 2, m)
+    params = CarlemanParams.calibrate(1.0, 1e-4, 2, setup, path)
+    rng = np.random.default_rng(seed)
+    phiT = np.zeros((n + 1, k))
+    phiT[1:-1] = rng.standard_normal((n - 1, k))
+    forcing = rng.standard_normal((n + 1, m + 1, k)) if forced else None
+    block = propagator(path, None, cfg).run_adjoint(phiT, forcing)
+    # chunks of two or more columns, the last one short when k is odd
+    with mock.patch.object(weights, "_CHUNK", 2 * (n + 1) * m):
+        reports = carleman_sides(block, forcing, params, setup, path, margin=margin)
+    assert len(reports) == k
+    for c, got in enumerate(reports):
+        field = SpaceTimeField(block[:, :, c], role=ROLE_ADJOINT)
+        want = carleman_sides(field, None if forcing is None else forcing[:, :, c],
+                              params, setup, path, margin=margin).as_dict()
+        for key, value in got.as_dict().items():
+            assert abs(value - want[key]) <= 1e-14 * abs(want[key]), (c, key)
+
+
+def _bad_block(case, n, m, k):
+    """A bad block, its forcing, its last column's values and forcing, the error."""
+    rng = np.random.default_rng(4)
+    block = np.zeros((n + 1, m + 1, k))
+    block[1:-1] = rng.standard_normal((n - 1, m + 1, k))
+    forcing = fvalues = None
+    error = GridError
+    if case == "non-finite":
+        block[3, 4, -1] = np.nan
+    elif case == "endpoint":
+        block[-1, 2, -1] = 1e-6
+        error = EndpointConditionError
+    elif case == "steps":
+        block = np.concatenate([block, block[:, :1]], axis=1)
+    else:
+        forcing, fvalues = np.ones((n + 1, m + 1, k + 1)), np.ones((n + 1, m))
+    return block, forcing, block[:, :, -1], fvalues, error
+
+
+@pytest.mark.parametrize("case", ["non-finite", "endpoint", "steps", "forcing"])
+def test_block_refuses_what_the_field_refuses(case, monkeypatch):
+    # a bad block is refused with the field form's error type, before any
+    # weight or derivative is formed
+    n, m, k = 12, 16, 3
+    setup = PhysicalSetup()
+    path = constant_path(setup.R0, setup.T, m)
+    params = CarlemanParams.calibrate(1.0, 1e-4, 2, setup, path)
+    block, forcing, values, fvalues, error = _bad_block(case, n, m, k)
+    with pytest.raises(error):
+        carleman_sides(SpaceTimeField(values, role=ROLE_ADJOINT), fvalues, params, setup, path)
+
+    def no_arithmetic(*args, **kwargs):
+        raise AssertionError("arithmetic ran before the checks")
+
+    monkeypatch.setattr(weights, "_weights", no_arithmetic)
+    monkeypatch.setattr(weights, "_d1", no_arithmetic)
+    with pytest.raises(error):
+        carleman_sides(block, forcing, params, setup, path)
+
+
+def test_block_memory_does_not_grow_with_the_trials():
+    # the trials are walked in chunks, so a call's transient peak is set by
+    # the chunk, not by the number of trials
+    setup = PhysicalSetup()
+    cfg = SchemeConfig(n=50, m=100)
+    path = constant_path(setup.R0, setup.T, cfg.m)
+    params = CarlemanParams.calibrate(1.0, 1e-4, 2, setup, path)
+    phiT = np.zeros((cfg.n + 1, 64))
+    phiT[1:-1] = np.random.default_rng(2).standard_normal((cfg.n - 1, 64))
+    block = propagator(path, None, cfg).run_adjoint(phiT)
+    peaks = []
+    for k in (16, 64):
+        part = np.ascontiguousarray(block[:, :, :k])
+        tracemalloc.start()
+        try:
+            carleman_sides(part, None, params, setup, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.05 * peaks[0]
+    assert peaks[1] < part.nbytes
+
+
+def test_block_must_be_three_dimensional():
+    setup = PhysicalSetup()
+    path = constant_path(setup.R0, setup.T, 8)
+    params = CarlemanParams.calibrate(1.0, 1e-4, 2, setup, path)
+    with pytest.raises(GridError, match="block"):
+        carleman_sides(np.zeros((9, 9)), None, params, setup, path)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +480,7 @@ def test_array_diagnostic_matches_level_loop(n, m, horizon, amp, freq, margin,
     # energy field to 1e-13 relative (only the summation order differs)
     setup = PhysicalSetup(T=horizon)
     cfg = SchemeConfig(n=n, m=m)
-    path = path_from_function(
-        lambda t: 1.0 + amp * np.sin(freq * np.pi * t / horizon),
-        lambda t: amp * freq * np.pi / horizon * np.cos(freq * np.pi * t / horizon),
-        horizon, m)
+    path = _wobbling_path(horizon, amp, freq, m)
     assert check_weight_profile(setup, path) == _loop_check_weight_profile(setup, path)
     params = CarlemanParams.calibrate(lam, s, k, setup, path)
     assert params.sup_alpha1 == _loop_calibrate_sup(setup, path)
