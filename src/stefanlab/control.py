@@ -51,6 +51,7 @@ from .domain import (
     ROLE_STATE,
     BoundaryPath,
     SpaceTimeField,
+    checked_values,
     h1_seminorm,
 )
 from .errors import ConvergenceError, GridError
@@ -232,9 +233,8 @@ def _secular_penalty(G, y, eps_eff: float, max_iter: int):
 def cost_report(outcome: HUMOutcome, u0, setup, path: BoundaryPath, potential,
                 cfg: SchemeConfig) -> dict:
     """Scalar summary tying the control cost to the quantities it depends on."""
-    pot = np.zeros(1) if potential is None else (
-        potential.values if isinstance(potential, SpaceTimeField) else np.asarray(potential)
-    )
+    pot = np.zeros(1) if potential is None else checked_values(
+        potential, "potential", (cfg.n + 1, cfg.m + 1))
     return {
         "cost": outcome.cost,
         "cost_ratio": outcome.cost_ratio,

@@ -43,6 +43,49 @@ def require_integer(name: str, value, least: int) -> None:
         raise GridError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def checked_values(data, name: str, shape: tuple, role: str | None = None,
+                   endpoints: bool = False, block: bool = False) -> np.ndarray:
+    """The float values of an input array or `SpaceTimeField`, checked.
+
+    Fields, data, sources, potentials, controls and iterates entering the
+    solvers pass here.  A field must carry the role, when one is given
+    (FieldRoleError); the values must have the shape, where None matches
+    any length, must not be empty, and must be finite (GridError).  With
+    endpoints set, the rows 0 and -1 of each column must vanish to 1e-12
+    of the column's largest magnitude, floored at 1
+    (EndpointConditionError): a column is one entry of the last axis when
+    block is set, else the whole array.  Errors name the input.  No array
+    the size of the input is formed: the largest and smallest value of a
+    column carry a NaN or an infinity in it, and the endpoint test reads
+    only the two endpoint rows.
+    """
+    if isinstance(data, SpaceTimeField):
+        if role is not None and data.role != role:
+            raise FieldRoleError(f"{name} must be a {role} field, got {data.role!r}")
+        data = data.values
+    values = np.asarray(data, dtype=float)
+    if values.ndim != len(shape) or any(
+            want is not None and got != want for got, want in zip(values.shape, shape)):
+        expected = ", ".join("*" if want is None else str(want) for want in shape)
+        raise GridError(f"{name} shape {values.shape}, expected ({expected}"
+                        f"{',' if len(shape) == 1 else ''})")
+    if values.size == 0:
+        raise GridError(f"{name} shape {values.shape} has no columns")
+    axes = tuple(range(values.ndim - 1)) if block else None
+    top, bottom = values.max(axis=axes), values.min(axis=axes)
+    if not ((top < np.inf) & (bottom > -np.inf)).all():
+        raise GridError(f"{name} must be finite")
+    if endpoints:
+        worst = np.abs(values[::max(1, len(values) - 1)]).max(axis=axes)
+        bad = worst > 1e-12 * np.maximum(np.maximum(top, -bottom), 1.0)
+        if bad.any():
+            c = int(np.argmax(bad))
+            raise EndpointConditionError(
+                f"{name} must vanish on endpoint rows, worst={np.ravel(worst)[c]:.3e}"
+                + (f" in column {c}" if block else ""))
+    return values
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
@@ -111,9 +154,7 @@ class PhysicalSetup:
         r = grid.nodes * self.R0
         if self.z0 is None:
             return np.zeros(grid.n + 1)
-        u = np.asarray(self.z0(r), dtype=float)
-        if u.shape != r.shape:
-            raise GridError(f"initial sampler returned shape {u.shape}, expected {r.shape}")
+        u = checked_values(self.z0(r), "initial sampler", r.shape)
         scale = max(1.0, float(np.max(np.abs(u))))
         if abs(u[0]) > _ENDPOINT_TOL * scale or abs(u[-1]) > _ENDPOINT_TOL * scale:
             raise EndpointConditionError(
@@ -195,20 +236,10 @@ class SpaceTimeField:
     role: str = ROLE_STATE
 
     def __post_init__(self):
-        v = _readonly(self.values)
-        if v.ndim != 2:
-            raise GridError(f"field values must be 2-d, got ndim={v.ndim}")
-        if not np.all(np.isfinite(v)):
-            raise GridError("field values must be finite")
+        v = checked_values(_readonly(self.values), f"{self.role} field", (None, None),
+                           endpoints=self.role in DIRICHLET_ROLES)
         if self.role not in ROLES:
             raise FieldRoleError(f"unknown role {self.role!r}, expected one of {ROLES}")
-        if self.role in DIRICHLET_ROLES:
-            scale = max(1.0, float(np.max(np.abs(v))))
-            worst = max(float(np.max(np.abs(v[0]))), float(np.max(np.abs(v[-1]))))
-            if worst > 1e-12 * scale:
-                raise EndpointConditionError(
-                    f"{self.role} field must vanish on endpoint rows, worst={worst:.3e}"
-                )
         object.__setattr__(self, "values", v)
 
     @property

@@ -70,10 +70,10 @@ from .domain import (
     BoundaryPath,
     ReferenceGrid,
     SpaceTimeField,
+    checked_values,
     require_integer,
 )
 from .errors import (
-    EndpointConditionError,
     FieldRoleError,
     GridError,
     InstabilityError,
@@ -238,39 +238,16 @@ def _check_steps(path, cfg):
 def _coerce_potential(potential, n, m):
     if potential is None:
         return np.zeros((n + 1, m + 1))
-    if isinstance(potential, SpaceTimeField):
-        values = potential.values
-    else:
-        values = np.asarray(potential, dtype=float)
-    if values.shape != (n + 1, m + 1):
-        raise GridError(f"potential shape {values.shape}, expected {(n + 1, m + 1)}")
-    if not np.all(np.isfinite(values)):
-        raise GridError("potential must be finite")
-    return values
+    return checked_values(potential, "potential", (n + 1, m + 1))
 
 
 def _check_initial(u0, n, block=False):
     """Initial or final data: an (n+1,) column or, with block set, an
     (n+1, k) block of columns; every entry must be finite and every column
     must vanish at both endpoints."""
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape[:1] != (n + 1,) or u0.ndim > (2 if block else 1):
-        expected = f"({n + 1},) or ({n + 1}, k)" if block else f"({n + 1},)"
-        raise GridError(f"initial data shape {u0.shape}, expected {expected}")
-    if u0.size == 0:
-        raise GridError(f"initial data shape {u0.shape} has no columns")
-    if not np.all(np.isfinite(u0)):
-        raise GridError("initial data must be finite")
-    scale = np.maximum(1.0, np.max(np.abs(u0), axis=0))
-    bad = np.flatnonzero((np.abs(u0[0]) > 1e-12 * scale) | (np.abs(u0[-1]) > 1e-12 * scale))
-    if bad.size:
-        col = u0[:, bad[0]] if u0.ndim == 2 else u0
-        where = f" in column {bad[0]}" if u0.ndim == 2 else ""
-        raise EndpointConditionError(
-            f"initial data must vanish at both endpoints{where}, "
-            f"got {col[0]:.3e}, {col[-1]:.3e}"
-        )
-    return u0
+    blocked = block and np.ndim(u0) > 1
+    return checked_values(u0, "initial data", (n + 1, None) if blocked else (n + 1,),
+                          endpoints=True, block=blocked)
 
 
 class Propagator:
@@ -364,12 +341,8 @@ class Propagator:
 
     def _combine_source(self, source, masked, cols):
         """The source as an (n+1, m+1, k) array, masked when asked."""
-        src = source.values if isinstance(source, SpaceTimeField) else np.asarray(source, dtype=float)
-        if not np.all(np.isfinite(src)):
-            raise GridError("source must be finite")
-        expected = (self.n + 1, self.m + 1) + cols
-        if src.shape != expected:
-            raise GridError(f"source shape {src.shape}, expected {expected}")
+        src = checked_values(source, "control source" if masked else "source",
+                             (self.n + 1, self.m + 1) + cols)
         src = src.reshape(self.n + 1, self.m + 1, -1)
         if masked:
             if self.mask is None:
@@ -733,10 +706,13 @@ def solve_semilinear(u0, path: BoundaryPath, nonlinearity, cfg: SchemeConfig,
 
 
 def _check_flux_field(field: SpaceTimeField, path: BoundaryPath, j: int | None = None) -> None:
-    """A boundary flux needs a state or adjoint field on the path's time
-    grid, and a time index j, when one is given, on that grid."""
+    """A boundary flux needs a state or adjoint field with the three rows
+    of its one-sided stencil, on the path's time grid, and a time index j,
+    when one is given, on that grid."""
     if field.role not in DIRICHLET_ROLES:
         raise FieldRoleError(f"flux needs a state or adjoint field, got {field.role!r}")
+    if field.n_intervals < 2:
+        raise GridError(f"flux needs at least 3 rows, field has {field.n_intervals + 1}")
     if field.n_steps != path.steps:
         raise GridError(f"field has {field.n_steps} steps, path has {path.steps}")
     if j is not None and not 0 <= j <= path.steps:

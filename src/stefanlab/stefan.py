@@ -42,12 +42,12 @@ from .domain import (
     BoundaryPath,
     PhysicalSetup,
     SpaceTimeField,
+    checked_values,
     constant_path,
     require_integer,
 )
 from .errors import (
     ConvergenceError,
-    FieldRoleError,
     GridError,
     InstabilityError,
     RadiusBreachError,
@@ -228,22 +228,6 @@ def integrate_boundary(field: SpaceTimeField, path: BoundaryPath,
 # coupled dynamics
 
 
-def _coerce_control(control, n: int, m: int):
-    if control is None:
-        return None
-    if isinstance(control, SpaceTimeField):
-        if control.role != ROLE_CONTROL:
-            raise FieldRoleError(f"coupled solve expects a control field, got {control.role!r}")
-        values = control.values
-    else:
-        values = np.asarray(control, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise GridError("control must be finite")
-    if values.shape != (n + 1, m + 1):
-        raise GridError(f"control shape {values.shape}, expected {(n + 1, m + 1)}")
-    return values
-
-
 def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
     """March the line field and the free boundary together.
 
@@ -273,7 +257,8 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
     """
     n, m = cfg.n, cfg.m
     u0 = _check_initial(u0, n)
-    ctrl = _coerce_control(control, n, m)
+    ctrl = None if control is None else checked_values(control, "control", (n + 1, m + 1),
+                                                        role=ROLE_CONTROL)
     nl = setup.nonlinearity
     rho = cfg.grid.nodes[1:-1]
     rho_int = rho[:, None]
@@ -418,6 +403,7 @@ def linearize_and_control(zbar, rbar: BoundaryPath, u0, setup: PhysicalSetup,
                           hum: HUMConfig, cfg: SchemeConfig) -> LambdaOutcome:
     """Linearize the reaction on an iterate, control, update the boundary.
 
+    The iterate zbar is a field or an (n+1, m+1) array of finite values.
     The reaction the solvers apply to the line field u = r z is r f(u/r)
     (`pde._lagged_reaction`), and r f(u/r) = g(u/r) u with the secant slope
     g(s) = f(s)/s.  So the potential is g(ubar/r) on the interior nodes,
@@ -428,9 +414,7 @@ def linearize_and_control(zbar, rbar: BoundaryPath, u0, setup: PhysicalSetup,
     pipeline.  The penalized control is synthesized on the frozen path, and
     the controlled state's boundary flux drives the boundary update.
     """
-    vals = zbar.values if isinstance(zbar, SpaceTimeField) else np.asarray(zbar, dtype=float)
-    if vals.shape != (cfg.n + 1, cfg.m + 1):
-        raise GridError(f"iterate shape {vals.shape}, expected {(cfg.n + 1, cfg.m + 1)}")
+    vals = checked_values(zbar, "iterate", (cfg.n + 1, cfg.m + 1))
     nl = setup.nonlinearity
     potential = None
     if nl is not None:
@@ -451,7 +435,8 @@ def _repeats(rec: IterationRecord, earlier: IterationRecord) -> bool:
 
 
 def _picard(u0, zbar, rbar, setup, fpc, hum, cfg, history, offset):
-    """Iterate the map until the pair stops moving; returns (last, count, ok).
+    """Iterate the map from the state field zbar and the path rbar until the
+    pair stops moving; returns (last, count, ok).
 
     A map whose differences repeat those of two iterations back has settled
     on a period-2 cycle, which no further iteration leaves: that raises
@@ -459,9 +444,8 @@ def _picard(u0, zbar, rbar, setup, fpc, hum, cfg, history, offset):
     """
     lam = None
     for k in range(1, fpc.max_outer + 1):
-        prev_vals = zbar.values if isinstance(zbar, SpaceTimeField) else np.asarray(zbar, dtype=float)
         lam = linearize_and_control(zbar, rbar, u0, setup, hum, cfg)
-        dz = float(np.max(np.abs(lam.state.values - prev_vals)))
+        dz = float(np.max(np.abs(lam.state.values - zbar.values)))
         dR = float(np.max(np.abs(lam.path.radii - rbar.radii)))
         dRp = float(np.max(np.abs(lam.path.slopes - rbar.slopes)))
         history.append(IterationRecord(

@@ -49,14 +49,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ROLE_ADJOINT, BoundaryPath, PhysicalSetup, SpaceTimeField, require_integer
-from .errors import (
-    DegenerateWeightError,
-    EndpointConditionError,
-    FieldRoleError,
-    GridError,
-    OutOfDomainError,
+from .domain import (
+    ROLE_ADJOINT,
+    BoundaryPath,
+    PhysicalSetup,
+    SpaceTimeField,
+    checked_values,
+    require_integer,
 )
+from .errors import DegenerateWeightError, GridError, OutOfDomainError
 from .pde import _CHUNK
 
 # Space-time samples (radii per level, levels) on which `CarlemanParams.calibrate`
@@ -288,22 +289,6 @@ class CarlemanReport:
             "margin")}
 
 
-def _check_block(values: np.ndarray) -> None:
-    """What `SpaceTimeField` checks of an adjoint field, column by column."""
-    # max and min propagate nan and carry an infinity, so they are finite
-    # exactly when every value is: no boolean block is formed
-    top, bottom = np.max(values, axis=(0, 1)), np.min(values, axis=(0, 1))
-    if not (np.all(np.isfinite(top)) and np.all(np.isfinite(bottom))):
-        raise GridError("field values must be finite")
-    scale = np.maximum(1.0, np.maximum(top, -bottom))
-    worst = np.maximum(np.max(np.abs(values[0]), axis=0), np.max(np.abs(values[-1]), axis=0))
-    bad = np.flatnonzero(worst > 1e-12 * scale)
-    if bad.size:
-        raise EndpointConditionError(
-            f"adjoint field must vanish on endpoint rows, worst={worst[bad[0]]:.3e} "
-            f"in column {bad[0]}")
-
-
 def carleman_sides(phi, forcing, params: CarlemanParams, setup: PhysicalSetup,
                    path: BoundaryPath, margin: float | None = None):
     """Evaluate the weighted energy of phi and the observation/source bound.
@@ -311,8 +296,9 @@ def carleman_sides(phi, forcing, params: CarlemanParams, setup: PhysicalSetup,
     phi is one backward (adjoint) `SpaceTimeField` on the reference grid of
     the path, giving one report, or an (n+1, m+1, k) block of backward
     trajectories (the output of a blocked `run_adjoint`), giving a list of
-    k reports; a forcing has the shape of phi's values.  A block is checked
-    column by column as the field is on construction.  Derivatives are
+    k reports; a forcing has the shape of phi's values and must be finite.
+    A block is checked column by column as the field is on construction,
+    and the second-derivative stencil needs at least 4 rows.  Derivatives are
     taken by second-order differences on the fixed grid and converted to
     physical time and radial derivatives with the chain rule of the moving
     map r = rho R(t).  The time quadrature runs on the interior node window
@@ -320,21 +306,17 @@ def carleman_sides(phi, forcing, params: CarlemanParams, setup: PhysicalSetup,
     to at least one step so the centered time stencil stays inside the
     horizon.
     """
-    if isinstance(phi, SpaceTimeField):
-        if phi.role != ROLE_ADJOINT:
-            raise FieldRoleError(f"weighted energy expects an adjoint field, got {phi.role!r}")
-        shape = phi.values.shape
-        values = phi.values[:, :, None]
-    else:
-        values = np.asarray(phi, dtype=float)
-        shape = values.shape
-        if values.ndim != 3:
-            raise GridError(f"expected an (n+1, m+1, k) block, got shape {shape}")
-    _check_block(values)
     m = path.steps
-    if shape[1] - 1 != m:
-        raise GridError(f"field has {shape[1] - 1} steps, path has {m}")
-    n = shape[0] - 1
+    single = isinstance(phi, SpaceTimeField)
+    phi = checked_values(phi, "adjoint field" if single else "adjoint block",
+                         (None, m + 1) if single else (None, m + 1, None),
+                         role=ROLE_ADJOINT, endpoints=True, block=not single)
+    if phi.shape[0] < 4:
+        raise GridError(f"the weighted energy needs at least 4 rows, got {phi.shape[0]}")
+    values = phi.reshape(phi.shape[0], m + 1, -1)
+    fvals = None if forcing is None else checked_values(
+        forcing, "forcing", phi.shape).reshape(values.shape)
+    n = values.shape[0] - 1
     h = 1.0 / n
     dt = path.dt
     T = path.horizon
@@ -343,13 +325,6 @@ def carleman_sides(phi, forcing, params: CarlemanParams, setup: PhysicalSetup,
     j_hi = min(m - 1, int(np.floor((1.0 - delta) * m + 1e-9)))
     if j_hi < j_lo:
         raise DegenerateWeightError(f"margin {delta:g} leaves no interior time nodes")
-
-    fvals = None
-    if forcing is not None:
-        fvals = forcing.values if isinstance(forcing, SpaceTimeField) else np.asarray(forcing)
-        if fvals.shape != shape:
-            raise GridError("forcing shape must match the field")
-        fvals = fvals.reshape(values.shape)
 
     # the weights depend on the path and the window only: one (n+1, J) field
     # each, shared by every column
@@ -429,4 +404,4 @@ def carleman_sides(phi, forcing, params: CarlemanParams, setup: PhysicalSetup,
         rhs_total=float(rhs[c]),
         ratio=float(lhs[c] / rhs[c]) if rhs[c] > 0.0 else np.inf, margin=delta,
     ) for c in range(k)]
-    return reports[0] if isinstance(phi, SpaceTimeField) else reports
+    return reports[0] if single else reports

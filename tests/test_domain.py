@@ -30,6 +30,11 @@ from stefanlab.errors import (
     OutOfDomainError,
     RadiusBoundsError,
 )
+from stefanlab import pde, stefan, weights
+from stefanlab.control import HUMConfig, solve_hum
+from stefanlab.pde import SchemeConfig, solve_adjoint, solve_forward, solve_semilinear
+from stefanlab.stefan import Nonlinearity, coupled_solve, linearize_and_control
+from stefanlab.weights import CarlemanParams, carleman_sides
 
 
 def test_reference_grid_nodes_and_spacing():
@@ -74,6 +79,11 @@ def test_initial_line_field_rejects_nonvanishing_sampler():
     setup = PhysicalSetup(z0=lambda r: np.cos(r))
     with pytest.raises(EndpointConditionError):
         setup.initial_line_field(ReferenceGrid(16))
+    # a NaN sample is refused, not snapped to zero at an endpoint
+    for where in (0.0, 0.5, 1.0):
+        setup = PhysicalSetup(z0=lambda r: np.where(r == where, np.nan, np.sin(np.pi * r)))
+        with pytest.raises(GridError, match="initial sampler must be finite"):
+            setup.initial_line_field(ReferenceGrid(16))
 
 
 def test_constant_path_properties():
@@ -145,6 +155,67 @@ def test_field_values_frozen():
     field = SpaceTimeField(vals, role=ROLE_STATE)
     with pytest.raises(ValueError):
         field.values[1, 1] = 2.0
+
+
+def _entry_points():
+    """(id, name the error gives the input, a good value of it, call with it)."""
+    setup = PhysicalSetup(T=0.2, nonlinearity=Nonlinearity.sine(1.0))
+    cfg = SchemeConfig(n=12, m=10)
+    path = constant_path(setup.R0, setup.T, cfg.m)
+    nl, hum = setup.nonlinearity, HUMConfig()
+    u0 = np.sin(np.pi * cfg.grid.nodes)
+    field = np.ones((cfg.n + 1, cfg.m + 1))
+    block = np.zeros((cfg.n + 1, cfg.m + 1, 2))
+    block[1:-1] = 1.0
+    params = CarlemanParams.calibrate(1.0, 1e-4, 2, setup, path)
+    return [
+        ("forward-u0", "initial data", u0,
+         lambda x: solve_forward(x, path, None, None, cfg)),
+        ("forward-source", "source", field,
+         lambda x: solve_forward(u0, path, None, x, cfg)),
+        ("adjoint-phiT", "initial data", u0,
+         lambda x: solve_adjoint(x, path, None, None, cfg)),
+        ("adjoint-forcing", "source", field,
+         lambda x: solve_adjoint(u0, path, None, x, cfg)),
+        ("semilinear-u0", "initial data", u0,
+         lambda x: solve_semilinear(x, path, nl, cfg)),
+        ("semilinear-control", "control source", field,
+         lambda x: solve_semilinear(u0, path, nl, cfg, control=x, control_radius=setup.b)),
+        ("hum-potential", "potential", field,
+         lambda x: solve_hum(u0, path, x, setup.b, hum, cfg)),
+        ("coupled-control", "control", field,
+         lambda x: coupled_solve(u0, setup, x, cfg)),
+        ("linearize-iterate", "iterate", field,
+         lambda x: linearize_and_control(x, path, u0, setup, hum, cfg)),
+        ("carleman-block", "adjoint block", block,
+         lambda x: carleman_sides(x, None, params, setup, path)),
+        ("carleman-forcing", "forcing", block,
+         lambda x: carleman_sides(block, x, params, setup, path)),
+    ]
+
+
+@pytest.mark.parametrize("fault", ["nan", "shape"])
+@pytest.mark.parametrize("entry", [e[0] for e in _entry_points()])
+def test_entry_points_refuse_bad_inputs_by_name(entry, fault, monkeypatch):
+    # every public entry point refuses a NaN or a wrongly shaped input with
+    # GridError naming that input, before any step or weight is formed
+    _, name, good, call = next(e for e in _entry_points() if e[0] == entry)
+    if fault == "nan":
+        bad = good.copy()
+        bad.flat[bad.size // 2] = np.nan      # an interior entry
+        match = f"^{name} must be finite$"
+    else:
+        bad = good[:, :-1] if good.ndim > 1 else good[:-1]
+        match = f"^{name} shape "
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before the input was checked")
+
+    for module, fn in ((pde, "_solve_implicit"), (stefan, "_solve_implicit"),
+                       (weights, "_weights"), (weights, "_d1")):
+        monkeypatch.setattr(module, fn, no_step)
+    with pytest.raises(GridError, match=match):
+        call(bad)
 
 
 def test_field_csv_roundtrip(tmp_path):

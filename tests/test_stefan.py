@@ -21,7 +21,7 @@ from stefanlab.errors import (
     RadiusBreachError,
 )
 from stefanlab import stefan
-from stefanlab.pde import SchemeConfig, solve_forward, solve_semilinear
+from stefanlab.pde import SchemeConfig, boundary_flux, solve_forward, solve_semilinear
 from stefanlab.stefan import (
     FixedPointConfig,
     Nonlinearity,
@@ -154,6 +154,13 @@ def test_integrate_boundary_checks_the_field():
                            path, setup)
     with pytest.raises(GridError):
         integrate_boundary(_uniform_field(rho * rho - rho, cfg.m + 1), path, setup)
+    # two rows are too few for the one-sided flux stencil, which would wrap
+    two_rows = _uniform_field(np.zeros(2), cfg.m)
+    for flux in (lambda: integrate_boundary(two_rows, path, setup),
+                 lambda: stefan_rate(two_rows, path, 3),
+                 lambda: boundary_flux(two_rows, path, 3)):
+        with pytest.raises(GridError, match="at least 3 rows"):
+            flux()
 
 
 # -- coupled dynamics ----------------------------------------------------------

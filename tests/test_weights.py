@@ -246,12 +246,20 @@ def _bad_block(case, n, m, k):
         error = EndpointConditionError
     elif case == "steps":
         block = np.concatenate([block, block[:, :1]], axis=1)
-    else:
+    elif case == "rows":        # too few for the second-derivative stencil
+        block = block[:3].copy()
+        block[-1] = 0.0
+    elif case == "forcing":
         forcing, fvalues = np.ones((n + 1, m + 1, k + 1)), np.ones((n + 1, m))
+    else:                       # a non-finite forcing: "nan-forcing" etc.
+        forcing = np.ones((n + 1, m + 1, k))
+        forcing[3, 4, -1] = float(case.rsplit("-", 1)[0])
+        fvalues = forcing[:, :, -1]
     return block, forcing, block[:, :, -1], fvalues, error
 
 
-@pytest.mark.parametrize("case", ["non-finite", "endpoint", "steps", "forcing"])
+@pytest.mark.parametrize("case", ["non-finite", "endpoint", "steps", "rows", "forcing",
+                                  "nan-forcing", "inf-forcing", "-inf-forcing"])
 def test_block_refuses_what_the_field_refuses(case, monkeypatch):
     # a bad block is refused with the field form's error type, before any
     # weight or derivative is formed
