@@ -178,7 +178,7 @@ def solve_hum(u0, path: BoundaryPath, potential, control_radius: float,
             raise ConvergenceError(f"eps is out of reach on this grid: the final norm "
                                    f"misses it by {defect:.3e} relative", history=history)
 
-    seminorm = h1_seminorm(np.asarray(u0, dtype=float), path.radii[0], cfg.grid)
+    seminorm = h1_seminorm(u0, path.radii[0], cfg.grid)
     ratio = cost / seminorm if seminorm > 0.0 else 0.0
 
     return HUMOutcome(
@@ -238,7 +238,7 @@ def cost_report(outcome: HUMOutcome, u0, setup, path: BoundaryPath, potential,
     return {
         "cost": outcome.cost,
         "cost_ratio": outcome.cost_ratio,
-        "initial_h1_seminorm": h1_seminorm(np.asarray(u0, dtype=float), path.radii[0], cfg.grid),
+        "initial_h1_seminorm": h1_seminorm(u0, path.radii[0], cfg.grid),
         "final_norm": outcome.final_norm,
         "R_star": setup.R_star,
         "E": setup.E,

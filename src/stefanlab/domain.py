@@ -206,8 +206,8 @@ class BoundaryPath:
         return float(self.times[-1])
 
     def radius_at(self, t: float) -> float:
-        """Linear interpolation of R between samples."""
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
+        """Linear interpolation of R between samples; a non-finite t is outside."""
+        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:
             raise OutOfDomainError(f"t={t:g} outside [{self.times[0]:g}, {self.times[-1]:g}]")
         return float(np.interp(t, self.times, self.radii))
 
@@ -257,17 +257,13 @@ class SpaceTimeField:
 
 def line_l2_norm(u: np.ndarray, radius: float, grid: ReferenceGrid) -> float:
     """L2(0, R) norm of a line field sampled on the reference grid."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (grid.n + 1,):
-        raise GridError(f"expected {grid.n + 1} samples, got {u.shape}")
+    u = checked_values(u, "line field", (grid.n + 1,))
     return float(np.sqrt(radius * np.trapezoid(u * u, dx=grid.spacing)))
 
 
 def h1_seminorm(u: np.ndarray, radius: float, grid: ReferenceGrid) -> float:
     """H1_0 seminorm (int |u_r|^2 dr)^(1/2) of a line field on [0, R]."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (grid.n + 1,):
-        raise GridError(f"expected {grid.n + 1} samples, got {u.shape}")
+    u = checked_values(u, "line field", (grid.n + 1,))
     du = np.gradient(u, grid.spacing) / radius
     return float(np.sqrt(radius * np.trapezoid(du * du, dx=grid.spacing)))
 

@@ -17,10 +17,16 @@ sweep is Euclidean-symmetric on interior nodes).  The supremum is the
 dominant eigenvalue of the generalized symmetric problem A x = mu B x,
 solved by scipy.linalg.eigh.  A brute-force oracle at small grid sizes
 assembles both forms from the sweeps of every interior unit column at once,
-without the accumulated sums of the blocked assembly: one blocked adjoint
-sweep then one blocked free forward sweep give the numerator, and one
-blocked Gramian apply the denominator, each column bitwise equal to the
-single-column sweeps it stands for.
+without the accumulated sums of the blocked assembly: one blocked Gramian
+apply gives the denominator, and one blocked free forward sweep of P the
+numerator, each column bitwise equal to the single-column sweeps it stands
+for.  The adjoint sweep of the unit columns is shared with
+`estimate_constant`: P comes from the same steps and level arithmetic as a
+blocked adjoint sweep, so it is that sweep's t = 0 slice bit for bit, and
+the oracle reads it from the forms already assembled on the shared
+Propagator.  What the estimate computes its own way is still checked: the
+Gramian apply checks G's accumulated sums, and the forward sweep of P
+checks the duality behind (R(0)/R(T)) P^T P.
 
 A numerical hazard shapes both paths, verified against exact-arithmetic
 replicas of the discrete pair: terminal data built from the highest grid
@@ -133,8 +139,11 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
     goes through an adjoint sweep then a free forward sweep (numerator) and
     a Gramian apply (denominator), all columns in one blocked pass per
     sweep, with the seed vector as one more column of the Gramian apply.
-    Each column still costs four sweeps' worth of arithmetic, so the oracle
-    stays capped at small grids.
+    The adjoint sweep is the t = 0 slice P of `assemble_forms`, read
+    without a sweep when estimate_constant has assembled the forms on the
+    same Propagator (see the module docstring).  Each column costs three
+    sweeps' worth of arithmetic then, four when the oracle assembles the
+    forms itself, so the oracle stays capped at small grids.
     """
     if cfg.n > _DENSE_NODE_CAP or cfg.m > _DENSE_STEP_CAP:
         raise GridError(
@@ -148,7 +157,8 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
     block = np.zeros((cfg.n + 1, n_int + 1))
     block[1:-1, :n_int] = np.eye(n_int)
     block[1:-1, n_int] = s
-    amat = prop.run_forward(prop.run_adjoint(block[:, :n_int])[:, 0])[1:-1, -1]
+    _, slice0 = prop.assemble_forms()
+    amat = prop.run_forward(np.pad(slice0, ((1, 1), (0, 0))))[1:-1, -1]
     images = prop.apply_gramian(block)[1:-1]
     bmat = images[:, :n_int]
     for name, mat in (("numerator", amat), ("denominator", bmat)):

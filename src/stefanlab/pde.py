@@ -327,6 +327,8 @@ class Propagator:
     def slice_inner(self, u, v, k: int) -> float:
         if not 0 <= k <= self.m:
             raise GridError(f"time level {k} outside 0..{self.m}")
+        u = checked_values(u, "slice vector u", (self.n + 1,))
+        v = checked_values(v, "slice vector v", (self.n + 1,))
         return float(self.path.radii[k] * np.dot(u * self.space_w, v))
 
     def slice_norm(self, u, k: int) -> float:
@@ -334,6 +336,7 @@ class Propagator:
 
     def control_cost(self, obs: np.ndarray) -> float:
         """Discrete L2 norm over the control cylinder of a masked sample array."""
+        obs = checked_values(obs, "control samples", (self.n + 1, self.m + 1))
         per_slice = self.h * np.sum(obs * obs, axis=0)
         return float(np.sqrt(np.sum(self.tau * self.path.radii * per_slice)))
 

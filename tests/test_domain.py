@@ -123,6 +123,16 @@ def test_radius_at_interpolates():
         path.radius_at(1.5)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_radius_at_refuses_a_nonfinite_time(t):
+    # NaN fails both range comparisons, so it must be refused, not interpolated
+    path = path_from_function(lambda t: 1.0 + t, lambda t: np.ones_like(t), 1.0, 10)
+    with pytest.raises(OutOfDomainError):
+        path.radius_at(t)
+    with pytest.raises(OutOfDomainError):   # not an all-NaN weight
+        weights.weight_profile(np.linspace(0.0, 0.9, 5), t, PhysicalSetup(), path)
+
+
 def test_line_l2_norm_sine_closed_form():
     # trapezoid integrates sin^2 over a full period exactly
     grid = ReferenceGrid(24)
@@ -168,6 +178,7 @@ def _entry_points():
     block = np.zeros((cfg.n + 1, cfg.m + 1, 2))
     block[1:-1] = 1.0
     params = CarlemanParams.calibrate(1.0, 1e-4, 2, setup, path)
+    prop = pde.Propagator(path, None, cfg, control_radius=setup.b)
     return [
         ("forward-u0", "initial data", u0,
          lambda x: solve_forward(x, path, None, None, cfg)),
@@ -191,6 +202,12 @@ def _entry_points():
          lambda x: carleman_sides(x, None, params, setup, path)),
         ("carleman-forcing", "forcing", block,
          lambda x: carleman_sides(block, x, params, setup, path)),
+        ("slice-inner-u", "slice vector u", u0, lambda x: prop.slice_inner(x, u0, 0)),
+        ("slice-inner-v", "slice vector v", u0, lambda x: prop.slice_inner(u0, x, 0)),
+        ("slice-norm", "slice vector u", u0, lambda x: prop.slice_norm(x, cfg.m)),
+        ("control-cost", "control samples", field, prop.control_cost),
+        ("line-l2-norm", "line field", u0, lambda x: line_l2_norm(x, setup.R0, cfg.grid)),
+        ("h1-seminorm", "line field", u0, lambda x: h1_seminorm(x, setup.R0, cfg.grid)),
     ]
 
 

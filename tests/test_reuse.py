@@ -1,6 +1,7 @@
 """Reuse of a thread's last Propagator: the same bits as a fresh build, a
-miss on any changed input, one build and one assembly per epsilon ladder,
-and one slot per thread."""
+miss on any changed input, one build and one assembly per epsilon ladder
+and per observability estimate with its dense oracle, and one slot per
+thread."""
 
 import sys
 import threading
@@ -18,8 +19,9 @@ from stefanlab.control import (
     HUMConfig,
     solve_hum,
 )
-from stefanlab.domain import BoundaryPath, SpaceTimeField, path_from_function
+from stefanlab.domain import BoundaryPath, PhysicalSetup, SpaceTimeField, path_from_function
 from stefanlab.errors import ConvergenceError
+from stefanlab.observability import dense_constant, estimate_constant
 from stefanlab.pde import Propagator, SchemeConfig, solve_forward
 
 _B = 0.3
@@ -126,7 +128,7 @@ def test_any_changed_input_misses():
     _assert_same_step(got, _ladder_step((cfg, path, pot, u0), _B, hum))
 
 
-def test_ladder_costs_one_build_and_one_assembly(monkeypatch):
+def _count_builds_and_assemblies(monkeypatch):
     counts = {"build": 0, "assembly": 0}
     build, assemble = Propagator.__init__, Propagator._assemble_forms
 
@@ -140,10 +142,38 @@ def test_ladder_costs_one_build_and_one_assembly(monkeypatch):
 
     monkeypatch.setattr(Propagator, "__init__", counted_build)
     monkeypatch.setattr(Propagator, "_assemble_forms", counted_assembly)
+    return counts
+
+
+def test_ladder_costs_one_build_and_one_assembly(monkeypatch):
+    counts = _count_builds_and_assemblies(monkeypatch)
     case = _case(20, 30)
     for eps in (1e-2, 1e-4, 1e-6):
         _ladder_step(case, _B, HUMConfig(epsilon=eps))
     assert counts == {"build": 1, "assembly": 1}
+
+
+def test_dense_oracle_reads_the_slice_the_estimate_assembled(monkeypatch):
+    # after estimate_constant, dense_constant takes P from the assembled
+    # forms: its only transposed solves are the Gramian apply's backward
+    # half, n columns (the n-1 unit columns and the seed) over m steps
+    counts = _count_builds_and_assemblies(monkeypatch)
+    columns = []
+    solve = pde._solve_implicit
+
+    def counted(factors, rhs, transposed=False):
+        if transposed:
+            columns.append(rhs.shape[1])
+        return solve(factors, rhs, transposed)
+
+    monkeypatch.setattr(pde, "_solve_implicit", counted)
+    cfg, path, pot, _ = _case(20, 30)
+    setup = PhysicalSetup()
+    estimate_constant(path, pot, setup, cfg, b=_B)
+    columns.clear()
+    dense_constant(path, pot, setup, cfg, b=_B)
+    assert counts == {"build": 1, "assembly": 1}
+    assert sum(columns) == cfg.n * cfg.m
 
 
 def test_ladder_rungs_cost_two_column_sweeps(monkeypatch):
