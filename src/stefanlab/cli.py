@@ -479,8 +479,8 @@ def _scenario_carleman(ec: ExperimentConfig) -> dict:
     block = propagator(path, None, cfg).run_adjoint(phiT)
     trials = []
     monotone = True
-    for report, report_doubled in zip(carleman_sides(block, None, params, setup, path),
-                                      carleman_sides(block, None, doubled, setup, path)):
+    reports, reports_doubled = carleman_sides(block, None, (params, doubled), setup, path)
+    for report, report_doubled in zip(reports, reports_doubled):
         monotone = monotone and report_doubled.ratio <= report.ratio * (1 + 1e-12)
         row = report.as_dict()
         row["ratio_doubled_s"] = report_doubled.ratio

@@ -23,7 +23,8 @@ t = 0 slice P of the backward sweeps of the unit data, and y_free(T) is
 taken from it by duality, (R(0)/R(T)) P^T u0 on interior nodes
 (`Propagator.free_final`), with no forward sweep.  The oracle
 `dense_gramian` builds the same matrix the slow way, one Gramian apply per
-interior unit column, all the columns in one blocked pass.
+interior unit column, all the columns in one blocked pass whose backward
+half is that same sweep of the unit data, run once per Propagator.
 
 Once G is assembled, a solve makes two column sweeps: the backward sweep
 that yields the control, which keeps only its masked observation
@@ -35,8 +36,9 @@ on it; the outcome carries them.
 Every function here takes its operators from `pde.propagator`: consecutive
 calls in one thread with a bitwise-equal path, potential, control radius and
 scheme share one build and one Gramian assembly, so an epsilon ladder on a
-frozen path, with the replays of its controls, assembles G once.  Nothing
-else is cached.
+frozen path, with the replays of its controls, assembles G once, and a
+`dense_gramian` call on the same inputs fills the forms as it goes.
+Nothing else is cached beyond what `pde` keeps on the Propagator.
 """
 
 from __future__ import annotations
@@ -108,15 +110,18 @@ def dense_gramian(path: BoundaryPath, potential, control_radius: float,
                   cfg: SchemeConfig) -> np.ndarray:
     """Gramian assembly by Gramian applies; validation oracle for small grids.
 
-    One blocked `Propagator.apply_gramian` on every interior unit column at
-    once: each column is an adjoint sweep, mask and forward sweep of its
-    own, bitwise equal to the apply of that unit vector alone, and
-    independent of the accumulated sums of `assemble_forms`.
+    The Gramian apply of every interior unit column at once: each column is
+    an adjoint sweep, mask and forward sweep of its own, bitwise equal to
+    `Propagator.apply_gramian` of that unit vector alone, and independent
+    of the accumulated sums of `assemble_forms`.  Its backward half is the
+    Propagator's one sweep of the unit data: a call on new inputs runs it
+    and so assembles the forms too, and a later solve on the same inputs
+    sweeps no unit column again.
     """
     if cfg.n > 64 or cfg.m > 128:
         raise GridError(f"dense assembly capped at (64, 128), got ({cfg.n}, {cfg.m})")
     prop = propagator(path, potential, cfg, control_radius=control_radius)
-    return prop.apply_gramian(np.eye(cfg.n + 1)[:, 1:-1])[1:-1]
+    return prop._unit_gramian()
 
 
 def solve_hum(u0, path: BoundaryPath, potential, control_radius: float,

@@ -17,16 +17,19 @@ sweep is Euclidean-symmetric on interior nodes).  The supremum is the
 dominant eigenvalue of the generalized symmetric problem A x = mu B x,
 solved by scipy.linalg.eigh.  A brute-force oracle at small grid sizes
 assembles both forms from the sweeps of every interior unit column at once,
-without the accumulated sums of the blocked assembly: one blocked Gramian
-apply gives the denominator, and one blocked free forward sweep of P the
-numerator, each column bitwise equal to the single-column sweeps it stands
-for.  The adjoint sweep of the unit columns is shared with
-`estimate_constant`: P comes from the same steps and level arithmetic as a
-blocked adjoint sweep, so it is that sweep's t = 0 slice bit for bit, and
-the oracle reads it from the forms already assembled on the shared
-Propagator.  What the estimate computes its own way is still checked: the
-Gramian apply checks G's accumulated sums, and the forward sweep of P
-checks the duality behind (R(0)/R(T)) P^T P.
+without the accumulated sums of the blocked assembly: the Gramian images of
+the unit columns give the denominator, and the free forward sweeps of the
+columns of P the numerator, each column bitwise equal to the single-column
+sweeps it stands for.  The backward sweep of the unit columns is shared
+with `estimate_constant` and with `control.dense_gramian`: it runs at most
+once per Propagator (`Propagator.assemble_forms`), and P and the unit
+columns' masked observation levels both come from it, the levels read
+again when one chunk holds them and swept again otherwise.  Only the seed
+column sweeps backward of its own, and one blocked forward sweep carries
+the Gramian columns and the free columns of P together.  What the estimate
+computes its own way is still checked: the forward half of the Gramian
+images checks G's accumulated sums, and the forward sweep of P checks the
+duality behind (R(0)/R(T)) P^T P.
 
 A numerical hazard shapes both paths, verified against exact-arithmetic
 replicas of the discrete pair: terminal data built from the highest grid
@@ -137,13 +140,14 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
 
     Brute-force oracle for estimate_constant.  Every interior unit column
     goes through an adjoint sweep then a free forward sweep (numerator) and
-    a Gramian apply (denominator), all columns in one blocked pass per
-    sweep, with the seed vector as one more column of the Gramian apply.
-    The adjoint sweep is the t = 0 slice P of `assemble_forms`, read
-    without a sweep when estimate_constant has assembled the forms on the
-    same Propagator (see the module docstring).  Each column costs three
-    sweeps' worth of arithmetic then, four when the oracle assembles the
-    forms itself, so the oracle stays capped at small grids.
+    a Gramian apply (denominator), with the seed vector as one more column
+    of the Gramian apply.  The adjoint sweeps of the unit columns are the
+    Propagator's one unit sweep (see the module docstring): after
+    estimate_constant on the same inputs its observation levels are read
+    again when one chunk holds them, and only the seed column sweeps
+    backward.  The Gramian columns and the free columns of P then share
+    one blocked forward sweep.  Each column still costs several sweeps'
+    worth of arithmetic, so the oracle stays capped at small grids.
     """
     if cfg.n > _DENSE_NODE_CAP or cfg.m > _DENSE_STEP_CAP:
         raise GridError(
@@ -153,14 +157,11 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
     prop = propagator(path, potential, cfg, control_radius=setup.b if b is None else b)
     n_int = cfg.n - 1
     s = _seed(n_int)
-    # interior unit columns, then the padded seed as one more column
-    block = np.zeros((cfg.n + 1, n_int + 1))
-    block[1:-1, :n_int] = np.eye(n_int)
-    block[1:-1, n_int] = s
-    _, slice0 = prop.assemble_forms()
-    amat = prop.run_forward(np.pad(slice0, ((1, 1), (0, 0))))[1:-1, -1]
-    images = prop.apply_gramian(block)[1:-1]
+    # the Gramian images of the interior unit columns and of the seed, then
+    # the free final states of the columns of P, from one forward sweep
+    images = prop._unit_gramian(s[:, None], with_free=True)
     bmat = images[:, :n_int]
+    amat = images[:, n_int + 1:]
     for name, mat in (("numerator", amat), ("denominator", bmat)):
         gap = float(np.max(np.abs(mat - mat.T)))
         scale = max(float(np.max(np.abs(mat))), 1.0)

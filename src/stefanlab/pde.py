@@ -30,8 +30,15 @@ Work that does not depend on the recursion is done in whole-array passes,
 not per step: the theta averages of a source (times dt) for all m steps
 before the loop, the levels of an adjoint sweep after it, and the
 observation of an adjoint sweep once per chunk of levels, as soon as the
-chunk's chi are in.  Only a lagged reaction, which reads the current level,
-is formed at every step.
+chunk's chi are in.  The forward half of a Gramian apply forms its
+observation averages one chunk of levels at a time too.  Only a lagged
+reaction, which reads the current level, is formed at every step.
+
+The backward sweep of the interior unit block runs at most once per
+`Propagator`: it yields the Gramian G and the t = 0 slice P
+(`assemble_forms`) and the masked unit observation levels that the Gramian
+oracles push through one blocked forward sweep, whichever of them asks
+first.
 
 The backward solver applies the exact transpose of each forward step, scaled
 by R_{j+1}/R_j so that adjacent time levels pair in the physical measure
@@ -50,7 +57,9 @@ back the `Propagator` of that thread's previous call when the path, the
 potential, the control radius and the scheme are bitwise equal to it, so a
 run of calls on one frozen path and potential (an epsilon ladder and its
 replays) shares one build and one Gramian assembly.  Only that one entry per
-thread is kept; nothing else is cached.
+thread is kept.  A Propagator holds the forms once assembled, and the unit
+sweep's observation levels only when they fit in one chunk of _CHUNK
+values; nothing else is cached.
 """
 
 from __future__ import annotations
@@ -268,6 +277,13 @@ class Propagator:
     shares, observation weights) is laid out level-major, one contiguous
     (n-1, k) level per step, and formed outside its loop.  The solvers
     obtain theirs through `propagator`, which reuses a thread's last one.
+
+    The blocked sweep of the interior unit columns runs at most once, on
+    the first of `assemble_forms` and the Gramian oracles
+    (`_unit_gramian`); it leaves G and P, and it leaves the unit columns'
+    masked observation levels on the rows the mask reaches when they fit in
+    one chunk of _CHUNK values.  A larger set of levels lives only for the
+    oracle call that asked for it.
     """
 
     def __init__(self, path: BoundaryPath, potential, cfg: SchemeConfig,
@@ -312,6 +328,7 @@ class Propagator:
         self.space_w[-1] *= 0.5
 
         self._forms = None
+        self._unit_levels = None
         self.mask = None
         if control_radius is not None:
             if not control_radius > 0:
@@ -506,46 +523,67 @@ class Propagator:
         """
         phiT = _check_initial(phiT, self.n, block=True)
         self._require_mask()
-        levels = self._observation(phiT.reshape(self.n + 1, -1), self.n - 1)
+        levels = self._observation(phiT.reshape(self.n + 1, -1)[1:-1], self.n - 1)
         self._require_finite("observation sweep", levels)
         obs = np.zeros((self.n + 1, self.m + 1) + phiT.shape[1:])
         obs.reshape(self.n + 1, self.m + 1, -1)[1:-1] = levels.transpose(1, 0, 2)
         return obs
 
-    def _observation(self, block, rows):
-        """Masked observation levels of the backward sweep from the (n+1, k)
-        block, on its first `rows` interior rows, level-major: (m+1, rows, k).
+    def _observation_chunks(self, x, rows):
+        """Masked observation levels of the backward sweep from the interior
+        (n-1, k) block x, on its first `rows` rows, one chunk at a time.
 
         The step loop keeps each chi_j's first rows in a ring of one chunk
         of levels, about _CHUNK values.  Once the chunk's lowest chi is in,
         one pass per weight adds _obs_here[l] chi_l and _obs_next[l-1]
         chi_{l-1} into the zeroed levels through one product buffer, so
         every level is the zero-started sum of its two products, bit for
-        bit as accumulating them step by step gives it; the mask multiplies
-        once at the end.
+        bit as accumulating them step by step gives it, whatever the chunk
+        size; the mask multiplies each level once it is complete.  Yields
+        (first, levels, chi) from the top chunk down: levels is the
+        (L, rows, k) view of the complete levels first .. first+L-1, valid
+        until the next chunk, and chi the whole chi of the chunk's lowest
+        step, chi_0 for the last chunk, which completes level 0 too.
         """
         m = self.m
-        obs = np.zeros((m + 1, rows, block.shape[1]))
-        span = max(1, _CHUNK // max(1, obs[0].size))
-        chis = np.empty((min(span, m),) + obs.shape[1:])
+        span = max(1, _CHUNK // max(1, rows * x.shape[1]))
+        chis = np.empty((min(span, m), rows, x.shape[1]))
         product = np.empty_like(chis)
-        for j, chi in self._backward_steps(block[1:-1]):
+        # levels j .. j+count of the chunk of steps j .. j+count-1; a lower
+        # chunk's top level is the chunk above's bottom one, which is still
+        # waiting for its _obs_next share
+        levels = np.zeros((len(chis) + 1,) + chis.shape[1:])
+        for j, chi in self._backward_steps(x):
             chis[j % span] = chi[:rows]
-            if j % span == 0:            # the ring holds levels j .. last-1
-                last = min(j + span, m)
-                ring, part = chis[:last - j], product[:last - j]
-                np.multiply(self._obs_here[j:last, None, None], ring, out=part)
-                obs[j:last] += part
-                np.multiply(self._obs_next[j:last, None, None], ring, out=part)
-                obs[j + 1:last + 1] += part
-        obs *= self.mask[1:rows + 1].T[:, :, None]
+            if j % span:
+                continue
+            count = min(span, m - j)
+            ring, part = chis[:count], product[:count]
+            np.multiply(self._obs_here[j:j + count, None, None], ring, out=part)
+            levels[:count] += part
+            np.multiply(self._obs_next[j:j + count, None, None], ring, out=part)
+            levels[1:count + 1] += part
+            first = j + 1 if j else 0
+            done = levels[first - j:count + 1]
+            done *= self.mask[1:rows + 1, first:j + count + 1].T[:, :, None]
+            yield first, done, chi
+            if j:
+                levels[span] = levels[0]
+                levels[:span] = 0.0
+
+    def _observation(self, x, rows):
+        """The levels of `_observation_chunks` as one (m+1, rows, k) array."""
+        obs = np.empty((self.m + 1, rows, x.shape[1]))
+        for first, levels, _ in self._observation_chunks(x, rows):
+            obs[first:first + len(levels)] = levels
         return obs
 
     def assemble_forms(self):
         """Interior Gramian G and t = 0 slice P from one blocked adjoint sweep.
 
-        The sweep runs on the first call only; later calls return the same
-        two arrays, which are read-only.
+        The sweep runs at most once per Propagator, on the first call here
+        or on the first Gramian oracle (`_unit_gramian`), whichever comes
+        first; later calls return the same two arrays, which are read-only.
 
         The sweep starts from the (n-1) x (n-1) identity block.  With O_j
         the masked observation level j of that sweep and tau_j the
@@ -553,44 +591,49 @@ class Propagator:
 
             G = (1/R_T) sum_j tau_j R_j O_j^T O_j,
 
-        accumulated as soon as each level is complete, so only two levels
-        are ever held, and only on the rows the mask ever reaches: no other
-        row enters G.  G equals the interior block of `apply_gramian`
-        applied to the identity, up to rounding.  P is the sweep at t = 0,
-        the one level formed from its chi, and (R_0/R_T) P^T P is the
-        numerator form of the observability inequality (backward sweep,
-        then free forward sweep, by duality).
+        accumulated from level m down, one level at a time, as each chunk of
+        levels of `_observation_chunks` completes, and only on the rows the
+        mask reaches at that level: no other row enters G.  G equals the
+        interior block of `apply_gramian` applied to the identity, up to
+        rounding.  P is the sweep at t = 0, the one level formed from its
+        chi, and (R_0/R_T) P^T P is the numerator form of the observability
+        inequality (backward sweep, then free forward sweep, by duality).
         """
         self._require_mask()
         if self._forms is None:
-            G, P = self._assemble_forms()
-            G.setflags(write=False)
-            P.setflags(write=False)
-            self._forms = G, P
+            self._assemble_forms()
         return self._forms
 
-    def _assemble_forms(self):
+    def _assemble_forms(self, keep=False):
+        """The blocked sweep of the interior unit columns: sets the forms
+        unless they are set already, and keeps its masked observation levels
+        on the reach rows when they fit in one chunk of _CHUNK values.
+        With keep set it returns those levels, (m+1, reach, n-1), whatever
+        their size; a Gramian oracle reads them within its call."""
         ni, reach = self.n - 1, self._reach
         radii = self.path.radii
         weight = self.tau * radii / radii[-1]
         # the mask covers a prefix of rows at every level: its length per level
         inside = np.count_nonzero(self.mask[1:-1], axis=0)
         G = np.zeros((ni, ni))
-        # the observation levels on the rows that ever enter G: level j+1
-        # complete, level j partial
-        done = np.empty((reach, ni))
-        pending = np.zeros((reach, ni))
-        for j, chi in self._backward_steps(np.eye(ni)):
-            np.multiply(self._obs_next[j], chi[:reach], out=done)
-            done += pending
-            rows = done[:inside[j + 1]]
-            G += weight[j + 1] * (rows.T @ rows)
-            np.multiply(self._obs_here[j], chi[:reach], out=pending)
-        rows = pending[:inside[0]]
-        G += weight[0] * (rows.T @ rows)
+        size = (self.m + 1) * reach * ni
+        held = np.empty((self.m + 1, reach, ni)) if keep or size <= _CHUNK else None
+        for first, levels, chi in self._observation_chunks(np.eye(ni), reach):
+            for level in range(first + len(levels) - 1, first - 1, -1):
+                rows = levels[level - first, :inside[level]]
+                G += weight[level] * (rows.T @ rows)
+            if held is not None:
+                held[first:first + len(levels)] = levels
         P = self._levels(0, chi[:, None])[:, 0]
         self._require_finite("blocked backward sweep", G, P)
-        return G, P
+        if self._forms is None:
+            G.setflags(write=False)
+            P.setflags(write=False)
+            self._forms = G, P
+        if size <= _CHUNK:
+            held.setflags(write=False)
+            self._unit_levels = held
+        return held
 
     def free_final(self, u0) -> np.ndarray:
         """The free state at T, the last level of `run_forward(u0)`, by duality.
@@ -614,10 +657,11 @@ class Propagator:
         shape, and each column equals the image of that column alone, bit
         for bit.  Neither trajectory is kept: the backward half is the
         sweep of `run_observation` (`_observation`), kept only on the rows
-        the mask ever reaches, whose levels are added on those rows as the
-        forcing of each forward step.  No level of the backward sweep is
-        formed, and the forward sweep from zero data carries its right-hand
-        side from the first step on.
+        the mask ever reaches, and the forward half (`_gramian_final`) adds
+        those levels' theta averages on those rows as the forcing of each
+        step.  No level of the backward sweep is formed, and the forward
+        sweep from zero data carries its right-hand side from the first
+        step on.
 
         Symmetric and positive semidefinite in the L2(0, R(T)) pairing, with
         <Gramian phiT, phiT> equal to the squared control cost of the masked
@@ -626,18 +670,64 @@ class Propagator:
         phiT = _check_initial(phiT, self.n, block=True)
         self._require_mask()
         block = phiT.reshape(self.n + 1, -1)
-        reach = self._reach
-        obs = self._observation(block, reach)
-        theta = self.cfg.theta
-        rhs = np.zeros_like(block[1:-1])        # the explicit half of the zero datum
-        for j, factors in enumerate(self._factors):
-            rhs[:reach] += self.dt * _step_forcing(theta, obs[j], obs[j + 1])
-            x = _solve_implicit(factors, rhs)
-            rhs = _carry(theta, x, rhs)
-        self._require_finite("Gramian sweeps", x)
+        x = self._gramian_final(self._observation(block[1:-1], self._reach))
         out = np.zeros(phiT.shape)
         out.reshape(block.shape)[1:-1] = x
         return out
+
+    def _gramian_final(self, obs, free=None):
+        """Interior state at T of one blocked forward sweep, (n-1, k + f).
+
+        Its first k columns start from zero data under the masked
+        observation levels obs, (m+1, reach, k), as their control on the
+        reach rows; the f columns of the interior initial data free, if
+        given, follow and sweep free.  The dt theta averages of obs are
+        formed one chunk of about _CHUNK values at a time, in the arithmetic
+        of `_step_forcing`, so each column keeps the bits of its own sweep.
+        """
+        theta, m = self.cfg.theta, self.m
+        reach, k = obs.shape[1:]
+        rhs = np.zeros((self.n - 1, k))          # the explicit half of the zero datum
+        if free is not None:
+            rhs = np.concatenate(
+                (rhs, _apply_explicit(tuple(d[0] for d in self._explicit), free)), axis=1)
+        head = rhs[:reach, :k]                   # _carry keeps rhs in place
+        span = max(1, _CHUNK // max(1, obs[0].size))
+        averages = np.empty((min(span, m),) + obs.shape[1:])
+        product = np.empty_like(averages)
+        for first in range(0, m, span):
+            count = min(span, m - first)
+            avg, part = averages[:count], product[:count]
+            np.multiply(theta, obs[first + 1:first + count + 1], out=avg)
+            np.multiply(1.0 - theta, obs[first:first + count], out=part)
+            avg += part
+            avg *= self.dt
+            for j in range(first, first + count):
+                head += avg[j - first]
+                x = _solve_implicit(self._factors[j], rhs)
+                rhs = _carry(theta, x, rhs)
+        self._require_finite("Gramian sweeps", x)
+        return x
+
+    def _unit_gramian(self, extra=None, with_free=False):
+        """Interior Gramian images of the interior unit columns, then of the
+        (n-1, e) interior columns extra, then, with_free set, the free final
+        states of the columns of P: one (n-1, n-1 + e [+ n-1]) C-ordered
+        array from one blocked forward sweep, each column bitwise its own
+        `apply_gramian` or `run_forward`.
+
+        The unit columns' observation levels are those `_assemble_forms`
+        kept, or, when it kept none, those of its sweep run here, which sets
+        the forms too; only extra's columns sweep backward of their own.
+        """
+        self._require_mask()
+        obs = self._unit_levels
+        if obs is None:
+            obs = self._assemble_forms(keep=True)
+        if extra is not None:
+            obs = np.concatenate((obs, self._observation(extra, self._reach)), axis=2)
+        free = self._forms[1] if with_free else None
+        return np.ascontiguousarray(self._gramian_final(obs, free))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,10 @@ trapezoid weights of the time window) and its weight factor into one
 (n+1) x J quadrature field, and contracts that field against the squared
 derivatives of all columns at once.  The columns are walked in chunks of
 about `pde._CHUNK` values per (n+1) x J x k array, squared in place, so a
-call's transient memory does not grow with k.
+call's transient memory does not grow with k.  Only the quadrature fields
+depend on the Carleman parameters, so one call may take several parameter
+sets: each chunk's squared derivatives are then formed once and contracted
+against every set's fields.
 """
 
 from __future__ import annotations
@@ -289,7 +292,27 @@ class CarlemanReport:
             "margin")}
 
 
-def carleman_sides(phi, forcing, params: CarlemanParams, setup: PhysicalSetup,
+def _quadrature_fields(params: CarlemanParams, r_nodes, times, R, quad, tw, b: float, T: float):
+    """The (n+1, J) quadrature fields of one parameter set, in the order
+    time and second derivative, gradient, zero order, observation, source,
+    and the (J,) boundary row: q holds the space trapezoid weights (dx = h)
+    times the time weights tw_j R_j, tw the trapezoid weights of the
+    window, times the weight factor of the integrand."""
+    wv = _weights(r_nodes, times, R, params, b, T)
+    lam, s = params.lam, params.s
+    with np.errstate(under="ignore"):
+        expw = np.exp(-2.0 * s * wv.alpha)
+    sxi = s * wv.xi
+    dens = lam ** 4 * (s ** 3) * wv.xi ** 3
+    return (quad * expw / sxi,                  # phi_t^2 and phi_rr^2
+            quad * expw * lam ** 2 * sxi,       # phi_r^2
+            quad * expw * dens,                 # phi^2
+            quad * np.where(r_nodes < b, dens, 0.0),
+            quad * expw,
+            tw * expw[-1] * lam * sxi[-1])      # phi_r^2 on the last row
+
+
+def carleman_sides(phi, forcing, params, setup: PhysicalSetup,
                    path: BoundaryPath, margin: float | None = None):
     """Evaluate the weighted energy of phi and the observation/source bound.
 
@@ -305,7 +328,17 @@ def carleman_sides(phi, forcing, params: CarlemanParams, setup: PhysicalSetup,
     [delta T, T - delta T]; delta defaults to one time step and is clamped
     to at least one step so the centered time stencil stays inside the
     horizon.
+
+    params is one `CarlemanParams`, or a sequence of them, which gives a
+    list with one result per set, in order.  Only the quadrature fields
+    depend on the parameters: each chunk's squared derivatives are formed
+    once and contracted against every set's fields, so each result has the
+    bits of a call on its set alone.
     """
+    many = not isinstance(params, CarlemanParams)
+    sets = list(params) if many else [params]
+    if not sets:
+        raise GridError("carleman_sides needs at least one parameter set")
     m = path.steps
     single = isinstance(phi, SpaceTimeField)
     phi = checked_values(phi, "adjoint field" if single else "adjoint block",
@@ -326,24 +359,13 @@ def carleman_sides(phi, forcing, params: CarlemanParams, setup: PhysicalSetup,
     if j_hi < j_lo:
         raise DegenerateWeightError(f"margin {delta:g} leaves no interior time nodes")
 
-    # the weights depend on the path and the window only: one (n+1, J) field
-    # each, shared by every column
+    # the weights depend on the path, the window and the parameters only:
+    # one (n+1, J) field each per set, shared by every column
     rho = np.linspace(0.0, 1.0, n + 1)[:, None]
     js = np.arange(j_lo, j_hi + 1)
     R = path.radii[js]
     Rp = path.slopes[js]
     r_nodes = rho * R
-    wv = _weights(r_nodes, path.times[js], R, params, setup.b, T)
-    lam, s = params.lam, params.s
-    with np.errstate(under="ignore"):
-        expw = np.exp(-2.0 * s * wv.alpha)
-    sxi = s * wv.xi
-    dens = lam ** 4 * (s ** 3) * wv.xi ** 3
-
-    # each integral is one contraction of an (n+1, J) quadrature field q
-    # against a squared derivative: q holds the space trapezoid weights
-    # (dx = h) times the time weights tw_j R_j, tw the trapezoid weights of
-    # the window, times the weight factor of the integrand
     tw = np.full(js.size, dt)
     tw[0] *= 0.5
     tw[-1] *= 0.5
@@ -351,12 +373,8 @@ def carleman_sides(phi, forcing, params: CarlemanParams, setup: PhysicalSetup,
     sw[0] *= 0.5
     sw[-1] *= 0.5
     quad = sw * (tw * R)
-    q_time = quad * expw / sxi                  # phi_t^2 and phi_rr^2
-    q_gradient = quad * expw * lam ** 2 * sxi   # phi_r^2
-    q_zero = quad * expw * dens                 # phi^2
-    q_obs = quad * np.where(r_nodes < setup.b, dens, 0.0)
-    q_src = quad * expw
-    q_boundary = tw * expw[-1] * lam * sxi[-1]  # phi_r^2 on the last row
+    fields = [_quadrature_fields(p, r_nodes, path.times[js], R, quad, tw, setup.b, T)
+              for p in sets]
     drift = (rho * (Rp / R))[:, :, None]
     radii = R[:, None]     # broadcasts over the (n+1, J, columns) chunks
 
@@ -364,7 +382,7 @@ def carleman_sides(phi, forcing, params: CarlemanParams, setup: PhysicalSetup,
         return q.ravel() @ squares.reshape(q.size, -1)
 
     k = values.shape[2]
-    sums = np.empty((7, k))
+    sums = np.empty((len(sets), 7, k))
     span = max(1, _CHUNK // quad.size)
     for c in range(0, k, span):
         cols = slice(c, c + span)
@@ -382,26 +400,30 @@ def carleman_sides(phi, forcing, params: CarlemanParams, setup: PhysicalSetup,
         for a in (phi_t, phi_rr, phi_r):
             np.square(a, out=a)
         col2 = np.square(col)
-        sums[0, cols] = contract(q_time, phi_t)
-        sums[1, cols] = contract(q_time, phi_rr)
-        sums[2, cols] = contract(q_gradient, phi_r)
-        sums[3, cols] = contract(q_zero, col2)
-        sums[4, cols] = q_boundary @ phi_r[-1]
-        sums[5, cols] = contract(q_obs, col2)
-        sums[6, cols] = 0.0 if fvals is None else contract(
-            q_src, np.square(fvals[:, j_lo:j_hi + 1, cols]))
+        f2 = None if fvals is None else np.square(fvals[:, j_lo:j_hi + 1, cols])
+        for part, (q_time, q_gradient, q_zero, q_obs, q_src, q_boundary) in zip(sums, fields):
+            part[0, cols] = contract(q_time, phi_t)
+            part[1, cols] = contract(q_time, phi_rr)
+            part[2, cols] = contract(q_gradient, phi_r)
+            part[3, cols] = contract(q_zero, col2)
+            part[4, cols] = q_boundary @ phi_r[-1]
+            part[5, cols] = contract(q_obs, col2)
+            part[6, cols] = 0.0 if f2 is None else contract(q_src, f2)
         # free this chunk's arrays before the next chunk's are formed
-        del phi_t, phi_rr, phi_r, col2
+        del phi_t, phi_rr, phi_r, col2, f2
 
-    lhs_time, lhs_second, lhs_gradient, lhs_zero, lhs_boundary, rhs_observation, rhs_source = sums
-    lhs = lhs_time + lhs_second + lhs_gradient + lhs_zero + lhs_boundary
-    rhs = rhs_observation + rhs_source
-    reports = [CarlemanReport(
-        lhs_time=float(lhs_time[c]), lhs_second=float(lhs_second[c]),
-        lhs_gradient=float(lhs_gradient[c]), lhs_zero=float(lhs_zero[c]),
-        lhs_boundary=float(lhs_boundary[c]), lhs_total=float(lhs[c]),
-        rhs_observation=float(rhs_observation[c]), rhs_source=float(rhs_source[c]),
-        rhs_total=float(rhs[c]),
-        ratio=float(lhs[c] / rhs[c]) if rhs[c] > 0.0 else np.inf, margin=delta,
-    ) for c in range(k)]
-    return reports[0] if single else reports
+    results = []
+    for part in sums:
+        lhs_time, lhs_second, lhs_gradient, lhs_zero, lhs_boundary, rhs_observation, rhs_source = part
+        lhs = lhs_time + lhs_second + lhs_gradient + lhs_zero + lhs_boundary
+        rhs = rhs_observation + rhs_source
+        reports = [CarlemanReport(
+            lhs_time=float(lhs_time[c]), lhs_second=float(lhs_second[c]),
+            lhs_gradient=float(lhs_gradient[c]), lhs_zero=float(lhs_zero[c]),
+            lhs_boundary=float(lhs_boundary[c]), lhs_total=float(lhs[c]),
+            rhs_observation=float(rhs_observation[c]), rhs_source=float(rhs_source[c]),
+            rhs_total=float(rhs[c]),
+            ratio=float(lhs[c] / rhs[c]) if rhs[c] > 0.0 else np.inf, margin=delta,
+        ) for c in range(k)]
+        results.append(reports[0] if single else reports)
+    return results if many else results[0]

@@ -345,6 +345,11 @@ def _dense_constant_columns(path, potential, setup, cfg, obs=None, b=None):
     return ObservabilityEstimate(constant=mu, iterations=n_int, nodes=cfg.n, steps=cfg.m)
 
 
+# a prime number of values per chunk, so sweeps at small grids cross many
+# chunk boundaries, at spans that do not divide m
+_SMALL_CHUNK = 29
+
+
 def _stack(fn, block):
     """fn applied to each column of block alone, stacked on a new last axis."""
     return np.stack([fn(block[:, i]) for i in range(block.shape[1])], axis=-1)
@@ -359,7 +364,17 @@ def _stack(fn, block):
 def test_block_sweeps_equal_column_sweeps_bitwise(n, m, theta, amp, freq, with_potential,
                                                   radius, seed):
     # every column of a blocked sweep or Gramian apply is the 1-D call on
-    # that column, bit for bit, and so are both oracles built on them
+    # that column, bit for bit, and so are both oracles built on them, also
+    # when a prime chunk of values makes every sweep cross chunk boundaries
+    for chunk in (pde._CHUNK, _SMALL_CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pde, "_CHUNK", chunk)
+            _check_block_sweeps_equal_column_sweeps(n, m, theta, amp, freq, with_potential,
+                                                    radius, seed)
+
+
+def _check_block_sweeps_equal_column_sweeps(n, m, theta, amp, freq, with_potential,
+                                            radius, seed):
     cfg = SchemeConfig(n=n, m=m, theta=theta)
     path = path_from_function(lambda t: 1.0 + amp * np.sin(freq * np.pi * t),
                               lambda t: amp * freq * np.pi * np.cos(freq * np.pi * t),
@@ -621,7 +636,17 @@ def test_sweeps_match_step_by_step_arithmetic_bitwise(n, m, theta, amp, freq, wi
     # the sweeps carry the right-hand side forward and chi backward, and
     # form their forcing averages, observations and backward levels outside
     # the step loop; every output must still carry the bits of the carried
-    # recurrence written out above, for a column and for blocks
+    # recurrence written out above, for a column and for blocks, also when
+    # those passes run in chunks of a prime number of values
+    for chunk in (pde._CHUNK, _SMALL_CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pde, "_CHUNK", chunk)
+            _check_sweeps_match_step_by_step(n, m, theta, amp, freq, with_potential,
+                                             radius, cols, seed)
+
+
+def _check_sweeps_match_step_by_step(n, m, theta, amp, freq, with_potential, radius,
+                                     cols, seed):
     prop, rng = _moving_setup(n, m, theta, amp, freq, with_potential, radius, seed)
     trailing = () if cols is None else (cols,)
     u0 = np.zeros((n + 1,) + trailing)

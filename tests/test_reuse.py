@@ -1,7 +1,8 @@
 """Reuse of a thread's last Propagator: the same bits as a fresh build, a
 miss on any changed input, one build and one assembly per epsilon ladder
-and per observability estimate with its dense oracle, and one slot per
-thread."""
+and per observability estimate with its dense oracle, one unit sweep
+whichever of the forms and the Gramian oracles comes first, and one slot
+per thread."""
 
 import sys
 import threading
@@ -17,6 +18,7 @@ from stefanlab.control import (
     VARIANT_EXACT,
     VARIANT_QUADRATIC,
     HUMConfig,
+    dense_gramian,
     solve_hum,
 )
 from stefanlab.domain import BoundaryPath, PhysicalSetup, SpaceTimeField, path_from_function
@@ -136,9 +138,9 @@ def _count_builds_and_assemblies(monkeypatch):
         counts["build"] += 1
         build(self, *args, **kwargs)
 
-    def counted_assembly(self):
+    def counted_assembly(self, *args, **kwargs):
         counts["assembly"] += 1
-        return assemble(self)
+        return assemble(self, *args, **kwargs)
 
     monkeypatch.setattr(Propagator, "__init__", counted_build)
     monkeypatch.setattr(Propagator, "_assemble_forms", counted_assembly)
@@ -154,9 +156,9 @@ def test_ladder_costs_one_build_and_one_assembly(monkeypatch):
 
 
 def test_dense_oracle_reads_the_slice_the_estimate_assembled(monkeypatch):
-    # after estimate_constant, dense_constant takes P from the assembled
-    # forms: its only transposed solves are the Gramian apply's backward
-    # half, n columns (the n-1 unit columns and the seed) over m steps
+    # after estimate_constant, dense_constant takes P and the unit columns'
+    # observation levels, which fit in one chunk here, from the assembly:
+    # its only transposed solves are the seed column's, one over m steps
     counts = _count_builds_and_assemblies(monkeypatch)
     columns = []
     solve = pde._solve_implicit
@@ -173,7 +175,72 @@ def test_dense_oracle_reads_the_slice_the_estimate_assembled(monkeypatch):
     columns.clear()
     dense_constant(path, pot, setup, cfg, b=_B)
     assert counts == {"build": 1, "assembly": 1}
-    assert sum(columns) == cfg.n * cfg.m
+    assert sum(columns) == cfg.m
+
+
+@pytest.mark.parametrize("chunk", [None, 97])
+@pytest.mark.parametrize("grid", [(20, 30), (32, 64)])
+def test_forms_and_oracles_agree_in_any_order(monkeypatch, grid, chunk):
+    # whichever of assemble_forms, dense_gramian and dense_constant runs
+    # first on new inputs makes the one unit sweep; the others read it, and
+    # every output keeps its bits, with the unit levels kept (one chunk
+    # holds them) or swept again for the oracle (a prime chunk of 97 values)
+    if chunk is not None:
+        monkeypatch.setattr(pde, "_CHUNK", chunk)
+    cfg, path, pot, _ = _case(*grid)
+    setup = PhysicalSetup()
+    calls = {
+        "forms": lambda: pde.propagator(path, pot, cfg, _B).assemble_forms(),
+        "gramian": lambda: dense_gramian(path, pot, _B, cfg),
+        "constant": lambda: dense_constant(path, pot, setup, cfg, b=_B).constant,
+    }
+    results = {}
+    for first in calls:
+        _clear_slot()
+        got = {first: calls[first]()}
+        for name in calls:
+            if name not in got:
+                got[name] = calls[name]()
+        G, P = got["forms"]
+        results[first] = [np.asarray(a).tobytes()
+                          for a in (G, P, got["gramian"], got["constant"])]
+    assert results["forms"] == results["gramian"] == results["constant"]
+
+
+def test_kept_observation_levels_fit_one_chunk(monkeypatch):
+    # no observation array larger than one chunk outlives the call that
+    # swept it; the Gramian oracle still fills the forms, so a later
+    # assembly makes no solve
+    solves = []
+    solve = pde._solve_implicit
+
+    def counted(factors, rhs, transposed=False):
+        solves.append(rhs.shape[1])
+        return solve(factors, rhs, transposed)
+
+    def held(prop):
+        return [v for v in vars(prop).values() if isinstance(v, np.ndarray) and v.ndim == 3]
+
+    cfg, path, pot, _ = _case(100, 200)
+    prop = Propagator(path, pot, cfg, control_radius=_B)
+    prop.assemble_forms()
+    assert prop._unit_levels is None and not held(prop)
+
+    _clear_slot()
+    cfg, path, pot, _ = _case(64, 128)
+    dense_gramian(path, pot, _B, cfg)
+    prop = pde.propagator(path, pot, cfg, _B)
+    assert prop._unit_levels is None and not held(prop)
+    monkeypatch.setattr(pde, "_solve_implicit", counted)
+    prop.assemble_forms()
+    assert solves == []
+
+    # a small grid keeps its levels, within one chunk
+    cfg, path, pot, _ = _case(20, 30)
+    prop = Propagator(path, pot, cfg, control_radius=_B)
+    prop.assemble_forms()
+    assert [a.size for a in held(prop)] == [prop._unit_levels.size]
+    assert prop._unit_levels.size <= pde._CHUNK
 
 
 def test_ladder_rungs_cost_two_column_sweeps(monkeypatch):

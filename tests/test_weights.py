@@ -232,6 +232,38 @@ def test_block_columns_match_single_fields(n, m, k, amp, margin, forced, seed):
             assert abs(value - want[key]) <= 1e-14 * abs(want[key]), (c, key)
 
 
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(n=st.integers(8, 32), m=st.integers(8, 40), k=st.integers(1, 4),
+       amp=st.floats(0.0, 0.15), margin=st.one_of(st.none(), st.floats(0.0, 0.3)),
+       forced=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_parameter_sets_share_one_pass_bitwise(n, m, k, amp, margin, forced, seed):
+    # a sequence of parameter sets gives, set by set, the bits of a call on
+    # that set alone, for a field and for a block walked in several chunks
+    setup = PhysicalSetup(T=0.5)
+    cfg = SchemeConfig(n=n, m=m)
+    path = _wobbling_path(setup.T, amp, 2, m)
+    params = CarlemanParams.calibrate(1.0, 1e-4, 2, setup, path)
+    sets = (params, params.doubled_s(), CarlemanParams.calibrate(1.5, 3e-4, 3, setup, path))
+    rng = np.random.default_rng(seed)
+    phiT = np.zeros((n + 1, k))
+    phiT[1:-1] = rng.standard_normal((n - 1, k))
+    forcing = rng.standard_normal((n + 1, m + 1, k)) if forced else None
+    block = propagator(path, None, cfg).run_adjoint(phiT, forcing)
+    field = SpaceTimeField(block[:, :, 0], role=ROLE_ADJOINT)
+    field_forcing = None if forcing is None else forcing[:, :, 0]
+    with mock.patch.object(weights, "_CHUNK", (n + 1) * m):
+        got = carleman_sides(block, forcing, list(sets), setup, path, margin=margin)
+        want = [carleman_sides(block, forcing, p, setup, path, margin=margin) for p in sets]
+    assert [[r.as_dict() for r in reports] for reports in got] == \
+        [[r.as_dict() for r in reports] for reports in want]
+    got = carleman_sides(field, field_forcing, sets, setup, path, margin=margin)
+    assert [r.as_dict() for r in got] == [
+        carleman_sides(field, field_forcing, p, setup, path, margin=margin).as_dict()
+        for p in sets]
+    with pytest.raises(GridError, match="at least one parameter set"):
+        carleman_sides(field, None, [], setup, path)
+
+
 def _bad_block(case, n, m, k):
     """A bad block, its forcing, its last column's values and forcing, the error."""
     rng = np.random.default_rng(4)
