@@ -1,8 +1,9 @@
 """Penalized HUM control synthesis on a frozen boundary path.
 
 The control is sought through the final datum phiT of a backward problem.
-With Lambda the Gramian (backward sweep, restriction to the control region,
-forward sweep from zero data) and y_free the uncontrolled state at T, the
+With Lambda = L B B* L* the Gramian (backward sweep, restriction to the
+control region, forward sweep from zero data under that control, B the
+indicator of the control ball) and y_free the uncontrolled state at T, the
 quadratic variant minimizes
 
     J(phiT) = 1/2 <Lambda phiT, phiT> + eps/2 ||phiT||^2 + <y_free(T), phiT>
@@ -24,7 +25,8 @@ taken from it by duality, (R(0)/R(T)) P^T u0 on interior nodes
 (`Propagator.free_final`), with no forward sweep.  The oracle
 `dense_gramian` builds the same matrix the slow way, one Gramian apply per
 interior unit column, all the columns in one blocked pass whose backward
-half is that same sweep of the unit data, run once per Propagator.
+half is that same sweep of the unit data, run once per Propagator, and
+whose forward half, like every forward sweep, applies B once.
 
 Once G is assembled, a solve makes two column sweeps: the backward sweep
 that yields the control, which keeps only its masked observation
@@ -33,12 +35,10 @@ that control.  The controlled final state, the optimality residual, and the
 identity y(T) = -eps phiT (quadratic variant) are cheap a posteriori checks
 on it; the outcome carries them.
 
-Every function here takes its operators from `pde.propagator`: consecutive
-calls in one thread with a bitwise-equal path, potential, control radius and
-scheme share one build and one Gramian assembly, so an epsilon ladder on a
-frozen path, with the replays of its controls, assembles G once, and a
-`dense_gramian` call on the same inputs fills the forms as it goes.
-Nothing else is cached beyond what `pde` keeps on the Propagator.
+Every function here takes its operators from `pde.propagator`, so an
+epsilon ladder on a frozen path, with the replays of its controls,
+assembles G once, and a `dense_gramian` call on the same inputs fills the
+forms as it goes.
 """
 
 from __future__ import annotations

@@ -224,6 +224,20 @@ def path_from_function(fn, dfn, horizon: float, steps: int) -> BoundaryPath:
     return BoundaryPath(t, np.asarray(fn(t), dtype=float), np.asarray(dfn(t), dtype=float))
 
 
+def _trapezoid_weights(count: int, step: float) -> np.ndarray:
+    """Composite trapezoid weights of count nodes spaced step apart."""
+    w = np.full(count, step)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def _control_indicator(rho, radii, b: float) -> np.ndarray:
+    """The control operator: 1.0 at the nodes rho_i R_j < b of the control
+    ball, else 0.0, one column per radius (one column for a number)."""
+    return (rho[:, None] * radii < b).astype(float)
+
+
 @dataclass(frozen=True)
 class SpaceTimeField:
     """Values on the reference grid: entry (i, j) is the field at (rho_i, t_j).

@@ -20,13 +20,12 @@ assembles both forms from the sweeps of every interior unit column at once,
 without the accumulated sums of the blocked assembly: the Gramian images of
 the unit columns give the denominator, and the free forward sweeps of the
 columns of P the numerator, each column bitwise equal to the single-column
-sweeps it stands for.  The backward sweep of the unit columns is shared
-with `estimate_constant` and with `control.dense_gramian`: it runs at most
-once per Propagator (`Propagator.assemble_forms`), and P and the unit
-columns' masked observation levels both come from it, the levels read
-again when one chunk holds them and swept again otherwise.  Only the seed
-column sweeps backward of its own, and one blocked forward sweep carries
-the Gramian columns and the free columns of P together.  What the estimate
+sweeps it stands for.  The backward sweep of the unit columns runs at most
+once per Propagator, shared with `estimate_constant` and
+`control.dense_gramian`, and gives P and the unit observation levels; only
+the seed column sweeps backward of its own, and one blocked forward sweep,
+the step loop of every forward sweep, carries the Gramian columns under
+the control indicator and the free columns of P together.  What the estimate
 computes its own way is still checked: the forward half of the Gramian
 images checks G's accumulated sums, and the forward sweep of P checks the
 duality behind (R(0)/R(T)) P^T P.

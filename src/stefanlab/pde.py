@@ -20,25 +20,24 @@ exactly (1/theta) I - ((1-theta)/theta) A_k, and no sweep applies B as an
 operator inside its loop.  A forward sweep applies B_0 to u^0 only; once
 step j has solved A_{j+1} u^{j+1} = rhs_j, the explicit half of step j+1
 is (u^{j+1} - (1-theta) rhs_j) / theta (`_carry`), so each step is one
-forcing add, one gttrs, the store and that carry.  A backward sweep carries
+forcing add, one gttrs and that carry.  A backward sweep carries
 the transposed solve's unknown chi the same way, and B^T is applied only
 where a caller needs a backward level itself, in whole-array passes after
 the loop.  This is the same theta scheme; outputs differ from applying B at
 every step only by rounding, and not at all at theta = 1, where B = I.
 
-Work that does not depend on the recursion is done in whole-array passes,
-not per step: the theta averages of a source (times dt) for all m steps
-before the loop, the levels of an adjoint sweep after it, and the
-observation of an adjoint sweep once per chunk of levels, as soon as the
-chunk's chi are in.  The forward half of a Gramian apply forms its
-observation averages one chunk of levels at a time too.  Only a lagged
-reaction, which reads the current level, is formed at every step.
-
+Every forward sweep runs one step loop (`_forward_steps`): a plain sweep,
+one under a source or a control, with or without a lagged reaction, and
+the forward half of a Gramian apply.  Work that does not depend on the
+recursion is done in whole-array passes, not per step: a source's theta
+averages (times dt) one chunk of levels at a time, in the pass that also
+multiplies a control by the control indicator (`domain._control_indicator`),
+the one place a forward sweep applies it; the levels of an adjoint sweep
+after its loop; and its masked observation once per chunk of levels.  Only
+a lagged reaction, which reads the current level, is formed at every step.
 The backward sweep of the interior unit block runs at most once per
-`Propagator`: it yields the Gramian G and the t = 0 slice P
-(`assemble_forms`) and the masked unit observation levels that the Gramian
-oracles push through one blocked forward sweep, whichever of them asks
-first.
+`Propagator`: it yields G and P (`assemble_forms`) and the unit observation
+levels that the Gramian oracles push through one blocked forward sweep.
 
 The backward solver applies the exact transpose of each forward step, scaled
 by R_{j+1}/R_j so that adjacent time levels pair in the physical measure
@@ -52,14 +51,11 @@ plus the radius-ratio factor is a consistent discretization of the
 continuous backward equation -phi_t - phi_rr + a phi = F on the moving
 domain, so nothing is lost against the analytical adjoint.
 
-`propagator` is how the solvers obtain their operators.  It hands a thread
-back the `Propagator` of that thread's previous call when the path, the
-potential, the control radius and the scheme are bitwise equal to it, so a
-run of calls on one frozen path and potential (an epsilon ladder and its
-replays) shares one build and one Gramian assembly.  Only that one entry per
-thread is kept.  A Propagator holds the forms once assembled, and the unit
-sweep's observation levels only when they fit in one chunk of _CHUNK
-values; nothing else is cached.
+`propagator` hands a thread back its previous `Propagator` when the path,
+the potential, the control radius and the scheme are bitwise equal, so an
+epsilon ladder and its replays share one build and one Gramian assembly.
+A Propagator caches only the forms and, when one chunk of _CHUNK values
+holds them, the unit sweep's observation levels.
 """
 
 from __future__ import annotations
@@ -79,6 +75,8 @@ from .domain import (
     BoundaryPath,
     ReferenceGrid,
     SpaceTimeField,
+    _control_indicator,
+    _trapezoid_weights,
     checked_values,
     require_integer,
 )
@@ -90,7 +88,7 @@ from .errors import (
 
 _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(2),))
 
-# values per chunk of the whole-level passes of a backward sweep
+# values per chunk of the whole-level passes of a sweep
 _CHUNK = 1 << 15
 
 
@@ -267,23 +265,18 @@ class Propagator:
     forward and adjoint sweeps, and the blocked adjoint sweep of
     `assemble_forms`, reuse the same LU data; the adjoint sweeps solve the
     transposed systems from the identical factorization, which is what makes
-    duality exact up to rounding.  Sweep loops make one solve per step and
-    carry the right-hand side forward or chi backward (see the module
-    docstring), so the explicit diagonals are read only outside them: for
-    B_0 u^0, and in the whole-level passes that form backward levels, which
-    read all m levels at once through `_explicit`.  Sweeps carry the
-    interior as an (n-1, k) block, k = 1 for one column; whatever a sweep
+    duality exact up to rounding.  Sweeps carry the right-hand side forward
+    and chi backward (see the module docstring), so the explicit diagonals
+    `_explicit` are read only outside their loops, and the interior as an
+    (n-1, k) block, k = 1 for one column; whatever a sweep
     needs per step besides the recursion (source averages, adjoint forcing
-    shares, observation weights) is laid out level-major, one contiguous
-    (n-1, k) level per step, and formed outside its loop.  The solvers
-    obtain theirs through `propagator`, which reuses a thread's last one.
+    shares, observation weights) is laid out level-major, one (n-1, k)
+    level per step, and formed outside its loop.  The solvers obtain
+    theirs through `propagator`, which reuses a thread's last one.
 
-    The blocked sweep of the interior unit columns runs at most once, on
-    the first of `assemble_forms` and the Gramian oracles
-    (`_unit_gramian`); it leaves G and P, and it leaves the unit columns'
-    masked observation levels on the rows the mask reaches when they fit in
-    one chunk of _CHUNK values.  A larger set of levels lives only for the
-    oracle call that asked for it.
+    The unit sweep (see the module docstring) leaves G and P, and the unit
+    observation levels when they fit in one chunk; a larger set lives only
+    for the Gramian oracle call (`_unit_gramian`) that asked for it.
     """
 
     def __init__(self, path: BoundaryPath, potential, cfg: SchemeConfig,
@@ -320,12 +313,8 @@ class Propagator:
         self._obs_here = (1.0 - cfg.theta) * self.ratio
         self._obs_here[0] *= 2.0
         # trapezoid weights in time and space for the physical pairings
-        self.tau = np.full(m + 1, self.dt)
-        self.tau[0] *= 0.5
-        self.tau[-1] *= 0.5
-        self.space_w = np.full(n + 1, self.h)
-        self.space_w[0] *= 0.5
-        self.space_w[-1] *= 0.5
+        self.tau = _trapezoid_weights(m + 1, self.dt)
+        self.space_w = _trapezoid_weights(n + 1, self.h)
 
         self._forms = None
         self._unit_levels = None
@@ -333,8 +322,7 @@ class Propagator:
         if control_radius is not None:
             if not control_radius > 0:
                 raise GridError(f"control radius must be positive, got {control_radius}")
-            radii_nodes = np.outer(self.rho, R)          # (n+1, m+1) physical radii
-            self.mask = (radii_nodes < control_radius).astype(float)
+            self.mask = _control_indicator(self.rho, R, control_radius)   # (n+1, m+1)
             # rho_i R_j < b holds on a prefix of rows at every level: the
             # interior rows the mask ever reaches
             self._reach = int(np.count_nonzero(self.mask[1:-1].any(axis=1)))
@@ -359,16 +347,14 @@ class Propagator:
 
     # -- sweeps ------------------------------------------------------------------
 
-    def _combine_source(self, source, masked, cols):
-        """The source as an (n+1, m+1, k) array, masked when asked."""
-        src = checked_values(source, "control source" if masked else "source",
+    def _checked_source(self, source, control, cols):
+        """The checked source as an (n+1, m+1, k) array; a control source
+        needs a control radius.  No mask is applied here."""
+        src = checked_values(source, "control source" if control else "source",
                              (self.n + 1, self.m + 1) + cols)
-        src = src.reshape(self.n + 1, self.m + 1, -1)
-        if masked:
-            if self.mask is None:
-                raise GridError("control source given but no control radius configured")
-            src = src * self.mask[:, :, None]
-        return src
+        if control and self.mask is None:
+            raise GridError("control source given but no control radius configured")
+        return src.reshape(self.n + 1, self.m + 1, -1)
 
     def run_forward(self, u0, source=None, source_role: str = ROLE_SOURCE,
                     reaction=None) -> np.ndarray:
@@ -377,47 +363,69 @@ class Propagator:
         u0 is an (n+1,) column or an (n+1, k) block of columns; a block
         gives an (n+1, m+1, k) trajectory whose column i equals the sweep of
         u0[:, i] alone, bit for bit, and a source must then carry the same
-        trailing axis.  A source with the control role is masked to the
-        nodes with rho_i R(t_j) < control_radius, time level by time level
-        and column by column; any other source is applied as given.
-        Sources are sampled on time nodes and enter each step through the
-        same theta average as the operator; the averages of all m steps are
-        formed before the step loop, level-major, and scaled by dt there
-        too when no reaction follows.  A reaction f (any object with a value
-        method) adds -r f(u/r) evaluated on the current level, lagged one
-        step, so it stays in the loop: dt (average - lag) per step.
-
-        The explicit operator is applied once, to u0; every later step's
-        explicit half is carried from the solve before it (`_carry`), so a
-        step is its forcing add, one gttrs, the store and the carry.
+        trailing axis.  A control source is multiplied by the indicator of
+        rho_i R(t_j) < control_radius, any other applied as given; sources
+        are sampled on time nodes and enter each step through the theta
+        average.  A reaction f (any object with a value method) adds
+        -r f(u/r) on the current level, lagged one step.  The steps are
+        those of `_forward_steps`, from B_0 u0.
         """
         u0 = _check_initial(u0, self.n, block=True)
         cols = u0.shape[1:]
-        theta = self.cfg.theta
-        forcing = None
+        control = source_role == ROLE_CONTROL
+        levels = None
         if source is not None:
-            src = self._combine_source(source, masked=(source_role == ROLE_CONTROL), cols=cols)
-            forcing = _level_major(theta, src[1:-1, 1:])
-            forcing += _level_major(1.0 - theta, src[1:-1, :-1])
-            if reaction is None:
-                forcing *= self.dt
-        rho_int = self.rho[1:-1, None]
+            levels = self._checked_source(source, control, cols)[1:-1].transpose(1, 0, 2)
         w = np.zeros((self.n + 1, self.m + 1) + cols)
         w[:, 0] = u0
         interior = w.reshape(self.n + 1, self.m + 1, -1)[1:-1]
         x = interior[:, 0]
         rhs = _apply_explicit(tuple(d[0] for d in self._explicit), x)
-        for j, factors in enumerate(self._factors):
-            if reaction is not None:
-                lag = _lagged_reaction(reaction, x, rho_int, self.path.radii[j])
-                rhs += self.dt * (-lag if forcing is None else forcing[j] - lag)
-            elif forcing is not None:
-                rhs += forcing[j]
-            x = _solve_implicit(factors, rhs)
-            interior[:, j + 1] = x
-            rhs = _carry(theta, x, rhs)
+        for j, x in enumerate(self._forward_steps(rhs, levels, control, reaction, x), 1):
+            interior[:, j] = x
         self._require_finite("forward sweep", w)
         return w
+
+    def _forward_steps(self, rhs, source=None, control=False, reaction=None, x=None):
+        """The forward step loop; yields x, the interior of level j, for
+        j = 1..m in turn.  rhs, the (n-1, K) explicit half of the interior
+        initial data (zeros for zero data), is overwritten.  A source is
+        level-major, (m+1, rows, k), and forces the first rows rows of the
+        first k columns; its dt theta averages are formed one chunk of
+        about _CHUNK values at a time, in the arithmetic of `_step_forcing`,
+        and with control set that pass multiplies it by the indicator first.
+        A reaction leaves the averages unscaled and adds dt (average - lag)
+        per step, the lag r f(u/r) read on x, the current level.
+        """
+        theta, m, dt = self.cfg.theta, self.m, self.dt
+        rho_int, radii = self.rho[1:-1, None], self.path.radii
+        span, avg = m, None
+        if source is not None:
+            rows, k = source.shape[1:]
+            head = rhs[:rows, :k]                # _carry keeps rhs in place
+            span = max(1, _CHUNK // max(1, rows * k))
+            mask = self.mask[1:rows + 1].T[:, :, None] if control else None
+        for first in range(0, m, span):
+            count = min(span, m - first)
+            if source is not None:
+                # level-major whatever the source's layout: one contiguous
+                # (rows, k) block per step
+                levels = source[first:first + count + 1]
+                if control:
+                    levels = np.multiply(levels, mask[first:first + count + 1], order="C")
+                avg = np.multiply(theta, levels[1:], order="C")
+                avg += (1.0 - theta) * levels[:-1]
+                if reaction is None:
+                    avg *= dt
+            for j in range(first, first + count):
+                if reaction is not None:
+                    lag = _lagged_reaction(reaction, x, rho_int, radii[j])
+                    rhs += dt * (-lag if avg is None else avg[j - first] - lag)
+                elif avg is not None:
+                    head += avg[j - first]
+                x = _solve_implicit(self._factors[j], rhs)
+                rhs = _carry(theta, x, rhs)
+                yield x
 
     def _backward_steps(self, x, after=None, before=None):
         """Exact transpose steps from level m down to level 0, carrying chi.
@@ -490,7 +498,7 @@ class Propagator:
         cols = phiT.shape[1:]
         after = before = None
         if forcing is not None:
-            fsrc = self._combine_source(forcing, masked=False, cols=cols)
+            fsrc = self._checked_source(forcing, False, cols)
             theta = self.cfg.theta
             # the forcing's two theta-scaled shares of every step: after[j]
             # enters the transposed solve of step j, before[j] the level j
@@ -514,12 +522,9 @@ class Propagator:
         phiT is an (n+1,) column or an (n+1, k) block, shaped and checked as
         in `run_adjoint`; the result is (n+1, m+1), or (n+1, m+1, k) for a
         block.  It holds the masked per-node control samples of the backward
-        solution, i.e. the image of phiT under the transpose of the
-        source-to-final-state map: the HUM control candidate associated with
-        phiT.  It is the sweep of `_observation` on every interior row, not
-        only on those the mask reaches, so every entry, the signed zeros
-        outside the control region included, carries the bits of the
-        per-step accumulation; no backward level is formed.
+        solution, the HUM control candidate of phiT: `_observation` on every
+        interior row, so every entry, the signed zeros outside the control
+        region included, carries the bits of the per-step accumulation.
         """
         phiT = _check_initial(phiT, self.n, block=True)
         self._require_mask()
@@ -579,11 +584,8 @@ class Propagator:
         return obs
 
     def assemble_forms(self):
-        """Interior Gramian G and t = 0 slice P from one blocked adjoint sweep.
-
-        The sweep runs at most once per Propagator, on the first call here
-        or on the first Gramian oracle (`_unit_gramian`), whichever comes
-        first; later calls return the same two arrays, which are read-only.
+        """Interior Gramian G and t = 0 slice P from one blocked adjoint sweep,
+        the unit sweep; every call returns the same two read-only arrays.
 
         The sweep starts from the (n-1) x (n-1) identity block.  With O_j
         the masked observation level j of that sweep and tau_j the
@@ -605,11 +607,11 @@ class Propagator:
         return self._forms
 
     def _assemble_forms(self, keep=False):
-        """The blocked sweep of the interior unit columns: sets the forms
-        unless they are set already, and keeps its masked observation levels
-        on the reach rows when they fit in one chunk of _CHUNK values.
-        With keep set it returns those levels, (m+1, reach, n-1), whatever
-        their size; a Gramian oracle reads them within its call."""
+        """The blocked sweep of the interior unit columns: sets the forms,
+        and keeps its masked observation levels on the reach rows when they
+        fit in one chunk of _CHUNK values.  With keep set it returns those
+        levels, (m+1, reach, n-1), whatever their size; a Gramian oracle
+        reads them within its call."""
         ni, reach = self.n - 1, self._reach
         radii = self.path.radii
         weight = self.tau * radii / radii[-1]
@@ -626,10 +628,9 @@ class Propagator:
                 held[first:first + len(levels)] = levels
         P = self._levels(0, chi[:, None])[:, 0]
         self._require_finite("blocked backward sweep", G, P)
-        if self._forms is None:
-            G.setflags(write=False)
-            P.setflags(write=False)
-            self._forms = G, P
+        G.setflags(write=False)
+        P.setflags(write=False)
+        self._forms = G, P
         if size <= _CHUNK:
             held.setflags(write=False)
             self._unit_levels = held
@@ -655,13 +656,10 @@ class Propagator:
 
         phiT is an (n+1,) column or an (n+1, k) block; the result has its
         shape, and each column equals the image of that column alone, bit
-        for bit.  Neither trajectory is kept: the backward half is the
-        sweep of `run_observation` (`_observation`), kept only on the rows
-        the mask ever reaches, and the forward half (`_gramian_final`) adds
-        those levels' theta averages on those rows as the forcing of each
-        step.  No level of the backward sweep is formed, and the forward
-        sweep from zero data carries its right-hand side from the first
-        step on.
+        for bit.  Neither trajectory is kept: the observation sweep
+        (`_observation`, on the rows the mask reaches) applies the control
+        indicator once, and the forward steps of `run_forward` from zero
+        data, under those levels as control, once more, as G has it.
 
         Symmetric and positive semidefinite in the L2(0, R(T)) pairing, with
         <Gramian phiT, phiT> equal to the squared control cost of the masked
@@ -670,42 +668,22 @@ class Propagator:
         phiT = _check_initial(phiT, self.n, block=True)
         self._require_mask()
         block = phiT.reshape(self.n + 1, -1)
-        x = self._gramian_final(self._observation(block[1:-1], self._reach))
         out = np.zeros(phiT.shape)
-        out.reshape(block.shape)[1:-1] = x
+        out.reshape(block.shape)[1:-1] = self._gramian_images(
+            self._observation(block[1:-1], self._reach))
         return out
 
-    def _gramian_final(self, obs, free=None):
-        """Interior state at T of one blocked forward sweep, (n-1, k + f).
-
-        Its first k columns start from zero data under the masked
-        observation levels obs, (m+1, reach, k), as their control on the
-        reach rows; the f columns of the interior initial data free, if
-        given, follow and sweep free.  The dt theta averages of obs are
-        formed one chunk of about _CHUNK values at a time, in the arithmetic
-        of `_step_forcing`, so each column keeps the bits of its own sweep.
-        """
-        theta, m = self.cfg.theta, self.m
-        reach, k = obs.shape[1:]
-        rhs = np.zeros((self.n - 1, k))          # the explicit half of the zero datum
+    def _gramian_images(self, obs, free=None):
+        """Interior states at T, (n-1, k + f): of k columns from zero data
+        under the masked observation levels obs, (m+1, reach, k), as their
+        control, then of the f columns of the interior data free, if given,
+        swept free; one blocked sweep of `_forward_steps`."""
+        rhs = np.zeros((self.n - 1, obs.shape[2]))   # the explicit half of zero data
         if free is not None:
             rhs = np.concatenate(
                 (rhs, _apply_explicit(tuple(d[0] for d in self._explicit), free)), axis=1)
-        head = rhs[:reach, :k]                   # _carry keeps rhs in place
-        span = max(1, _CHUNK // max(1, obs[0].size))
-        averages = np.empty((min(span, m),) + obs.shape[1:])
-        product = np.empty_like(averages)
-        for first in range(0, m, span):
-            count = min(span, m - first)
-            avg, part = averages[:count], product[:count]
-            np.multiply(theta, obs[first + 1:first + count + 1], out=avg)
-            np.multiply(1.0 - theta, obs[first:first + count], out=part)
-            avg += part
-            avg *= self.dt
-            for j in range(first, first + count):
-                head += avg[j - first]
-                x = _solve_implicit(self._factors[j], rhs)
-                rhs = _carry(theta, x, rhs)
+        for x in self._forward_steps(rhs, obs, control=True):
+            pass
         self._require_finite("Gramian sweeps", x)
         return x
 
@@ -716,18 +694,19 @@ class Propagator:
         array from one blocked forward sweep, each column bitwise its own
         `apply_gramian` or `run_forward`.
 
-        The unit columns' observation levels are those `_assemble_forms`
-        kept, or, when it kept none, those of its sweep run here, which sets
-        the forms too; only extra's columns sweep backward of their own.
+        The unit levels are those kept, else those of `_assemble_forms` run
+        here, or of `_observation` once the forms are set; only extra's
+        columns sweep backward of their own.
         """
         self._require_mask()
         obs = self._unit_levels
         if obs is None:
-            obs = self._assemble_forms(keep=True)
+            obs = (self._assemble_forms(keep=True) if self._forms is None
+                   else self._observation(np.eye(self.n - 1), self._reach))
         if extra is not None:
             obs = np.concatenate((obs, self._observation(extra, self._reach)), axis=2)
         free = self._forms[1] if with_free else None
-        return np.ascontiguousarray(self._gramian_final(obs, free))
+        return np.ascontiguousarray(self._gramian_images(obs, free))
 
 
 # ---------------------------------------------------------------------------

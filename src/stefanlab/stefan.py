@@ -42,6 +42,7 @@ from .domain import (
     BoundaryPath,
     PhysicalSetup,
     SpaceTimeField,
+    _control_indicator,
     checked_values,
     constant_path,
     require_integer,
@@ -275,7 +276,7 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
     def masked_column(j, radius):
         if ctrl is None:
             return None
-        return ctrl[1:-1, j, None] * (rho_int * radius < setup.b)
+        return ctrl[1:-1, j, None] * _control_indicator(rho, radius, setup.b)
 
     def level(j):
         return _stencil(cfg, rho, radii[j:j + 1], slopes[j:j + 1], no_pot)

@@ -57,6 +57,8 @@ from .domain import (
     BoundaryPath,
     PhysicalSetup,
     SpaceTimeField,
+    _control_indicator,
+    _trapezoid_weights,
     checked_values,
     require_integer,
 )
@@ -292,7 +294,8 @@ class CarlemanReport:
             "margin")}
 
 
-def _quadrature_fields(params: CarlemanParams, r_nodes, times, R, quad, tw, b: float, T: float):
+def _quadrature_fields(params: CarlemanParams, r_nodes, times, R, quad, tw, inside,
+                       b: float, T: float):
     """The (n+1, J) quadrature fields of one parameter set, in the order
     time and second derivative, gradient, zero order, observation, source,
     and the (J,) boundary row: q holds the space trapezoid weights (dx = h)
@@ -307,7 +310,7 @@ def _quadrature_fields(params: CarlemanParams, r_nodes, times, R, quad, tw, b: f
     return (quad * expw / sxi,                  # phi_t^2 and phi_rr^2
             quad * expw * lam ** 2 * sxi,       # phi_r^2
             quad * expw * dens,                 # phi^2
-            quad * np.where(r_nodes < b, dens, 0.0),
+            quad * (dens * inside),             # phi^2 on the control ball
             quad * expw,
             tw * expw[-1] * lam * sxi[-1])      # phi_r^2 on the last row
 
@@ -366,14 +369,10 @@ def carleman_sides(phi, forcing, params, setup: PhysicalSetup,
     R = path.radii[js]
     Rp = path.slopes[js]
     r_nodes = rho * R
-    tw = np.full(js.size, dt)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
-    sw = np.full((n + 1, 1), h)
-    sw[0] *= 0.5
-    sw[-1] *= 0.5
-    quad = sw * (tw * R)
-    fields = [_quadrature_fields(p, r_nodes, path.times[js], R, quad, tw, setup.b, T)
+    tw = _trapezoid_weights(js.size, dt)
+    quad = _trapezoid_weights(n + 1, h)[:, None] * (tw * R)
+    inside = _control_indicator(rho[:, 0], R, setup.b)
+    fields = [_quadrature_fields(p, r_nodes, path.times[js], R, quad, tw, inside, setup.b, T)
               for p in sets]
     drift = (rho * (Rp / R))[:, :, None]
     radii = R[:, None]     # broadcasts over the (n+1, J, columns) chunks

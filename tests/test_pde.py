@@ -7,7 +7,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from stefanlab import observability, pde
@@ -29,6 +29,12 @@ from stefanlab.pde import (
     solve_semilinear,
 )
 from stefanlab.stefan import Nonlinearity, coupled_solve
+
+
+# the property tests below run without hypothesis's shrink phase: shrinking a
+# failing example re-runs whole sweeps over and over, for a minute or more,
+# while the unshrunk example, one of the same derandomized ones, reports at once
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def _eigenmode_error(n, m, theta, T=0.1):
@@ -268,7 +274,7 @@ def test_observation_sweeps_check_mask_before_stepping(monkeypatch):
         prop.assemble_forms()
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+@settings(max_examples=30, derandomize=True, deadline=None, phases=_NO_SHRINK)
 @given(n=st.integers(8, 40), m=st.integers(8, 40),
        theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
        freq=st.integers(1, 3), radius=st.sampled_from([0.15, 0.3, 0.7, np.inf]),
@@ -355,7 +361,7 @@ def _stack(fn, block):
     return np.stack([fn(block[:, i]) for i in range(block.shape[1])], axis=-1)
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=25, derandomize=True, deadline=None, phases=_NO_SHRINK)
 @given(n=st.integers(8, 32), m=st.integers(8, 64),
        theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
        freq=st.integers(1, 3), with_potential=st.booleans(),
@@ -431,7 +437,7 @@ def _reference_step(cfg, rho, dt, here, there):
     return explicit, (dlf, df, duf, du2, ipiv)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40, derandomize=True, deadline=None, phases=_NO_SHRINK)
 @given(n=st.integers(8, 40), levels=st.sampled_from([2, 2, 3, 9, 33]),
        theta=st.floats(0.5, 1.0), dt=st.floats(1e-4, 0.05),
        with_potential=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -625,7 +631,7 @@ def _moving_setup(n, m, theta, amp, freq, with_potential, radius, seed, T=0.4):
     return Propagator(path, pot, cfg, control_radius=radius), rng
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+@settings(max_examples=30, derandomize=True, deadline=None, phases=_NO_SHRINK)
 @given(n=st.integers(8, 32), m=st.integers(8, 40),
        theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
        freq=st.integers(1, 3), with_potential=st.booleans(),
@@ -672,7 +678,7 @@ def _check_sweeps_match_step_by_step(n, m, theta, amp, freq, with_potential, rad
     same(prop.run_observation(u0), _carried_adjoint(prop, u0)[1])
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+@settings(max_examples=30, derandomize=True, deadline=None, phases=_NO_SHRINK)
 @given(n=st.integers(8, 40), m=st.integers(8, 40),
        theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
        freq=st.integers(1, 3), with_potential=st.booleans(),
@@ -723,7 +729,7 @@ def _two_operator_forms(prop):
     return G, phi[1:-1, 0]
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None, phases=_NO_SHRINK)
 @given(n=st.integers(8, 32), m=st.integers(8, 40),
        theta=st.just(1.0) | st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
        freq=st.integers(1, 3), with_potential=st.booleans(),
@@ -901,6 +907,24 @@ def test_block_control_source_masked_per_column():
     g = prop.run_adjoint(u0, forcing=outside)
     assert np.array_equal(g[..., 1], prop.run_adjoint(u0[:, 1], forcing=outside[..., 1]))
     assert not np.array_equal(g, prop.run_adjoint(u0, forcing=src))
+
+
+def test_every_forward_path_applies_the_control_operator_once():
+    # a control weight that is not 0/1 tells B from B B: the Gramian apply,
+    # the accumulated G and the forward sweep of an observation taken as a
+    # control must all be L B B* L*, the observation applying B* once and
+    # the forward side B once
+    prop, _ = _moving_setup(16, 24, 0.5, 0.2, 2, True, 0.45, 5)
+    n, m = prop.n, prop.m
+    prop.mask *= np.linspace(0.3, 0.9, m + 1)
+    unit = np.eye(n + 1)[:, 1:-1]
+    images = prop.apply_gramian(unit)[1:-1]
+    swept = np.stack([prop.run_forward(np.zeros(n + 1), source=prop.run_observation(e),
+                                       source_role=ROLE_CONTROL)[1:-1, -1] for e in unit.T],
+                     axis=1)
+    G, _ = prop.assemble_forms()
+    for want in (G, swept):
+        assert np.max(np.abs(images - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_boundary_flux_polynomial_exact():

@@ -243,6 +243,30 @@ def test_kept_observation_levels_fit_one_chunk(monkeypatch):
     assert prop._unit_levels.size <= pde._CHUNK
 
 
+def test_oracle_after_the_forms_forms_them_once(monkeypatch):
+    # the unit levels of this grid exceed one chunk, so a Gramian oracle
+    # after assemble_forms sweeps the unit columns again for them; that
+    # sweep forms P no second time, and the forms keep their identity and
+    # their bits
+    formed = []
+    levels = Propagator._levels
+
+    def counted(self, *args, **kwargs):
+        formed.append(args[0])
+        return levels(self, *args, **kwargs)
+
+    monkeypatch.setattr(Propagator, "_levels", counted)
+    cfg, path, pot, _ = _case(64, 128)
+    prop = pde.propagator(path, pot, cfg, _B)
+    G, P = prop.assemble_forms()
+    bits = G.tobytes(), P.tobytes()
+    dense_gramian(path, pot, _B, cfg)
+    assert prop._unit_levels is None and formed == [0]
+    again = prop.assemble_forms()
+    assert again[0] is G and again[1] is P
+    assert (G.tobytes(), P.tobytes()) == bits
+
+
 def test_ladder_rungs_cost_two_column_sweeps(monkeypatch):
     # once G and P are assembled, a rung is the observation sweep and the
     # verification sweep: 2m column solves, the free final state coming
