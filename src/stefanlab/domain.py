@@ -269,10 +269,17 @@ class SpaceTimeField:
 # norms on the reference grid
 
 
+def _line_norm(u: np.ndarray, radius: float, weights: np.ndarray) -> float:
+    """sqrt(R sum_i w_i u_i^2) of a checked line field u with the space
+    trapezoid weights w: the one arithmetic of an L2(0, R) norm, shared by
+    `line_l2_norm` and `Propagator.slice_norm`."""
+    return float(np.sqrt(max(float(radius * np.dot(u * weights, u)), 0.0)))
+
+
 def line_l2_norm(u: np.ndarray, radius: float, grid: ReferenceGrid) -> float:
     """L2(0, R) norm of a line field sampled on the reference grid."""
     u = checked_values(u, "line field", (grid.n + 1,))
-    return float(np.sqrt(radius * np.trapezoid(u * u, dx=grid.spacing)))
+    return _line_norm(u, radius, _trapezoid_weights(grid.n + 1, grid.spacing))
 
 
 def h1_seminorm(u: np.ndarray, radius: float, grid: ReferenceGrid) -> float:

@@ -30,6 +30,13 @@ computes its own way is still checked: the forward half of the Gramian
 images checks G's accumulated sums, and the forward sweep of P checks the
 duality behind (R(0)/R(T)) P^T P.
 
+The observation radius b is not part of the operators.  A ladder of radii
+on one path (`pde.propagator`) shares one operator build, one P and one
+forward sweep of P's free columns; the first radius sweeps the unit columns
+on the rows it reaches, the second on every interior row, whose unmasked
+levels the operators then keep at small grids, and every later radius
+reads G and its masked levels from those, with no backward sweep.
+
 A numerical hazard shapes both paths, verified against exact-arithmetic
 replicas of the discrete pair: terminal data built from the highest grid
 modes keeps initial energy while staying nearly invisible to the
@@ -145,7 +152,9 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
     estimate_constant on the same inputs its observation levels are read
     again when one chunk holds them, and only the seed column sweeps
     backward.  The Gramian columns and the free columns of P then share
-    one blocked forward sweep.  Each column still costs several sweeps'
+    one blocked forward sweep; at a later radius on the same path the free
+    columns' images are read back and only the Gramian columns sweep
+    forward.  Each column still costs several sweeps'
     worth of arithmetic, so the oracle stays capped at small grids.
     """
     if cfg.n > _DENSE_NODE_CAP or cfg.m > _DENSE_STEP_CAP:

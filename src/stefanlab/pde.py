@@ -38,6 +38,10 @@ a lagged reaction, which reads the current level, is formed at every step.
 The backward sweep of the interior unit block runs at most once per
 `Propagator`: it yields G and P (`assemble_forms`) and the unit observation
 levels that the Gramian oracles push through one blocked forward sweep.
+Propagators of one operator set that differ only in the control radius
+share P, and from the second radius on the unmasked unit levels on every
+interior row, when (m+1)(n-1)^2 fits _KEEP_LEVELS; a radius whose G those
+levels give sweeps nothing backward.
 
 The backward solver applies the exact transpose of each forward step, scaled
 by R_{j+1}/R_j so that adjacent time levels pair in the physical measure
@@ -54,8 +58,12 @@ domain, so nothing is lost against the analytical adjoint.
 `propagator` hands a thread back its previous `Propagator` when the path,
 the potential, the control radius and the scheme are bitwise equal, so an
 epsilon ladder and its replays share one build and one Gramian assembly.
-A Propagator caches only the forms and, when one chunk of _CHUNK values
-holds them, the unit sweep's observation levels.
+The control radius is not part of the operators: when only it differs,
+the new Propagator shares the previous one's operators and the
+radius-free results of its unit sweep (`_UnitSweep`), so a radius ladder
+on one path costs one build, one P and one free forward sweep of P's
+columns.  Per radius a Propagator caches the forms and, when one chunk
+of _CHUNK values holds them, the unit sweep's masked observation levels.
 """
 
 from __future__ import annotations
@@ -76,6 +84,7 @@ from .domain import (
     ReferenceGrid,
     SpaceTimeField,
     _control_indicator,
+    _line_norm,
     _trapezoid_weights,
     checked_values,
     require_integer,
@@ -90,6 +99,11 @@ _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(2),))
 
 # values per chunk of the whole-level passes of a sweep
 _CHUNK = 1 << 15
+
+# most values, (m+1)(n-1)^2, of the unmasked unit observation levels that
+# an operator set keeps once it serves a second control radius: 65 536
+# values, 512 KiB; 32x64 needs 62 465 and 64x128 512 001
+_KEEP_LEVELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -257,6 +271,24 @@ def _check_initial(u0, n, block=False):
                           endpoints=True, block=blocked)
 
 
+class _UnitSweep:
+    """What the unit sweep of one operator set yields whatever the control
+    radius, shared by every Propagator of those operators (read-only
+    arrays, None until formed): the t = 0 slice P, the free final states
+    of P's columns (`_unit_gramian`), and the unmasked observation levels
+    of the unit sweep on every interior row, (m+1, n-1, n-1).  The levels
+    are swept and kept only once the operators have served a second
+    control radius (radii holds those served) and (m+1)(n-1)^2 is at most
+    _KEEP_LEVELS, so that single-radius use does no work beyond its reach
+    rows."""
+
+    __slots__ = ("P", "free", "levels", "radii")
+
+    def __init__(self):
+        self.P = self.free = self.levels = None
+        self.radii = set()
+
+
 class Propagator:
     """Precomputed step operators for one (path, potential, scheme) triple.
 
@@ -277,6 +309,11 @@ class Propagator:
     The unit sweep (see the module docstring) leaves G and P, and the unit
     observation levels when they fit in one chunk; a larger set lives only
     for the Gramian oracle call (`_unit_gramian`) that asked for it.
+
+    The control radius sets only the mask, its reach, G and the masked
+    unit levels.  `propagator` derives the Propagator of another radius
+    from this one (`_with_radius`), sharing the operators and the
+    radius-free `_UnitSweep` results instead of building them again.
     """
 
     def __init__(self, path: BoundaryPath, potential, cfg: SchemeConfig,
@@ -315,29 +352,49 @@ class Propagator:
         # trapezoid weights in time and space for the physical pairings
         self.tau = _trapezoid_weights(m + 1, self.dt)
         self.space_w = _trapezoid_weights(n + 1, self.h)
+        self._unit = _UnitSweep()
+        self._set_radius(control_radius)
 
+    def _set_radius(self, control_radius):
+        """The per-radius part: the mask, its reach, and no forms yet."""
         self._forms = None
         self._unit_levels = None
         self.mask = None
+        self._reach = 0
         if control_radius is not None:
             if not control_radius > 0:
                 raise GridError(f"control radius must be positive, got {control_radius}")
-            self.mask = _control_indicator(self.rho, R, control_radius)   # (n+1, m+1)
+            self.mask = _control_indicator(self.rho, self.path.radii, control_radius)   # (n+1, m+1)
             # rho_i R_j < b holds on a prefix of rows at every level: the
             # interior rows the mask ever reaches
             self._reach = int(np.count_nonzero(self.mask[1:-1].any(axis=1)))
+            self._unit.radii.add(control_radius)
+
+    def _with_radius(self, control_radius) -> "Propagator":
+        """The Propagator of these operators for another control radius.
+
+        It shares this one's operators and `_UnitSweep`, builds nothing,
+        and refuses a radius the constructor refuses, with its message.
+        """
+        other = object.__new__(Propagator)
+        # every attribute but the per-radius ones, which _set_radius resets
+        other.__dict__.update(self.__dict__)
+        other._set_radius(control_radius)
+        return other
 
     # -- inner products in the physical measure --------------------------------
 
-    def slice_inner(self, u, v, k: int) -> float:
+    def _slice(self, name, u, k: int):
         if not 0 <= k <= self.m:
             raise GridError(f"time level {k} outside 0..{self.m}")
-        u = checked_values(u, "slice vector u", (self.n + 1,))
-        v = checked_values(v, "slice vector v", (self.n + 1,))
+        return checked_values(u, f"slice vector {name}", (self.n + 1,))
+
+    def slice_inner(self, u, v, k: int) -> float:
+        u, v = self._slice("u", u, k), self._slice("v", v, k)
         return float(self.path.radii[k] * np.dot(u * self.space_w, v))
 
     def slice_norm(self, u, k: int) -> float:
-        return float(np.sqrt(max(self.slice_inner(u, u, k), 0.0)))
+        return _line_norm(self._slice("u", u, k), self.path.radii[k], self.space_w)
 
     def control_cost(self, obs: np.ndarray) -> float:
         """Discrete L2 norm over the control cylinder of a masked sample array."""
@@ -534,9 +591,10 @@ class Propagator:
         obs.reshape(self.n + 1, self.m + 1, -1)[1:-1] = levels.transpose(1, 0, 2)
         return obs
 
-    def _observation_chunks(self, x, rows):
+    def _observation_chunks(self, x, rows, masked=True):
         """Masked observation levels of the backward sweep from the interior
-        (n-1, k) block x, on its first `rows` rows, one chunk at a time.
+        (n-1, k) block x, on its first `rows` rows, one chunk at a time;
+        with masked unset, the levels before the mask multiplies them.
 
         The step loop keeps each chi_j's first rows in a ring of one chunk
         of levels, about _CHUNK values.  Once the chunk's lowest chi is in,
@@ -570,7 +628,8 @@ class Propagator:
             levels[1:count + 1] += part
             first = j + 1 if j else 0
             done = levels[first - j:count + 1]
-            done *= self.mask[1:rows + 1, first:j + count + 1].T[:, :, None]
+            if masked:
+                done *= self.mask[1:rows + 1, first:j + count + 1].T[:, :, None]
             yield first, done, chi
             if j:
                 levels[span] = levels[0]
@@ -607,34 +666,68 @@ class Propagator:
         return self._forms
 
     def _assemble_forms(self, keep=False):
-        """The blocked sweep of the interior unit columns: sets the forms,
-        and keeps its masked observation levels on the reach rows when they
-        fit in one chunk of _CHUNK values.  With keep set it returns those
-        levels, (m+1, reach, n-1), whatever their size; a Gramian oracle
-        reads them within its call."""
-        ni, reach = self.n - 1, self._reach
+        """Sets the forms from the unit levels.
+
+        Once the operators have served a second control radius, the
+        unmasked levels on every interior row are swept and kept in the
+        shared `_UnitSweep` when (m+1)(n-1)^2 fits _KEEP_LEVELS, and G is
+        read from them with no sweep: the mask is 1.0 on the rows G reads.
+        Otherwise the blocked sweep of the interior unit columns runs on
+        the reach rows, and its masked levels are kept when they fit in one
+        chunk of _CHUNK values; with keep set it returns them, (m+1, reach,
+        n-1), whatever their size, and a Gramian oracle reads them within
+        its call.  Returns None when G came from the full-row levels.
+        """
+        ni, reach, unit = self.n - 1, self._reach, self._unit
         radii = self.path.radii
         weight = self.tau * radii / radii[-1]
         # the mask covers a prefix of rows at every level: its length per level
         inside = np.count_nonzero(self.mask[1:-1], axis=0)
         G = np.zeros((ni, ni))
         size = (self.m + 1) * reach * ni
-        held = np.empty((self.m + 1, reach, ni)) if keep or size <= _CHUNK else None
-        for first, levels, chi in self._observation_chunks(np.eye(ni), reach):
+        held = None
+        if unit.levels is None and len(unit.radii) > 1 and (self.m + 1) * ni * ni <= _KEEP_LEVELS:
+            self._keep_full_levels()
+        if unit.levels is not None:
+            # the full-row levels as one chunk
+            chunks = [(0, unit.levels, None)]
+        else:
+            chunks = self._observation_chunks(np.eye(ni), reach)
+            if keep or size <= _CHUNK:
+                held = np.empty((self.m + 1, reach, ni))
+        for first, levels, chi in chunks:
             for level in range(first + len(levels) - 1, first - 1, -1):
                 rows = levels[level - first, :inside[level]]
                 G += weight[level] * (rows.T @ rows)
             if held is not None:
                 held[first:first + len(levels)] = levels
-        P = self._levels(0, chi[:, None])[:, 0]
-        self._require_finite("blocked backward sweep", G, P)
+        if unit.P is None:
+            self._keep_slice(chi)
+        self._require_finite("blocked backward sweep", G, unit.P)
         G.setflags(write=False)
-        P.setflags(write=False)
-        self._forms = G, P
-        if size <= _CHUNK:
+        self._forms = G, unit.P
+        if held is not None and size <= _CHUNK:
             held.setflags(write=False)
             self._unit_levels = held
         return held
+
+    def _keep_slice(self, chi):
+        """P, the unit sweep at t = 0, from its chi_0, kept read-only."""
+        P = self._levels(0, chi[:, None])[:, 0]
+        P.setflags(write=False)
+        self._unit.P = P
+
+    def _keep_full_levels(self):
+        """The unit sweep on every interior row, unmasked: keeps its levels,
+        (m+1, n-1, n-1), and P when it is not kept yet."""
+        ni = self.n - 1
+        levels = np.empty((self.m + 1, ni, ni))
+        for first, done, chi in self._observation_chunks(np.eye(ni), ni, masked=False):
+            levels[first:first + len(done)] = done
+        levels.setflags(write=False)
+        self._unit.levels = levels
+        if self._unit.P is None:
+            self._keep_slice(chi)
 
     def free_final(self, u0) -> np.ndarray:
         """The free state at T, the last level of `run_forward(u0)`, by duality.
@@ -695,24 +788,38 @@ class Propagator:
         `apply_gramian` or `run_forward`.
 
         The unit levels are those kept, else those of `_assemble_forms` run
-        here, or of `_observation` once the forms are set; only extra's
-        columns sweep backward of their own.
+        here, else the operators' full-row levels times the mask, else
+        those of `_observation`; only extra's columns sweep backward of
+        their own.  The free final states of P's columns are swept once per
+        operator set and kept, since they do not depend on the radius; a
+        later call sweeps only the Gramian columns, each column keeping its
+        bits in a narrower block.
         """
         self._require_mask()
+        reach, unit = self._reach, self._unit
         obs = self._unit_levels
+        if obs is None and self._forms is None:
+            obs = self._assemble_forms(keep=True)
+        if obs is None and unit.levels is not None:
+            obs = unit.levels[:, :reach] * self.mask[1:reach + 1].T[:, :, None]
         if obs is None:
-            obs = (self._assemble_forms(keep=True) if self._forms is None
-                   else self._observation(np.eye(self.n - 1), self._reach))
+            obs = self._observation(np.eye(self.n - 1), reach)
         if extra is not None:
-            obs = np.concatenate((obs, self._observation(extra, self._reach)), axis=2)
-        free = self._forms[1] if with_free else None
-        return np.ascontiguousarray(self._gramian_images(obs, free))
+            obs = np.concatenate((obs, self._observation(extra, reach)), axis=2)
+        if not with_free:
+            return np.ascontiguousarray(self._gramian_images(obs))
+        if unit.free is not None:
+            return np.concatenate((self._gramian_images(obs), unit.free), axis=1)
+        images = np.ascontiguousarray(self._gramian_images(obs, unit.P))
+        unit.free = images[:, obs.shape[2]:].copy()
+        unit.free.setflags(write=False)
+        return images
 
 
 # ---------------------------------------------------------------------------
 # free-function wrappers
 
-# the calling thread's last (key, Propagator) pair, as `entry`
+# the calling thread's last (key, radius, Propagator), as `entry`
 _last = threading.local()
 
 
@@ -720,23 +827,30 @@ def propagator(path: BoundaryPath, potential, cfg: SchemeConfig,
                control_radius: float | None = None) -> Propagator:
     """The Propagator for these inputs, reusing the calling thread's last one.
 
-    The previous Propagator this thread obtained here is returned when the
-    scheme, the control radius and the bytes of the path samples and of the
-    potential all equal its own; otherwise a new one is built and replaces
-    it.  A reused Propagator holds exactly what a new build would hold, so
-    every result stays bitwise the same.
+    The key is the scheme and the bytes of the path samples and of the
+    potential; the control radius is not part of it.  The previous
+    Propagator this thread obtained here is returned when the key and the
+    radius equal its own.  When only the radius differs, a Propagator that
+    shares its operators and its radius-free unit sweep results
+    (`Propagator._with_radius`) replaces it; otherwise a new one is built
+    and replaces it.  A reused or derived Propagator gives exactly what a
+    new build gives, so every result stays bitwise the same, and a radius
+    a build would refuse leaves the slot as it was.
     """
     _check_steps(path, cfg)
     pot = _coerce_potential(potential, cfg.n, cfg.m)
     radius = None if control_radius is None else float(control_radius)
-    key = (cfg, radius, path.times.tobytes(), path.radii.tobytes(),
-           path.slopes.tobytes(), pot.tobytes())
+    key = (cfg, path.times.tobytes(), path.radii.tobytes(), path.slopes.tobytes(),
+           pot.tobytes())
     entry = getattr(_last, "entry", None)
     if entry is not None and entry[0] == key:
-        return entry[1]
-    _last.entry = None   # never hold two at once
-    prop = Propagator(path, pot, cfg, control_radius=radius)
-    _last.entry = key, prop
+        if entry[1] == radius:
+            return entry[2]
+        prop = entry[2]._with_radius(radius)
+    else:
+        _last.entry = None   # never hold two at once
+        prop = Propagator(path, pot, cfg, control_radius=radius)
+    _last.entry = key, radius, prop
     return prop
 
 

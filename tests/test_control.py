@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from stefanlab import control
@@ -17,6 +17,11 @@ from stefanlab.control import (
 from stefanlab.domain import PhysicalSetup, constant_path, line_l2_norm, path_from_function
 from stefanlab.errors import ConvergenceError, EndpointConditionError, GridError
 from stefanlab.pde import SchemeConfig, propagator, solve_forward
+
+# no shrink phase: shrinking a failing example re-runs whole sweeps over and
+# over, while the unshrunk example, one of the same derandomized ones,
+# reports at once
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 _B = 0.3   # default control radius
 
@@ -87,7 +92,7 @@ def test_exact_optimality_residual_detects_a_wrong_penalty(monkeypatch):
     assert solve_hum(_sine_data(cfg), path, None, _B, hum, cfg).optimality_residual > 1e-6
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100, derandomize=True, deadline=None, phases=_NO_SHRINK)
 @given(n=st.integers(8, 32), m=st.integers(8, 48), theta=st.floats(0.5, 1.0),
        amp=st.floats(0.0, 0.3), freq=st.integers(1, 3), pot=st.floats(-3.0, 3.0),
        radius=st.sampled_from([0.2, 0.3, 0.45, np.inf]),

@@ -142,6 +142,21 @@ def test_line_l2_norm_sine_closed_form():
             np.sqrt(radius / 2.0), rel=1e-14)
 
 
+def test_line_l2_norm_is_the_slice_norm_bitwise():
+    # one trapezoid arithmetic for both: the norm a CLI summary reports for
+    # a state is the bits solve_hum's slice norms give it
+    cfg = SchemeConfig(n=40, m=8)
+    path = path_from_function(lambda t: 1.3 + 0.2 * t, lambda t: 0.2 + 0.0 * t, 0.5, cfg.m)
+    prop = pde.Propagator(path, None, cfg)
+    rng = np.random.default_rng(48)
+    for trial in range(100):
+        k = trial % (cfg.m + 1)
+        u = np.zeros(cfg.n + 1)
+        u[1:-1] = rng.standard_normal(cfg.n - 1)
+        want = prop.slice_norm(u, k)
+        assert line_l2_norm(u, float(path.radii[k]), cfg.grid).hex() == want.hex(), trial
+
+
 def test_h1_seminorm_linear_closed_form():
     # u(rho) = rho on [0, R]: u_r = 1/R, integral R * (1/R)^2 = 1/R
     grid = ReferenceGrid(16)

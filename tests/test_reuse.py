@@ -1,16 +1,18 @@
 """Reuse of a thread's last Propagator: the same bits as a fresh build, a
 miss on any changed input, one build and one assembly per epsilon ladder
 and per observability estimate with its dense oracle, one unit sweep
-whichever of the forms and the Gramian oracles comes first, and one slot
-per thread."""
+whichever of the forms and the Gramian oracles comes first, one build and
+at most two unit sweeps per radius ladder, and one slot per thread."""
 
+import hashlib
 import sys
 import threading
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from stefanlab import pde
@@ -22,9 +24,14 @@ from stefanlab.control import (
     solve_hum,
 )
 from stefanlab.domain import BoundaryPath, PhysicalSetup, SpaceTimeField, path_from_function
-from stefanlab.errors import ConvergenceError
+from stefanlab.errors import ConvergenceError, GridError
 from stefanlab.observability import dense_constant, estimate_constant
 from stefanlab.pde import Propagator, SchemeConfig, solve_forward
+
+# no shrink phase: shrinking a failing example re-runs whole sweeps over and
+# over, while the unshrunk example, one of the same derandomized ones,
+# reports at once
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 _B = 0.3
 
@@ -68,7 +75,7 @@ def _assert_same_step(got, want):
     assert _same_bits(replay, replay0)
 
 
-@settings(max_examples=20, derandomize=True, deadline=None)
+@settings(max_examples=20, derandomize=True, deadline=None, phases=_NO_SHRINK)
 @given(n=st.integers(8, 24), m=st.integers(8, 32),
        theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
        freq=st.integers(1, 3), with_potential=st.booleans(),
@@ -265,6 +272,133 @@ def test_oracle_after_the_forms_forms_them_once(monkeypatch):
     again = prop.assemble_forms()
     assert again[0] is G and again[1] is P
     assert (G.tobytes(), P.tobytes()) == bits
+
+
+# the rungs of a radius ladder: None is no control radius at all, which the
+# observation outputs refuse, and the observability functions read as the
+# setup's radius
+_RUNGS = (0.2, 0.3, 0.45, np.inf, None)
+
+
+def _rung_calls(case, radius):
+    """Every output of one rung of a radius ladder, each call taking its
+    Propagator from the thread's slot."""
+    cfg, path, pot, u0 = case
+    setup = PhysicalSetup()
+
+    def prop():
+        return pde.propagator(path, pot, cfg, radius)
+
+    return (lambda: prop().assemble_forms()[0], lambda: prop().assemble_forms()[1],
+            lambda: prop().apply_gramian(u0), lambda: prop().run_observation(u0),
+            lambda: estimate_constant(path, pot, setup, cfg, b=radius).constant,
+            lambda: dense_constant(path, pot, setup, cfg, b=radius).constant,
+            lambda: dense_gramian(path, pot, radius, cfg))
+
+
+def _digest(call):
+    try:
+        return hashlib.sha256(np.asarray(call()).tobytes()).hexdigest()
+    except GridError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("chunk", [pde._CHUNK, 97])
+@pytest.mark.parametrize("grid", [(16, 32), (32, 64)])
+@settings(max_examples=8, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@given(theta=st.sampled_from([0.5, 1.0]),
+       rungs=st.lists(st.sampled_from(_RUNGS), min_size=3, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_radius_ladder_equals_fresh_builds_bitwise(grid, chunk, theta, rungs, seed):
+    # a ladder of radii on one path shares one build, whatever the order
+    # and the repeats, and every output keeps the bits of a Propagator
+    # built for it alone, with the unit levels kept or swept per chunk
+    case = _case(*grid, theta=theta, seed=seed)
+    with mock.patch.object(pde, "_CHUNK", chunk), pytest.MonkeyPatch.context() as mp:
+        fresh = []
+        for radius in rungs:
+            row = []
+            for call in _rung_calls(case, radius):
+                _clear_slot()
+                row.append(_digest(call))
+            fresh.append(row)
+        _clear_slot()
+        counts = _count_builds_and_assemblies(mp)
+        ladder = [[_digest(call) for call in _rung_calls(case, radius)] for radius in rungs]
+    assert ladder == fresh
+    assert counts["build"] == 1
+
+
+def test_radius_ladder_costs_one_build_and_two_unit_sweeps(monkeypatch):
+    # estimate and dense oracle over three radii: the first radius sweeps
+    # the unit columns on its reach rows, the second on every row and keeps
+    # those levels, which the third reads; P's free columns sweep forward once
+    counts = _count_builds_and_assemblies(monkeypatch)
+    cfg, path, pot, _ = _case(24, 48)
+    unit_steps, free_sweeps = [], []
+    solve, images = pde._solve_implicit, Propagator._gramian_images
+
+    def counted_solve(factors, rhs, transposed=False):
+        if transposed and rhs.shape[1] == cfg.n - 1:
+            unit_steps.append(1)
+        return solve(factors, rhs, transposed)
+
+    def counted_images(self, obs, free=None):
+        if free is not None:
+            free_sweeps.append(free.shape[1])
+        return images(self, obs, free)
+
+    monkeypatch.setattr(pde, "_solve_implicit", counted_solve)
+    monkeypatch.setattr(Propagator, "_gramian_images", counted_images)
+    setup = PhysicalSetup()
+    for b in (0.2, 0.3, 0.45):
+        estimate_constant(path, pot, setup, cfg, b=b)
+        dense_constant(path, pot, setup, cfg, b=b)
+    assert counts["build"] == 1
+    assert len(unit_steps) <= 2 * cfg.m
+    assert free_sweeps == [cfg.n - 1]
+
+
+def test_full_row_levels_wait_for_a_second_radius():
+    # one radius, however often asked and with radius-free sweeps between,
+    # keeps no full-row levels; a second keeps them within _KEEP_LEVELS, and
+    # a grid above the bound never does
+    cfg, path, pot, u0 = _case(32, 64)
+    prop = pde.propagator(path, pot, cfg, _B)
+    prop.assemble_forms()
+    dense_gramian(path, pot, _B, cfg)
+    assert pde.propagator(path, pot, cfg, _B) is prop
+    pde.propagator(path, pot, cfg, None).run_forward(u0)
+    pde.propagator(path, pot, cfg, _B).assemble_forms()
+    assert prop._unit.levels is None
+    pde.propagator(path, pot, cfg, 0.45).assemble_forms()
+    levels = prop._unit.levels
+    assert levels.shape == (cfg.m + 1, cfg.n - 1, cfg.n - 1)
+    assert levels.size <= pde._KEEP_LEVELS and levels.nbytes <= 512 * 1024
+
+    for grid in ((64, 128), (100, 200)):
+        _clear_slot()
+        cfg, path, pot, _ = _case(*grid)
+        props = [pde.propagator(path, pot, cfg, b) for b in (0.2, 0.3, 0.45)]
+        for prop in props:
+            prop.assemble_forms()
+        assert props[0]._unit is props[-1]._unit and props[0]._unit.levels is None, grid
+
+
+def test_derived_propagator_refuses_a_bad_radius():
+    # a radius the constructor refuses is refused with its message when only
+    # the radius differs from the slot, and the slot keeps its operators
+    cfg, path, pot, _ = _case(16, 24)
+    base = pde.propagator(path, pot, cfg, _B)
+    for bad in (-0.1, np.nan):
+        with pytest.raises(GridError) as built:
+            Propagator(path, pot, cfg, control_radius=bad)
+        with pytest.raises(GridError) as derived:
+            pde.propagator(path, pot, cfg, bad)
+        assert str(derived.value) == str(built.value) == f"control radius must be positive, got {bad}"
+        assert pde.propagator(path, pot, cfg, _B) is base
+    other = pde.propagator(path, pot, cfg, 0.45)
+    assert other is not base and other._factors is base._factors
 
 
 def test_ladder_rungs_cost_two_column_sweeps(monkeypatch):
