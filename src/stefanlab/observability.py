@@ -32,10 +32,11 @@ duality behind (R(0)/R(T)) P^T P.
 
 The observation radius b is not part of the operators.  A ladder of radii
 on one path (`pde.propagator`) shares one operator build, one P and one
-forward sweep of P's free columns; the first radius sweeps the unit columns
-on the rows it reaches, the second on every interior row, whose unmasked
-levels the operators then keep at small grids, and every later radius
-reads G and its masked levels from those, with no backward sweep.
+forward sweep of P's free columns; at small grids, where the operators keep
+the chi of their first unit sweep (m(n-1)^2 within `pde._KEEP_LEVELS`),
+every radius forms G and its masked levels from those, so the ladder makes
+one backward unit sweep in all.  Above that bound each radius sweeps the
+unit columns again.
 
 A numerical hazard shapes both paths, verified against exact-arithmetic
 replicas of the discrete pair: terminal data built from the highest grid
@@ -150,12 +151,13 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
     of the Gramian apply.  The adjoint sweeps of the unit columns are the
     Propagator's one unit sweep (see the module docstring): after
     estimate_constant on the same inputs its observation levels are read
-    again when one chunk holds them, and only the seed column sweeps
-    backward.  The Gramian columns and the free columns of P then share
-    one blocked forward sweep; at a later radius on the same path the free
-    columns' images are read back and only the Gramian columns sweep
-    forward.  Each column still costs several sweeps'
-    worth of arithmetic, so the oracle stays capped at small grids.
+    again when one chunk holds them, else formed from the operators' kept
+    chi, and only the seed column sweeps backward.  The Gramian columns
+    and the free columns of P then share one blocked forward sweep, solved
+    with gtsv; at a later radius on the same path the free columns' images
+    are read back and only the Gramian columns sweep forward.  Each column
+    still costs several sweeps' worth of arithmetic, so the oracle stays
+    capped at small grids.
     """
     if cfg.n > _DENSE_NODE_CAP or cfg.m > _DENSE_STEP_CAP:
         raise GridError(

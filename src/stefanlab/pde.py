@@ -10,17 +10,20 @@ on the fixed reference interval.  One step of the theta scheme reads
     (I - theta dt L_{j+1}) u^{j+1} = (I + (1-theta) dt L_j) u^j + dt f_step,
 
 with the implicit operator A_k = I - theta dt L_k factored once per level
-(LAPACK gttrf) and one gttrs solve per step.  `_stencil` forms L_k on every
-level in one array pass, `_explicit_diagonals` and `_implicit_factors` turn
-it into the two operators, and the coupled march of `stefan` builds one
-level at a time.
+(LAPACK gttrf) and one solve per step: gttrs with those factors for one
+column and for every transposed solve, gtsv on the raw rows of A_k for an
+untransposed block of columns (`_solve_implicit`), the same arithmetic bit
+for bit.  `_stencil` forms L_k on every level in one array pass,
+`_explicit_diagonals`, `_implicit_rows` and `_implicit_factors` turn it
+into the operators, and the coupled march of `stefan` builds one level at a
+time and solves it with gtsv, which factors as it solves.
 
 The two operators of a level share L_k, so B_k = I + (1-theta) dt L_k is
 exactly (1/theta) I - ((1-theta)/theta) A_k, and no sweep applies B as an
 operator inside its loop.  A forward sweep applies B_0 to u^0 only; once
 step j has solved A_{j+1} u^{j+1} = rhs_j, the explicit half of step j+1
 is (u^{j+1} - (1-theta) rhs_j) / theta (`_carry`), so each step is one
-forcing add, one gttrs and that carry.  A backward sweep carries
+forcing add, one solve and that carry.  A backward sweep carries
 the transposed solve's unknown chi the same way, and B^T is applied only
 where a caller needs a backward level itself, in whole-array passes after
 the loop.  This is the same theta scheme; outputs differ from applying B at
@@ -39,9 +42,9 @@ The backward sweep of the interior unit block runs at most once per
 `Propagator`: it yields G and P (`assemble_forms`) and the unit observation
 levels that the Gramian oracles push through one blocked forward sweep.
 Propagators of one operator set that differ only in the control radius
-share P, and from the second radius on the unmasked unit levels on every
-interior row, when (m+1)(n-1)^2 fits _KEEP_LEVELS; a radius whose G those
-levels give sweeps nothing backward.
+share P and, when m(n-1)^2 fits _KEEP_LEVELS, the chi of the first unit
+sweep, from which every radius forms its masked levels with no backward
+solve: one unit sweep per operator set.
 
 The backward solver applies the exact transpose of each forward step, scaled
 by R_{j+1}/R_j so that adjacent time levels pair in the physical measure
@@ -61,9 +64,10 @@ epsilon ladder and its replays share one build and one Gramian assembly.
 The control radius is not part of the operators: when only it differs,
 the new Propagator shares the previous one's operators and the
 radius-free results of its unit sweep (`_UnitSweep`), so a radius ladder
-on one path costs one build, one P and one free forward sweep of P's
-columns.  Per radius a Propagator caches the forms and, when one chunk
-of _CHUNK values holds them, the unit sweep's masked observation levels.
+on one path costs one build, one P, one free forward sweep of P's columns
+and, within _KEEP_LEVELS, one unit sweep.  Per radius a Propagator caches
+the forms and, when one chunk of _CHUNK values holds them, the unit
+sweep's masked observation levels.
 """
 
 from __future__ import annotations
@@ -95,14 +99,14 @@ from .errors import (
     InstabilityError,
 )
 
-_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(2),))
+_gttrf, _gttrs, _gtsv = get_lapack_funcs(("gttrf", "gttrs", "gtsv"), (np.zeros(2),))
 
 # values per chunk of the whole-level passes of a sweep
 _CHUNK = 1 << 15
 
-# most values, (m+1)(n-1)^2, of the unmasked unit observation levels that
-# an operator set keeps once it serves a second control radius: 65 536
-# values, 512 KiB; 32x64 needs 62 465 and 64x128 512 001
+# most values, m(n-1)^2, of the unit sweep's chi that an operator set
+# keeps for its later control radii: 65 536 values, 512 KiB; 30x60 needs
+# 50 460, 32x64 61 504 and 64x128 508 032
 _KEEP_LEVELS = 1 << 16
 
 
@@ -155,17 +159,23 @@ def _explicit_diagonals(cfg, dt, lower, diag, upper):
     return ex * lower[:, 1:, None], 1.0 + ex * diag[:, :, None], ex * upper[:, :-1, None]
 
 
-def _implicit_factors(cfg, dt, lower, diag, upper, first=0):
-    """gttrf factors of I - theta dt L_k on each level of a stencil; the
-    level in row j closes step first + j."""
+def _implicit_rows(cfg, dt, lower, diag, upper):
+    """(dl, d, du) of I - theta dt L_k on each level of a stencil, one row
+    per level: the raw rows that gttrf factors and gtsv solves with."""
     im = cfg.theta * dt
-    dl, d, du = -im * lower[:, 1:], 1.0 - im * diag, -im * upper[:, :-1]
+    return -im * lower[:, 1:], 1.0 - im * diag, -im * upper[:, :-1]
+
+
+def _implicit_factors(cfg, dt, lower, diag, upper):
+    """gttrf factors of I - theta dt L_k on each level of a stencil; the
+    level in row j closes step j."""
+    dl, d, du = _implicit_rows(cfg, dt, lower, diag, upper)
     factors = []
     for j in range(len(d)):
         # the implicit rows are scratch, so gttrf factors them in place
         dlf, df, duf, du2, ipiv, info = _gttrf(dl[j], d[j], du[j], 1, 1, 1)
         if info != 0:
-            raise InstabilityError(f"implicit step {first + j} is singular (gttrf info={info})",
+            raise InstabilityError(f"implicit step {j} is singular (gttrf info={info})",
                                    suggested_nodes=2 * cfg.n, suggested_steps=2 * cfg.m)
         factors.append((dlf, df, duf, du2, ipiv))
     return factors
@@ -197,12 +207,24 @@ def _carry(theta, x, rhs):
     return rhs
 
 
-def _solve_implicit(factors, rhs, transposed=False):
-    """Implicit solve for an (n-1, k) block."""
-    dlf, df, duf, du2, ipiv = factors
-    out, info = _gttrs(dlf, df, duf, du2, ipiv, rhs, trans=b"T" if transposed else b"N")
+def _solve_implicit(system, rhs, transposed=False):
+    """Implicit solve for an (n-1, k) block.
+
+    system is a level's five gttrf factors, solved with gttrs, or, for an
+    untransposed solve only, its three raw rows (dl, d, du) of
+    `_implicit_rows`, solved with gtsv.  gtsv does the arithmetic of gttrf
+    then gttrs, bit for bit, but eliminates row by row across all k
+    columns, where gttrs substitutes one column at a time; it pays for
+    blocks, and for a level whose factors would be used once.
+    """
+    if len(system) == 3:
+        *_, out, info = _gtsv(*system, rhs)
+        routine = "gtsv"
+    else:
+        out, info = _gttrs(*system, rhs, trans=b"T" if transposed else b"N")
+        routine = "gttrs"
     if info != 0:
-        raise InstabilityError(f"tridiagonal solve failed (info={info})")
+        raise InstabilityError(f"tridiagonal solve failed ({routine} info={info})")
     return out
 
 
@@ -275,18 +297,16 @@ class _UnitSweep:
     """What the unit sweep of one operator set yields whatever the control
     radius, shared by every Propagator of those operators (read-only
     arrays, None until formed): the t = 0 slice P, the free final states
-    of P's columns (`_unit_gramian`), and the unmasked observation levels
-    of the unit sweep on every interior row, (m+1, n-1, n-1).  The levels
-    are swept and kept only once the operators have served a second
-    control radius (radii holds those served) and (m+1)(n-1)^2 is at most
-    _KEEP_LEVELS, so that single-radius use does no work beyond its reach
-    rows."""
+    of P's columns (`_unit_gramian`), and chis, the chi_j of every
+    backward step j of the unit sweep, (n-1, n-1) each, indexed by j.  The
+    first unit sweep keeps the chi it solves when m(n-1)^2 is at most
+    _KEEP_LEVELS, with no copy, and every later radius forms its masked
+    levels from them (`_unit_steps`) with no backward solve."""
 
-    __slots__ = ("P", "free", "levels", "radii")
+    __slots__ = ("P", "free", "chis")
 
     def __init__(self):
-        self.P = self.free = self.levels = None
-        self.radii = set()
+        self.P = self.free = self.chis = None
 
 
 class Propagator:
@@ -309,11 +329,14 @@ class Propagator:
     The unit sweep (see the module docstring) leaves G and P, and the unit
     observation levels when they fit in one chunk; a larger set lives only
     for the Gramian oracle call (`_unit_gramian`) that asked for it.
+    Forward sweeps of more than one column solve with gtsv on the raw
+    implicit rows, which the first such sweep forms (`_raw_rows`).
 
     The control radius sets only the mask, its reach, G and the masked
     unit levels.  `propagator` derives the Propagator of another radius
     from this one (`_with_radius`), sharing the operators and the
-    radius-free `_UnitSweep` results instead of building them again.
+    radius-free `_UnitSweep` results, the kept chi among them, instead of
+    building them again.
     """
 
     def __init__(self, path: BoundaryPath, potential, cfg: SchemeConfig,
@@ -335,6 +358,7 @@ class Propagator:
         lower, diag, upper = _stencil(cfg, self.rho[1:-1], R, path.slopes, self.pot[1:-1].T)
         self._explicit = _explicit_diagonals(cfg, self.dt, lower[:-1], diag[:-1], upper[:-1])
         self._factors = _implicit_factors(cfg, self.dt, lower[1:], diag[1:], upper[1:])
+        self._rows = None    # see _raw_rows
 
         self.ratio = R[1:] / R[:-1]
         # the backward carry: chi_j enters the transposed solve of step j-1
@@ -368,7 +392,17 @@ class Propagator:
             # rho_i R_j < b holds on a prefix of rows at every level: the
             # interior rows the mask ever reaches
             self._reach = int(np.count_nonzero(self.mask[1:-1].any(axis=1)))
-            self._unit.radii.add(control_radius)
+
+    def _raw_rows(self):
+        """The raw implicit rows (dl, d, du) of every step, for the gtsv
+        solves of a sweep of more than one column.  gttrf factors the
+        build's rows in place, so they are formed again, bitwise as the
+        build formed them, on the first such sweep and kept."""
+        if self._rows is None:
+            R, slopes = self.path.radii[1:], self.path.slopes[1:]
+            stencil = _stencil(self.cfg, self.rho[1:-1], R, slopes, self.pot[1:-1, 1:].T)
+            self._rows = list(zip(*_implicit_rows(self.cfg, self.dt, *stencil)))
+        return self._rows
 
     def _with_radius(self, control_radius) -> "Propagator":
         """The Propagator of these operators for another control radius.
@@ -452,9 +486,12 @@ class Propagator:
         about _CHUNK values at a time, in the arithmetic of `_step_forcing`,
         and with control set that pass multiplies it by the indicator first.
         A reaction leaves the averages unscaled and adds dt (average - lag)
-        per step, the lag r f(u/r) read on x, the current level.
+        per step, the lag r f(u/r) read on x, the current level.  A block
+        of more than one column solves with gtsv on the raw rows, a single
+        column with gttrs on the factors (see `_solve_implicit`).
         """
         theta, m, dt = self.cfg.theta, self.m, self.dt
+        systems = self._raw_rows() if rhs.shape[1] > 1 else self._factors
         rho_int, radii = self.rho[1:-1, None], self.path.radii
         span, avg = m, None
         if source is not None:
@@ -480,7 +517,7 @@ class Propagator:
                     rhs += dt * (-lag if avg is None else avg[j - first] - lag)
                 elif avg is not None:
                     head += avg[j - first]
-                x = _solve_implicit(self._factors[j], rhs)
+                x = _solve_implicit(systems[j], rhs)
                 rhs = _carry(theta, x, rhs)
                 yield x
 
@@ -591,10 +628,11 @@ class Propagator:
         obs.reshape(self.n + 1, self.m + 1, -1)[1:-1] = levels.transpose(1, 0, 2)
         return obs
 
-    def _observation_chunks(self, x, rows, masked=True):
+    def _observation_chunks(self, x, rows):
         """Masked observation levels of the backward sweep from the interior
-        (n-1, k) block x, on its first `rows` rows, one chunk at a time;
-        with masked unset, the levels before the mask multiplies them.
+        (n-1, k) block x, on its first `rows` rows, one chunk at a time; x
+        None stands for the interior unit block, whose chi `_unit_steps`
+        gives.
 
         The step loop keeps each chi_j's first rows in a ring of one chunk
         of levels, about _CHUNK values.  Once the chunk's lowest chi is in,
@@ -609,14 +647,15 @@ class Propagator:
         step, chi_0 for the last chunk, which completes level 0 too.
         """
         m = self.m
-        span = max(1, _CHUNK // max(1, rows * x.shape[1]))
-        chis = np.empty((min(span, m), rows, x.shape[1]))
+        k = self.n - 1 if x is None else x.shape[1]
+        span = max(1, _CHUNK // max(1, rows * k))
+        chis = np.empty((min(span, m), rows, k))
         product = np.empty_like(chis)
         # levels j .. j+count of the chunk of steps j .. j+count-1; a lower
         # chunk's top level is the chunk above's bottom one, which is still
         # waiting for its _obs_next share
         levels = np.zeros((len(chis) + 1,) + chis.shape[1:])
-        for j, chi in self._backward_steps(x):
+        for j, chi in self._unit_steps() if x is None else self._backward_steps(x):
             chis[j % span] = chi[:rows]
             if j % span:
                 continue
@@ -628,16 +667,33 @@ class Propagator:
             levels[1:count + 1] += part
             first = j + 1 if j else 0
             done = levels[first - j:count + 1]
-            if masked:
-                done *= self.mask[1:rows + 1, first:j + count + 1].T[:, :, None]
+            done *= self.mask[1:rows + 1, first:j + count + 1].T[:, :, None]
             yield first, done, chi
             if j:
                 levels[span] = levels[0]
                 levels[:span] = 0.0
 
+    def _unit_steps(self):
+        """(j, chi) of the backward sweep of the interior unit block, as
+        `_backward_steps` yields them: the kept chi of `_UnitSweep`, or
+        else the sweep, which keeps its chi read-only, with no copy, when
+        m(n-1)^2 fits _KEEP_LEVELS and the sweep runs to level 0."""
+        unit, m, ni = self._unit, self.m, self.n - 1
+        if unit.chis is not None:
+            yield from ((j, unit.chis[j]) for j in range(m - 1, -1, -1))
+            return
+        kept = [None] * m if m * ni * ni <= _KEEP_LEVELS else None
+        for j, chi in self._backward_steps(np.eye(ni)):
+            if kept is not None:
+                chi.setflags(write=False)
+                kept[j] = chi
+            yield j, chi
+        unit.chis = kept
+
     def _observation(self, x, rows):
         """The levels of `_observation_chunks` as one (m+1, rows, k) array."""
-        obs = np.empty((self.m + 1, rows, x.shape[1]))
+        k = self.n - 1 if x is None else x.shape[1]
+        obs = np.empty((self.m + 1, rows, k))
         for first, levels, _ in self._observation_chunks(x, rows):
             obs[first:first + len(levels)] = levels
         return obs
@@ -666,17 +722,12 @@ class Propagator:
         return self._forms
 
     def _assemble_forms(self, keep=False):
-        """Sets the forms from the unit levels.
-
-        Once the operators have served a second control radius, the
-        unmasked levels on every interior row are swept and kept in the
-        shared `_UnitSweep` when (m+1)(n-1)^2 fits _KEEP_LEVELS, and G is
-        read from them with no sweep: the mask is 1.0 on the rows G reads.
-        Otherwise the blocked sweep of the interior unit columns runs on
-        the reach rows, and its masked levels are kept when they fit in one
-        chunk of _CHUNK values; with keep set it returns them, (m+1, reach,
-        n-1), whatever their size, and a Gramian oracle reads them within
-        its call.  Returns None when G came from the full-row levels.
+        """Sets the forms from the masked unit levels on the reach rows,
+        one chunk at a time (`_observation_chunks` of the unit block, from
+        the kept chi when the operators keep them, else from a unit sweep),
+        and keeps those levels when they fit in one chunk of _CHUNK values;
+        with keep set it returns them, (m+1, reach, n-1), whatever their
+        size, and a Gramian oracle reads them within its call.
         """
         ni, reach, unit = self.n - 1, self._reach, self._unit
         radii = self.path.radii
@@ -685,24 +736,17 @@ class Propagator:
         inside = np.count_nonzero(self.mask[1:-1], axis=0)
         G = np.zeros((ni, ni))
         size = (self.m + 1) * reach * ni
-        held = None
-        if unit.levels is None and len(unit.radii) > 1 and (self.m + 1) * ni * ni <= _KEEP_LEVELS:
-            self._keep_full_levels()
-        if unit.levels is not None:
-            # the full-row levels as one chunk
-            chunks = [(0, unit.levels, None)]
-        else:
-            chunks = self._observation_chunks(np.eye(ni), reach)
-            if keep or size <= _CHUNK:
-                held = np.empty((self.m + 1, reach, ni))
-        for first, levels, chi in chunks:
+        held = np.empty((self.m + 1, reach, ni)) if keep or size <= _CHUNK else None
+        for first, levels, chi in self._observation_chunks(None, reach):
             for level in range(first + len(levels) - 1, first - 1, -1):
                 rows = levels[level - first, :inside[level]]
                 G += weight[level] * (rows.T @ rows)
             if held is not None:
                 held[first:first + len(levels)] = levels
         if unit.P is None:
-            self._keep_slice(chi)
+            # P, the unit sweep at t = 0, from its chi_0
+            unit.P = self._levels(0, chi[:, None])[:, 0]
+            unit.P.setflags(write=False)
         self._require_finite("blocked backward sweep", G, unit.P)
         G.setflags(write=False)
         self._forms = G, unit.P
@@ -710,24 +754,6 @@ class Propagator:
             held.setflags(write=False)
             self._unit_levels = held
         return held
-
-    def _keep_slice(self, chi):
-        """P, the unit sweep at t = 0, from its chi_0, kept read-only."""
-        P = self._levels(0, chi[:, None])[:, 0]
-        P.setflags(write=False)
-        self._unit.P = P
-
-    def _keep_full_levels(self):
-        """The unit sweep on every interior row, unmasked: keeps its levels,
-        (m+1, n-1, n-1), and P when it is not kept yet."""
-        ni = self.n - 1
-        levels = np.empty((self.m + 1, ni, ni))
-        for first, done, chi in self._observation_chunks(np.eye(ni), ni, masked=False):
-            levels[first:first + len(done)] = done
-        levels.setflags(write=False)
-        self._unit.levels = levels
-        if self._unit.P is None:
-            self._keep_slice(chi)
 
     def free_final(self, u0) -> np.ndarray:
         """The free state at T, the last level of `run_forward(u0)`, by duality.
@@ -788,22 +814,20 @@ class Propagator:
         `apply_gramian` or `run_forward`.
 
         The unit levels are those kept, else those of `_assemble_forms` run
-        here, else the operators' full-row levels times the mask, else
-        those of `_observation`; only extra's columns sweep backward of
-        their own.  The free final states of P's columns are swept once per
-        operator set and kept, since they do not depend on the radius; a
-        later call sweeps only the Gramian columns, each column keeping its
-        bits in a narrower block.
+        here, else those of `_observation` on the unit block, formed from
+        the operators' kept chi when they keep them; only extra's columns
+        sweep backward of their own.  The free final states of P's columns
+        are swept once per operator set and kept, since they do not depend
+        on the radius; a later call sweeps only the Gramian columns, each
+        column keeping its bits in a narrower block.
         """
         self._require_mask()
         reach, unit = self._reach, self._unit
         obs = self._unit_levels
         if obs is None and self._forms is None:
             obs = self._assemble_forms(keep=True)
-        if obs is None and unit.levels is not None:
-            obs = unit.levels[:, :reach] * self.mask[1:reach + 1].T[:, :, None]
         if obs is None:
-            obs = self._observation(np.eye(self.n - 1), reach)
+            obs = self._observation(None, reach)
         if extra is not None:
             obs = np.concatenate((obs, self._observation(extra, reach)), axis=2)
         if not with_free:

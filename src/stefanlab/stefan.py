@@ -61,7 +61,7 @@ from .pde import (
     _check_initial,
     _edge_flux,
     _explicit_diagonals,
-    _implicit_factors,
+    _implicit_rows,
     _lagged_reaction,
     _radial_profile,
     _solve_implicit,
@@ -235,9 +235,10 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
     Step j runs on the theta-step kernel of `pde`: the right-hand side of
     step j is the explicit half of level j at the stored radius and slope
     (R_j, S_j) plus the step's forcing, and each solve builds only the
-    implicit factors of its candidate level j+1.  With q_j the melting rate
-    of the accepted column at R_j, a predictor solves the step at
-    (R_j + dt q_j, q_j) and gives the rate q_pred; then
+    implicit rows of its candidate level j+1, which one gtsv call factors
+    and solves with, since the march uses each level's factors once.  With
+    q_j the melting rate of the accepted column at R_j, a predictor solves
+    the step at (R_j + dt q_j, q_j) and gives the rate q_pred; then
 
         R_{j+1} = R_j + dt (q_j + q_pred) / 2,   S_{j+1} = q_pred,
 
@@ -284,10 +285,15 @@ def coupled_solve(u0, setup: PhysicalSetup, control, cfg: SchemeConfig):
     def solve(j, base, here, radius, slope, lag):
         """Step j with level j+1 set to (radius, slope); (solution, rhs)."""
         radii[j + 1], slopes[j + 1] = radius, slope
-        (factors,) = _implicit_factors(cfg, dt, *level(j + 1), first=j)
+        rows = tuple(row[0] for row in _implicit_rows(cfg, dt, *level(j + 1)))
         extra = _step_forcing(theta, here, masked_column(j + 1, radius), lag)
         rhs = base if extra is None else base + dt * extra
-        return _solve_implicit(factors, rhs), rhs
+        try:
+            return _solve_implicit(rows, rhs), rhs
+        except InstabilityError as exc:
+            # gtsv meets an exactly zero pivot: the candidate level is singular
+            raise InstabilityError(f"implicit step {j} is singular: {exc}",
+                                   suggested_nodes=2 * n, suggested_steps=2 * m) from exc
 
     radii[0] = setup.R0
     q = slopes[0] = _melting_rate(u0, setup.R0)

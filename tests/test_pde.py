@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from stefanlab import observability, pde
+from stefanlab import observability, pde, stefan
 from stefanlab.control import dense_gramian
 from stefanlab.domain import (
     ROLE_CONTROL,
@@ -159,6 +159,59 @@ def test_singular_implicit_step_reports_refinement():
         solve_forward(u0, path, pot, None, cfg)
     assert err.value.suggested_nodes == 32
     assert err.value.suggested_steps == 16
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@given(n=st.integers(3, 80), k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_gtsv_solve_equals_factored_solve_bitwise(n, k, seed):
+    # a forward step of more than one column, and the coupled march, solve
+    # with gtsv on the raw rows, a single column of a sweep with gttrs on
+    # the gttrf factors: blocked sweeps equal column sweeps, and the march
+    # replays through the sweeps, only while the two agree bit for bit,
+    # row interchanges included; the rows and the right-hand side stay as
+    # they were, since a Propagator keeps its rows and the sweep its rhs
+    rng = np.random.default_rng(seed)
+    dl, du = rng.standard_normal((2, n - 1))
+    # small pivots force interchanges, the first row's always
+    d = 0.1 * rng.standard_normal(n)
+    d[0] = 0.5 * dl[0]
+    rhs = rng.standard_normal((n, k))
+    dlf, df, duf, du2, ipiv, info = pde._gttrf(dl, d, du)
+    assert info == 0 and np.any(ipiv != np.arange(1, n + 1))
+    want, info = pde._gttrs(dlf, df, duf, du2, ipiv, rhs)
+    assert info == 0
+    inputs = [a.copy() for a in (dl, d, du, rhs)]
+    got = pde._solve_implicit((dl, d, du), rhs)
+    assert got.tobytes() == want.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((dl, d, du, rhs), inputs))
+
+
+def test_wide_and_march_solves_go_through_solve_implicit(monkeypatch):
+    # the tests' solve counters and no-step guards patch _solve_implicit:
+    # a blocked forward sweep, on gtsv, and the coupled march, one gtsv per
+    # predictor and corrector, must both go through it
+    calls = []
+    solve = pde._solve_implicit
+
+    def counted(system, rhs, transposed=False):
+        calls.append((len(system), rhs.shape[1], transposed))
+        return solve(system, rhs, transposed)
+
+    monkeypatch.setattr(pde, "_solve_implicit", counted)
+    monkeypatch.setattr(stefan, "_solve_implicit", counted)
+    cfg = SchemeConfig(n=16, m=12)
+    prop = Propagator(constant_path(1.0, 0.3, cfg.m), None, cfg)
+    block = np.zeros((cfg.n + 1, 3))
+    block[1:-1] = np.random.default_rng(3).standard_normal((cfg.n - 1, 3))
+    prop.run_forward(block)
+    assert calls == [(3, 3, False)] * cfg.m
+    calls.clear()
+    prop.run_forward(block[:, 0])
+    assert calls == [(5, 1, False)] * cfg.m
+    calls.clear()
+    setup = PhysicalSetup(T=0.3, z0=lambda r: 0.3 * np.sin(np.pi * r))
+    coupled_solve(setup.initial_line_field(cfg.grid), setup, None, cfg)
+    assert calls == [(3, 1, False)] * (2 * cfg.m)
 
 
 def test_duality_battery_random_paths_and_potentials():

@@ -2,7 +2,7 @@
 miss on any changed input, one build and one assembly per epsilon ladder
 and per observability estimate with its dense oracle, one unit sweep
 whichever of the forms and the Gramian oracles comes first, one build and
-at most two unit sweeps per radius ladder, and one slot per thread."""
+one unit sweep per radius ladder, and one slot per thread."""
 
 import hashlib
 import sys
@@ -329,60 +329,73 @@ def test_radius_ladder_equals_fresh_builds_bitwise(grid, chunk, theta, rungs, se
     assert counts["build"] == 1
 
 
-def test_radius_ladder_costs_one_build_and_two_unit_sweeps(monkeypatch):
+def _count_unit_steps(monkeypatch, cfg):
+    """The transposed (n-1)-column solves, the backward steps of unit sweeps."""
+    steps = []
+    solve = pde._solve_implicit
+
+    def counted(system, rhs, transposed=False):
+        if transposed and rhs.shape[1] == cfg.n - 1:
+            steps.append(1)
+        return solve(system, rhs, transposed)
+
+    monkeypatch.setattr(pde, "_solve_implicit", counted)
+    return steps
+
+
+def test_radius_ladder_costs_one_build_and_one_unit_sweep(monkeypatch):
     # estimate and dense oracle over three radii: the first radius sweeps
-    # the unit columns on its reach rows, the second on every row and keeps
-    # those levels, which the third reads; P's free columns sweep forward once
+    # the unit columns backward and keeps their chi, from which every
+    # radius forms its levels; P's free columns sweep forward once
     counts = _count_builds_and_assemblies(monkeypatch)
     cfg, path, pot, _ = _case(24, 48)
-    unit_steps, free_sweeps = [], []
-    solve, images = pde._solve_implicit, Propagator._gramian_images
-
-    def counted_solve(factors, rhs, transposed=False):
-        if transposed and rhs.shape[1] == cfg.n - 1:
-            unit_steps.append(1)
-        return solve(factors, rhs, transposed)
+    unit_steps = _count_unit_steps(monkeypatch, cfg)
+    free_sweeps = []
+    images = Propagator._gramian_images
 
     def counted_images(self, obs, free=None):
         if free is not None:
             free_sweeps.append(free.shape[1])
         return images(self, obs, free)
 
-    monkeypatch.setattr(pde, "_solve_implicit", counted_solve)
     monkeypatch.setattr(Propagator, "_gramian_images", counted_images)
     setup = PhysicalSetup()
     for b in (0.2, 0.3, 0.45):
         estimate_constant(path, pot, setup, cfg, b=b)
         dense_constant(path, pot, setup, cfg, b=b)
     assert counts["build"] == 1
-    assert len(unit_steps) <= 2 * cfg.m
+    assert len(unit_steps) <= cfg.m
     assert free_sweeps == [cfg.n - 1]
 
 
-def test_full_row_levels_wait_for_a_second_radius():
-    # one radius, however often asked and with radius-free sweeps between,
-    # keeps no full-row levels; a second keeps them within _KEEP_LEVELS, and
-    # a grid above the bound never does
-    cfg, path, pot, u0 = _case(32, 64)
-    prop = pde.propagator(path, pot, cfg, _B)
-    prop.assemble_forms()
-    dense_gramian(path, pot, _B, cfg)
-    assert pde.propagator(path, pot, cfg, _B) is prop
-    pde.propagator(path, pot, cfg, None).run_forward(u0)
-    pde.propagator(path, pot, cfg, _B).assemble_forms()
-    assert prop._unit.levels is None
-    pde.propagator(path, pot, cfg, 0.45).assemble_forms()
-    levels = prop._unit.levels
-    assert levels.shape == (cfg.m + 1, cfg.n - 1, cfg.n - 1)
-    assert levels.size <= pde._KEEP_LEVELS and levels.nbytes <= 512 * 1024
-
-    for grid in ((64, 128), (100, 200)):
-        _clear_slot()
-        cfg, path, pot, _ = _case(*grid)
-        props = [pde.propagator(path, pot, cfg, b) for b in (0.2, 0.3, 0.45)]
-        for prop in props:
-            prop.assemble_forms()
-        assert props[0]._unit is props[-1]._unit and props[0]._unit.levels is None, grid
+@pytest.mark.parametrize("grid", [(24, 48), (32, 64), (64, 128), (100, 200)],
+                         ids=lambda grid: f"{grid[0]}x{grid[1]}")
+def test_unit_sweep_chi_kept_within_the_bound(monkeypatch, grid):
+    # an operator set keeps its unit sweep's chi, read-only and within
+    # _KEEP_LEVELS, when m(n-1)^2 fits: a three-rung ladder of estimates
+    # and dense oracles then makes one unit sweep in all; above the bound
+    # nothing is kept and each radius sweeps the unit columns again
+    cfg, path, pot, _ = _case(*grid)
+    unit_steps = _count_unit_steps(monkeypatch, cfg)
+    setup = PhysicalSetup()
+    props = []
+    for b in (0.2, 0.3, 0.45):
+        estimate_constant(path, pot, setup, cfg, b=b)
+        if cfg.m <= 64:
+            dense_constant(path, pot, setup, cfg, b=b)
+        props.append(pde.propagator(path, pot, cfg, b))
+    unit = props[0]._unit
+    assert all(prop._unit is unit for prop in props)
+    if cfg.m * (cfg.n - 1) ** 2 <= pde._KEEP_LEVELS:
+        assert len(unit_steps) <= cfg.m
+        assert len(unit.chis) == cfg.m
+        assert all(chi.shape == (cfg.n - 1, cfg.n - 1) and not chi.flags.writeable
+                   for chi in unit.chis)
+        assert sum(chi.size for chi in unit.chis) <= pde._KEEP_LEVELS
+        assert sum(chi.nbytes for chi in unit.chis) <= 512 * 1024
+    else:
+        assert unit.chis is None
+        assert len(unit_steps) == 3 * cfg.m
 
 
 def test_derived_propagator_refuses_a_bad_radius():

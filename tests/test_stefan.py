@@ -18,9 +18,10 @@ from stefanlab.errors import (
     ConvergenceError,
     FieldRoleError,
     GridError,
+    InstabilityError,
     RadiusBreachError,
 )
-from stefanlab import stefan
+from stefanlab import pde, stefan
 from stefanlab.pde import SchemeConfig, boundary_flux, solve_forward, solve_semilinear
 from stefanlab.stefan import (
     FixedPointConfig,
@@ -227,6 +228,29 @@ def test_coupled_breach_raises():
     u0 = setup.initial_line_field(cfg.grid)
     with pytest.raises(RadiusBreachError):
         coupled_solve(u0, setup, None, cfg)
+
+
+def test_coupled_singular_step_reports_refinement(monkeypatch):
+    # gtsv reporting a zero pivot (info > 0) on a candidate level stops the
+    # march with the step it was solving and a refined grid to try
+    calls = []
+    gtsv = pde._gtsv
+
+    def singular_on_fifth(dl, d, du, b, *args, **kwargs):
+        calls.append(1)
+        if len(calls) < 5:
+            return gtsv(dl, d, du, b, *args, **kwargs)
+        return dl, d, du, b, 3          # (du2, d, du, x, info)
+
+    monkeypatch.setattr(pde, "_gtsv", singular_on_fifth)
+    setup = PhysicalSetup(T=0.3, z0=lambda r: 0.3 * np.sin(np.pi * r))
+    cfg = SchemeConfig(n=16, m=24)
+    with pytest.raises(InstabilityError) as err:
+        coupled_solve(setup.initial_line_field(cfg.grid), setup, None, cfg)
+    # steps 0 and 1 solve twice each, so the fifth solve is step 2's predictor
+    assert str(err.value) == "implicit step 2 is singular: tridiagonal solve failed (gtsv info=3)"
+    assert err.value.suggested_nodes == 2 * cfg.n
+    assert err.value.suggested_steps == 2 * cfg.m
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, phases=_NO_SHRINK)
