@@ -114,8 +114,8 @@ def dense_gramian(path: BoundaryPath, potential, control_radius: float,
     an adjoint sweep, mask and forward sweep of its own, bitwise equal to
     `Propagator.apply_gramian` of that unit vector alone, and independent
     of the accumulated sums of `assemble_forms`.  Its backward half is the
-    Propagator's one sweep of the unit data: a call on new inputs runs it
-    and so assembles the forms too, and a later solve on the same inputs
+    Propagator's unit sweep: a call on new inputs runs it and so
+    assembles the forms too, and a later solve on the same inputs
     sweeps no unit column again.
     """
     if cfg.n > 64 or cfg.m > 128:

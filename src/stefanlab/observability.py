@@ -20,10 +20,10 @@ assembles both forms from the sweeps of every interior unit column at once,
 without the accumulated sums of the blocked assembly: the Gramian images of
 the unit columns give the denominator, and the free forward sweeps of the
 columns of P the numerator, each column bitwise equal to the single-column
-sweeps it stands for.  The backward sweep of the unit columns runs at most
-once per Propagator, shared with `estimate_constant` and
-`control.dense_gramian`, and gives P and the unit observation levels; only
-the seed column sweeps backward of its own, and one blocked forward sweep,
+sweeps it stands for.  The backward sweep of the unit columns is the
+Propagator's unit sweep, shared with `estimate_constant` and
+`control.dense_gramian`: whichever of them passes over the unit levels
+first sets both forms.  Only the seed column sweeps backward of its own, and one blocked forward sweep,
 the step loop of every forward sweep, carries the Gramian columns under
 the control indicator and the free columns of P together.  What the estimate
 computes its own way is still checked: the forward half of the Gramian
@@ -32,11 +32,11 @@ duality behind (R(0)/R(T)) P^T P.
 
 The observation radius b is not part of the operators.  A ladder of radii
 on one path (`pde.propagator`) shares one operator build, one P and one
-forward sweep of P's free columns; at small grids, where the operators keep
-the chi of their first unit sweep (m(n-1)^2 within `pde._KEEP_LEVELS`),
-every radius forms G and its masked levels from those, so the ladder makes
-one backward unit sweep in all.  Above that bound each radius sweeps the
-unit columns again.
+forward sweep of P's free columns.  Where the operators keep the chi of
+their unit sweep (m(n-1)^2 within `pde._KEEP_LEVELS`), every later pass
+over the unit levels, at any radius and in either function, forms them
+from those chi, so the ladder makes one backward unit sweep in all; above
+that bound each pass sweeps the unit columns again.
 
 A numerical hazard shapes both paths, verified against exact-arithmetic
 replicas of the discrete pair: terminal data built from the highest grid
@@ -149,10 +149,9 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
     goes through an adjoint sweep then a free forward sweep (numerator) and
     a Gramian apply (denominator), with the seed vector as one more column
     of the Gramian apply.  The adjoint sweeps of the unit columns are the
-    Propagator's one unit sweep (see the module docstring): after
-    estimate_constant on the same inputs its observation levels are read
-    again when one chunk holds them, else formed from the operators' kept
-    chi, and only the seed column sweeps backward.  The Gramian columns
+    Propagator's unit sweep (see the module docstring): after
+    estimate_constant on the same inputs, with the operators' chi kept,
+    only the seed column sweeps backward.  The Gramian columns
     and the free columns of P then share one blocked forward sweep, solved
     with gtsv; at a later radius on the same path the free columns' images
     are read back and only the Gramian columns sweep forward.  Each column

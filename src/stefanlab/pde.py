@@ -38,13 +38,9 @@ multiplies a control by the control indicator (`domain._control_indicator`),
 the one place a forward sweep applies it; the levels of an adjoint sweep
 after its loop; and its masked observation once per chunk of levels.  Only
 a lagged reaction, which reads the current level, is formed at every step.
-The backward sweep of the interior unit block runs at most once per
-`Propagator`: it yields G and P (`assemble_forms`) and the unit observation
-levels that the Gramian oracles push through one blocked forward sweep.
-Propagators of one operator set that differ only in the control radius
-share P and, when m(n-1)^2 fits _KEEP_LEVELS, the chi of the first unit
-sweep, from which every radius forms its masked levels with no backward
-solve: one unit sweep per operator set.
+The backward sweep of the interior unit block, the unit sweep, gives G and
+P (`assemble_forms`) and the unit observation levels that the Gramian
+oracles push through one blocked forward sweep.
 
 The backward solver applies the exact transpose of each forward step, scaled
 by R_{j+1}/R_j so that adjacent time levels pair in the physical measure
@@ -62,12 +58,15 @@ domain, so nothing is lost against the analytical adjoint.
 the potential, the control radius and the scheme are bitwise equal, so an
 epsilon ladder and its replays share one build and one Gramian assembly.
 The control radius is not part of the operators: when only it differs,
-the new Propagator shares the previous one's operators and the
-radius-free results of its unit sweep (`_UnitSweep`), so a radius ladder
-on one path costs one build, one P, one free forward sweep of P's columns
-and, within _KEEP_LEVELS, one unit sweep.  Per radius a Propagator caches
-the forms and, when one chunk of _CHUNK values holds them, the unit
-sweep's masked observation levels.
+the new Propagator shares the previous one's operators and their
+`_UnitSweep`.  What a unit sweep leaves behind follows one rule.  Per
+operator set: P, the free images of P's columns and, when its m(n-1)^2
+values fit _KEEP_LEVELS, the sweep's chi, from which every later pass over
+the unit levels, at any radius, slices its chunks with no backward solve.
+Per radius: the mask, its reach and the forms, set by whichever pass over
+the unit levels runs first.  Nothing else is kept; _CHUNK only sizes the
+passes.  So a radius ladder on one path costs one build, one P, one free
+forward sweep of P's columns and, within _KEEP_LEVELS, one unit sweep.
 """
 
 from __future__ import annotations
@@ -105,8 +104,8 @@ _gttrf, _gttrs, _gtsv = get_lapack_funcs(("gttrf", "gttrs", "gtsv"), (np.zeros(2
 _CHUNK = 1 << 15
 
 # most values, m(n-1)^2, of the unit sweep's chi that an operator set
-# keeps for its later control radii: 65 536 values, 512 KiB; 30x60 needs
-# 50 460, 32x64 61 504 and 64x128 508 032
+# keeps for its later passes: 65 536 values, 512 KiB; 30x60 needs 50 460,
+# 32x64 61 504 and 64x128 508 032
 _KEEP_LEVELS = 1 << 16
 
 
@@ -166,14 +165,15 @@ def _implicit_rows(cfg, dt, lower, diag, upper):
     return -im * lower[:, 1:], 1.0 - im * diag, -im * upper[:, :-1]
 
 
-def _implicit_factors(cfg, dt, lower, diag, upper):
-    """gttrf factors of I - theta dt L_k on each level of a stencil; the
-    level in row j closes step j."""
-    dl, d, du = _implicit_rows(cfg, dt, lower, diag, upper)
+def _implicit_factors(cfg, rows):
+    """gttrf factors of the implicit rows (dl, d, du) of `_implicit_rows`,
+    one level per row, which stay as they are; the level in row j closes
+    step j."""
     factors = []
-    for j in range(len(d)):
-        # the implicit rows are scratch, so gttrf factors them in place
-        dlf, df, duf, du2, ipiv, info = _gttrf(dl[j], d[j], du[j], 1, 1, 1)
+    # gttrf factors one C-ordered copy of the rows in place; a strided row
+    # (the diagonal of a transposed potential) it would copy level by level
+    for j, (dl, d, du) in enumerate(zip(*(r.copy() for r in rows))):
+        dlf, df, duf, du2, ipiv, info = _gttrf(dl, d, du, 1, 1, 1)
         if info != 0:
             raise InstabilityError(f"implicit step {j} is singular (gttrf info={info})",
                                    suggested_nodes=2 * cfg.n, suggested_steps=2 * cfg.m)
@@ -297,11 +297,9 @@ class _UnitSweep:
     """What the unit sweep of one operator set yields whatever the control
     radius, shared by every Propagator of those operators (read-only
     arrays, None until formed): the t = 0 slice P, the free final states
-    of P's columns (`_unit_gramian`), and chis, the chi_j of every
-    backward step j of the unit sweep, (n-1, n-1) each, indexed by j.  The
-    first unit sweep keeps the chi it solves when m(n-1)^2 is at most
-    _KEEP_LEVELS, with no copy, and every later radius forms its masked
-    levels from them (`_unit_steps`) with no backward solve."""
+    of P's columns (`_unit_gramian`), and chis, the (m, n-1, n-1) chi of
+    the backward steps, chi_j in row j, kept when m(n-1)^2 is at most
+    _KEEP_LEVELS (`_chi_chunks`)."""
 
     __slots__ = ("P", "free", "chis")
 
@@ -326,17 +324,14 @@ class Propagator:
     level per step, and formed outside its loop.  The solvers obtain
     theirs through `propagator`, which reuses a thread's last one.
 
-    The unit sweep (see the module docstring) leaves G and P, and the unit
-    observation levels when they fit in one chunk; a larger set lives only
-    for the Gramian oracle call (`_unit_gramian`) that asked for it.
     Forward sweeps of more than one column solve with gtsv on the raw
-    implicit rows, which the first such sweep forms (`_raw_rows`).
+    implicit rows, which the build keeps beside their factors.
 
-    The control radius sets only the mask, its reach, G and the masked
-    unit levels.  `propagator` derives the Propagator of another radius
-    from this one (`_with_radius`), sharing the operators and the
-    radius-free `_UnitSweep` results, the kept chi among them, instead of
-    building them again.
+    The control radius sets only the mask, its reach and the forms.
+    `propagator` derives the Propagator of another radius from this one
+    (`_with_radius`), sharing the operators and their `_UnitSweep`
+    instead of building them again; the module docstring gives the one
+    rule for what a unit sweep leaves behind.
     """
 
     def __init__(self, path: BoundaryPath, potential, cfg: SchemeConfig,
@@ -354,11 +349,12 @@ class Propagator:
         R = path.radii
         # step j, from level j to level j+1, applies the explicit diagonals
         # of level j (level-major, one (m, ., 1) array per diagonal) and
-        # solves with the gttrf factors of I - theta dt L_{j+1}
+        # solves with the raw rows (gtsv) or the gttrf factors (gttrs) of
+        # I - theta dt L_{j+1}
         lower, diag, upper = _stencil(cfg, self.rho[1:-1], R, path.slopes, self.pot[1:-1].T)
         self._explicit = _explicit_diagonals(cfg, self.dt, lower[:-1], diag[:-1], upper[:-1])
-        self._factors = _implicit_factors(cfg, self.dt, lower[1:], diag[1:], upper[1:])
-        self._rows = None    # see _raw_rows
+        self._rows = _implicit_rows(cfg, self.dt, lower[1:], diag[1:], upper[1:])
+        self._factors = _implicit_factors(cfg, self._rows)
 
         self.ratio = R[1:] / R[:-1]
         # the backward carry: chi_j enters the transposed solve of step j-1
@@ -382,7 +378,6 @@ class Propagator:
     def _set_radius(self, control_radius):
         """The per-radius part: the mask, its reach, and no forms yet."""
         self._forms = None
-        self._unit_levels = None
         self.mask = None
         self._reach = 0
         if control_radius is not None:
@@ -392,17 +387,6 @@ class Propagator:
             # rho_i R_j < b holds on a prefix of rows at every level: the
             # interior rows the mask ever reaches
             self._reach = int(np.count_nonzero(self.mask[1:-1].any(axis=1)))
-
-    def _raw_rows(self):
-        """The raw implicit rows (dl, d, du) of every step, for the gtsv
-        solves of a sweep of more than one column.  gttrf factors the
-        build's rows in place, so they are formed again, bitwise as the
-        build formed them, on the first such sweep and kept."""
-        if self._rows is None:
-            R, slopes = self.path.radii[1:], self.path.slopes[1:]
-            stencil = _stencil(self.cfg, self.rho[1:-1], R, slopes, self.pot[1:-1, 1:].T)
-            self._rows = list(zip(*_implicit_rows(self.cfg, self.dt, *stencil)))
-        return self._rows
 
     def _with_radius(self, control_radius) -> "Propagator":
         """The Propagator of these operators for another control radius.
@@ -491,7 +475,7 @@ class Propagator:
         column with gttrs on the factors (see `_solve_implicit`).
         """
         theta, m, dt = self.cfg.theta, self.m, self.dt
-        systems = self._raw_rows() if rhs.shape[1] > 1 else self._factors
+        systems = list(zip(*self._rows)) if rhs.shape[1] > 1 else self._factors
         rho_int, radii = self.rho[1:-1, None], self.path.radii
         span, avg = m, None
         if source is not None:
@@ -630,40 +614,34 @@ class Propagator:
 
     def _observation_chunks(self, x, rows):
         """Masked observation levels of the backward sweep from the interior
-        (n-1, k) block x, on its first `rows` rows, one chunk at a time; x
-        None stands for the interior unit block, whose chi `_unit_steps`
-        gives.
+        (n-1, k) block x, on its first `rows` rows, one chunk of about
+        _CHUNK values at a time; x None stands for the interior unit block.
 
-        The step loop keeps each chi_j's first rows in a ring of one chunk
-        of levels, about _CHUNK values.  Once the chunk's lowest chi is in,
-        one pass per weight adds _obs_here[l] chi_l and _obs_next[l-1]
-        chi_{l-1} into the zeroed levels through one product buffer, so
-        every level is the zero-started sum of its two products, bit for
-        bit as accumulating them step by step gives it, whatever the chunk
-        size; the mask multiplies each level once it is complete.  Yields
-        (first, levels, chi) from the top chunk down: levels is the
-        (L, rows, k) view of the complete levels first .. first+L-1, valid
-        until the next chunk, and chi the whole chi of the chunk's lowest
-        step, chi_0 for the last chunk, which completes level 0 too.
+        Once a chunk's chi are in (`_chi_chunks`), one pass per weight adds
+        _obs_here[l] chi_l and _obs_next[l-1] chi_{l-1} into the zeroed
+        levels through one product buffer, so every level is the
+        zero-started sum of its two products, bit for bit as accumulating
+        them step by step gives it, whatever the chunk size; the mask
+        multiplies each level once it is complete.  Yields (first, levels,
+        chi) from the top chunk down: levels is the (L, rows, k) view of the
+        complete levels first .. first+L-1, valid until the next chunk, and
+        chi the whole chi of the chunk's lowest step, chi_0 for the last
+        chunk, which completes level 0 too.
         """
         m = self.m
         k = self.n - 1 if x is None else x.shape[1]
         span = max(1, _CHUNK // max(1, rows * k))
-        chis = np.empty((min(span, m), rows, k))
-        product = np.empty_like(chis)
+        product = np.empty((min(span, m), rows, k))
         # levels j .. j+count of the chunk of steps j .. j+count-1; a lower
         # chunk's top level is the chunk above's bottom one, which is still
         # waiting for its _obs_next share
-        levels = np.zeros((len(chis) + 1,) + chis.shape[1:])
-        for j, chi in self._unit_steps() if x is None else self._backward_steps(x):
-            chis[j % span] = chi[:rows]
-            if j % span:
-                continue
-            count = min(span, m - j)
-            ring, part = chis[:count], product[:count]
-            np.multiply(self._obs_here[j:j + count, None, None], ring, out=part)
+        levels = np.zeros((len(product) + 1, rows, k))
+        for j, chis, chi in self._chi_chunks(x, rows, span):
+            count = len(chis)
+            part = product[:count]
+            np.multiply(self._obs_here[j:j + count, None, None], chis, out=part)
             levels[:count] += part
-            np.multiply(self._obs_next[j:j + count, None, None], ring, out=part)
+            np.multiply(self._obs_next[j:j + count, None, None], chis, out=part)
             levels[1:count + 1] += part
             first = j + 1 if j else 0
             done = levels[first - j:count + 1]
@@ -673,28 +651,72 @@ class Propagator:
                 levels[span] = levels[0]
                 levels[:span] = 0.0
 
-    def _unit_steps(self):
-        """(j, chi) of the backward sweep of the interior unit block, as
-        `_backward_steps` yields them: the kept chi of `_UnitSweep`, or
-        else the sweep, which keeps its chi read-only, with no copy, when
-        m(n-1)^2 fits _KEEP_LEVELS and the sweep runs to level 0."""
-        unit, m, ni = self._unit, self.m, self.n - 1
-        if unit.chis is not None:
-            yield from ((j, unit.chis[j]) for j in range(m - 1, -1, -1))
-            return
-        kept = [None] * m if m * ni * ni <= _KEEP_LEVELS else None
-        for j, chi in self._backward_steps(np.eye(ni)):
-            if kept is not None:
-                chi.setflags(write=False)
-                kept[j] = chi
-            yield j, chi
-        unit.chis = kept
+    def _chi_chunks(self, x, rows, span):
+        """(j, chis, chi) of the backward sweep from x, as `_observation_chunks`
+        takes them, one chunk of span steps at a time from the top down:
+        chis is the (L, rows, k) first rows of chi_j .. chi_{j+L-1}, valid
+        until the next chunk, and chi the whole chi_j.
 
-    def _observation(self, x, rows):
-        """The levels of `_observation_chunks` as one (m+1, rows, k) array."""
-        k = self.n - 1 if x is None else x.shape[1]
-        obs = np.empty((self.m + 1, rows, k))
-        for first, levels, _ in self._observation_chunks(x, rows):
+        A sweep keeps its chunk in a ring.  The chi of the unit block are
+        `_UnitSweep.chis` when its operator set keeps them, sliced with no
+        per-step work; the first unit sweep of a set whose m(n-1)^2 values
+        fit _KEEP_LEVELS runs whole and keeps them.
+        """
+        m, ni, unit = self.m, self.n - 1, self._unit
+        if x is None and unit.chis is None and m * ni * ni <= _KEEP_LEVELS:
+            chis = np.empty((m, ni, ni))
+            for j, chi in self._backward_steps(np.eye(ni)):
+                chis[j] = chi
+            chis.setflags(write=False)
+            unit.chis = chis
+        if x is None and unit.chis is not None:
+            for j in range(m - 1 - (m - 1) % span, -1, -span):
+                yield j, unit.chis[j:j + span, :rows], unit.chis[j]
+            return
+        x = np.eye(ni) if x is None else x
+        ring = np.empty((min(span, m), rows, x.shape[1]))
+        for j, chi in self._backward_steps(x):
+            ring[j % span] = chi[:rows]
+            if not j % span:
+                yield j, ring[:min(span, m - j)], chi
+
+    def _unit_chunks(self):
+        """`_observation_chunks` of the interior unit block on the rows the
+        mask reaches.  A pass that runs while the forms are unset sets them
+        (see `assemble_forms`), whichever caller asked for the levels."""
+        forming = self._forms is None
+        if forming:
+            radii = self.path.radii
+            weight = self.tau * radii / radii[-1]
+            # the mask covers a prefix of rows at every level: its length per level
+            inside = np.count_nonzero(self.mask[1:-1], axis=0)
+            G = np.zeros((self.n - 1, self.n - 1))
+        for first, levels, chi in self._observation_chunks(None, self._reach):
+            if forming:
+                for level in range(first + len(levels) - 1, first - 1, -1):
+                    rows = levels[level - first, :inside[level]]
+                    G += weight[level] * (rows.T @ rows)
+            yield first, levels, chi
+        if forming:
+            unit = self._unit
+            if unit.P is None:
+                # P, the unit sweep at t = 0, from its chi_0 laid out
+                # column-major, as gttrs leaves it: products with P follow
+                # its layout, so a kept chi_0 gives them the bits of a swept one
+                unit.P = self._levels(0, np.asfortranarray(chi)[:, None])[:, 0]
+                unit.P.setflags(write=False)
+            self._require_finite("blocked backward sweep", G, unit.P)
+            G.setflags(write=False)
+            self._forms = G, unit.P
+
+    def _observation(self, x, rows, obs=None):
+        """The levels of `_observation_chunks` as one (m+1, rows, k) array,
+        written into obs when given; x None takes the unit levels on the
+        reach rows from `_unit_chunks`."""
+        if obs is None:
+            obs = np.empty((self.m + 1, rows, self.n - 1 if x is None else x.shape[1]))
+        chunks = self._unit_chunks() if x is None else self._observation_chunks(x, rows)
+        for first, levels, _ in chunks:
             obs[first:first + len(levels)] = levels
         return obs
 
@@ -709,8 +731,8 @@ class Propagator:
             G = (1/R_T) sum_j tau_j R_j O_j^T O_j,
 
         accumulated from level m down, one level at a time, as each chunk of
-        levels of `_observation_chunks` completes, and only on the rows the
-        mask reaches at that level: no other row enters G.  G equals the
+        levels of `_unit_chunks` completes, and only on the rows the mask
+        reaches at that level: no other row enters G.  G equals the
         interior block of `apply_gramian` applied to the identity, up to
         rounding.  P is the sweep at t = 0, the one level formed from its
         chi, and (R_0/R_T) P^T P is the numerator form of the observability
@@ -718,42 +740,9 @@ class Propagator:
         """
         self._require_mask()
         if self._forms is None:
-            self._assemble_forms()
+            for _ in self._unit_chunks():
+                pass
         return self._forms
-
-    def _assemble_forms(self, keep=False):
-        """Sets the forms from the masked unit levels on the reach rows,
-        one chunk at a time (`_observation_chunks` of the unit block, from
-        the kept chi when the operators keep them, else from a unit sweep),
-        and keeps those levels when they fit in one chunk of _CHUNK values;
-        with keep set it returns them, (m+1, reach, n-1), whatever their
-        size, and a Gramian oracle reads them within its call.
-        """
-        ni, reach, unit = self.n - 1, self._reach, self._unit
-        radii = self.path.radii
-        weight = self.tau * radii / radii[-1]
-        # the mask covers a prefix of rows at every level: its length per level
-        inside = np.count_nonzero(self.mask[1:-1], axis=0)
-        G = np.zeros((ni, ni))
-        size = (self.m + 1) * reach * ni
-        held = np.empty((self.m + 1, reach, ni)) if keep or size <= _CHUNK else None
-        for first, levels, chi in self._observation_chunks(None, reach):
-            for level in range(first + len(levels) - 1, first - 1, -1):
-                rows = levels[level - first, :inside[level]]
-                G += weight[level] * (rows.T @ rows)
-            if held is not None:
-                held[first:first + len(levels)] = levels
-        if unit.P is None:
-            # P, the unit sweep at t = 0, from its chi_0
-            unit.P = self._levels(0, chi[:, None])[:, 0]
-            unit.P.setflags(write=False)
-        self._require_finite("blocked backward sweep", G, unit.P)
-        G.setflags(write=False)
-        self._forms = G, unit.P
-        if held is not None and size <= _CHUNK:
-            held.setflags(write=False)
-            self._unit_levels = held
-        return held
 
     def free_final(self, u0) -> np.ndarray:
         """The free state at T, the last level of `run_forward(u0)`, by duality.
@@ -813,23 +802,19 @@ class Propagator:
         array from one blocked forward sweep, each column bitwise its own
         `apply_gramian` or `run_forward`.
 
-        The unit levels are those kept, else those of `_assemble_forms` run
-        here, else those of `_observation` on the unit block, formed from
-        the operators' kept chi when they keep them; only extra's columns
-        sweep backward of their own.  The free final states of P's columns
-        are swept once per operator set and kept, since they do not depend
-        on the radius; a later call sweeps only the Gramian columns, each
-        column keeping its bits in a narrower block.
+        The unit levels come from one pass of `_unit_chunks`, which sets
+        the forms if they are unset; only extra's columns sweep backward of
+        their own.  The free final states of P's columns are swept once per
+        operator set and kept, since they do not depend on the radius; a
+        later call sweeps only the Gramian columns, each column keeping its
+        bits in a narrower block.
         """
         self._require_mask()
-        reach, unit = self._reach, self._unit
-        obs = self._unit_levels
-        if obs is None and self._forms is None:
-            obs = self._assemble_forms(keep=True)
-        if obs is None:
-            obs = self._observation(None, reach)
+        reach, unit, ni = self._reach, self._unit, self.n - 1
+        obs = np.empty((self.m + 1, reach, ni + (0 if extra is None else extra.shape[1])))
+        self._observation(None, reach, obs[:, :, :ni])
         if extra is not None:
-            obs = np.concatenate((obs, self._observation(extra, reach)), axis=2)
+            self._observation(extra, reach, obs[:, :, ni:])
         if not with_free:
             return np.ascontiguousarray(self._gramian_images(obs))
         if unit.free is not None:

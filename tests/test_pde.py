@@ -7,7 +7,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stefanlab import observability, pde, stefan
@@ -29,12 +29,6 @@ from stefanlab.pde import (
     solve_semilinear,
 )
 from stefanlab.stefan import Nonlinearity, coupled_solve
-
-
-# the property tests below run without hypothesis's shrink phase: shrinking a
-# failing example re-runs whole sweeps over and over, for a minute or more,
-# while the unshrunk example, one of the same derandomized ones, reports at once
-_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def _eigenmode_error(n, m, theta, T=0.1):
@@ -161,7 +155,7 @@ def test_singular_implicit_step_reports_refinement():
     assert err.value.suggested_steps == 16
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=200)
 @given(n=st.integers(3, 80), k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_gtsv_solve_equals_factored_solve_bitwise(n, k, seed):
     # a forward step of more than one column, and the coupled march, solve
@@ -327,7 +321,7 @@ def test_observation_sweeps_check_mask_before_stepping(monkeypatch):
         prop.assemble_forms()
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=30)
 @given(n=st.integers(8, 40), m=st.integers(8, 40),
        theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
        freq=st.integers(1, 3), radius=st.sampled_from([0.15, 0.3, 0.7, np.inf]),
@@ -414,7 +408,7 @@ def _stack(fn, block):
     return np.stack([fn(block[:, i]) for i in range(block.shape[1])], axis=-1)
 
 
-@settings(max_examples=25, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=25)
 @given(n=st.integers(8, 32), m=st.integers(8, 64),
        theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
        freq=st.integers(1, 3), with_potential=st.booleans(),
@@ -490,7 +484,7 @@ def _reference_step(cfg, rho, dt, here, there):
     return explicit, (dlf, df, duf, du2, ipiv)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=40)
 @given(n=st.integers(8, 40), levels=st.sampled_from([2, 2, 3, 9, 33]),
        theta=st.floats(0.5, 1.0), dt=st.floats(1e-4, 0.05),
        with_potential=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -509,7 +503,8 @@ def test_step_operators_match_level_by_level_steps_bitwise(n, levels, theta, dt,
         pot = rng.uniform(-3.0, 3.0, pot.shape)
     lower, diag, upper = pde._stencil(cfg, rho, radii, slopes, pot)
     explicit_all = pde._explicit_diagonals(cfg, dt, lower[:-1], diag[:-1], upper[:-1])
-    factors_all = pde._implicit_factors(cfg, dt, lower[1:], diag[1:], upper[1:])
+    rows_all = pde._implicit_rows(cfg, dt, lower[1:], diag[1:], upper[1:])
+    factors_all = pde._implicit_factors(cfg, rows_all)
     assert len(factors_all) == levels - 1
     for j, factors in enumerate(factors_all):
         explicit = tuple(d[j] for d in explicit_all)
@@ -684,7 +679,7 @@ def _moving_setup(n, m, theta, amp, freq, with_potential, radius, seed, T=0.4):
     return Propagator(path, pot, cfg, control_radius=radius), rng
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=30)
 @given(n=st.integers(8, 32), m=st.integers(8, 40),
        theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
        freq=st.integers(1, 3), with_potential=st.booleans(),
@@ -731,7 +726,7 @@ def _check_sweeps_match_step_by_step(n, m, theta, amp, freq, with_potential, rad
     same(prop.run_observation(u0), _carried_adjoint(prop, u0)[1])
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=30)
 @given(n=st.integers(8, 40), m=st.integers(8, 40),
        theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
        freq=st.integers(1, 3), with_potential=st.booleans(),
@@ -782,7 +777,7 @@ def _two_operator_forms(prop):
     return G, phi[1:-1, 0]
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=60)
 @given(n=st.integers(8, 32), m=st.integers(8, 40),
        theta=st.just(1.0) | st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
        freq=st.integers(1, 3), with_potential=st.booleans(),

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stefanlab import pde
@@ -28,10 +28,6 @@ from stefanlab.errors import ConvergenceError, GridError
 from stefanlab.observability import dense_constant, estimate_constant
 from stefanlab.pde import Propagator, SchemeConfig, solve_forward
 
-# no shrink phase: shrinking a failing example re-runs whole sweeps over and
-# over, while the unshrunk example, one of the same derandomized ones,
-# reports at once
-_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 _B = 0.3
 
@@ -75,7 +71,7 @@ def _assert_same_step(got, want):
     assert _same_bits(replay, replay0)
 
 
-@settings(max_examples=20, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=20)
 @given(n=st.integers(8, 24), m=st.integers(8, 32),
        theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
        freq=st.integers(1, 3), with_potential=st.booleans(),
@@ -137,36 +133,45 @@ def test_any_changed_input_misses():
     _assert_same_step(got, _ladder_step((cfg, path, pot, u0), _B, hum))
 
 
-def _count_builds_and_assemblies(monkeypatch):
-    counts = {"build": 0, "assembly": 0}
-    build, assemble = Propagator.__init__, Propagator._assemble_forms
+def _count_work(monkeypatch):
+    """Builds, the backward steps of unit sweeps (transposed solves of an
+    (n-1)-column block) and the formations of P (levels formed from the
+    level-0 chi; no test counting them runs an adjoint sweep)."""
+    counts = {"build": 0, "unit_steps": 0, "P": 0}
+    build, solve, levels = Propagator.__init__, pde._solve_implicit, Propagator._levels
 
     def counted_build(self, *args, **kwargs):
         counts["build"] += 1
         build(self, *args, **kwargs)
 
-    def counted_assembly(self, *args, **kwargs):
-        counts["assembly"] += 1
-        return assemble(self, *args, **kwargs)
+    def counted_solve(system, rhs, transposed=False):
+        if transposed and rhs.shape[1] == rhs.shape[0]:
+            counts["unit_steps"] += 1
+        return solve(system, rhs, transposed)
+
+    def counted_levels(self, first, *args, **kwargs):
+        counts["P"] += first == 0
+        return levels(self, first, *args, **kwargs)
 
     monkeypatch.setattr(Propagator, "__init__", counted_build)
-    monkeypatch.setattr(Propagator, "_assemble_forms", counted_assembly)
+    monkeypatch.setattr(pde, "_solve_implicit", counted_solve)
+    monkeypatch.setattr(Propagator, "_levels", counted_levels)
     return counts
 
 
 def test_ladder_costs_one_build_and_one_assembly(monkeypatch):
-    counts = _count_builds_and_assemblies(monkeypatch)
+    counts = _count_work(monkeypatch)
     case = _case(20, 30)
     for eps in (1e-2, 1e-4, 1e-6):
         _ladder_step(case, _B, HUMConfig(epsilon=eps))
-    assert counts == {"build": 1, "assembly": 1}
+    assert counts == {"build": 1, "unit_steps": case[0].m, "P": 1}
 
 
 def test_dense_oracle_reads_the_slice_the_estimate_assembled(monkeypatch):
     # after estimate_constant, dense_constant takes P and the unit columns'
-    # observation levels, which fit in one chunk here, from the assembly:
+    # chi, which the operators keep here, from the estimate's unit sweep:
     # its only transposed solves are the seed column's, one over m steps
-    counts = _count_builds_and_assemblies(monkeypatch)
+    counts = _count_work(monkeypatch)
     columns = []
     solve = pde._solve_implicit
 
@@ -181,7 +186,7 @@ def test_dense_oracle_reads_the_slice_the_estimate_assembled(monkeypatch):
     estimate_constant(path, pot, setup, cfg, b=_B)
     columns.clear()
     dense_constant(path, pot, setup, cfg, b=_B)
-    assert counts == {"build": 1, "assembly": 1}
+    assert counts == {"build": 1, "unit_steps": cfg.m, "P": 1}
     assert sum(columns) == cfg.m
 
 
@@ -189,86 +194,86 @@ def test_dense_oracle_reads_the_slice_the_estimate_assembled(monkeypatch):
 @pytest.mark.parametrize("grid", [(20, 30), (32, 64)])
 def test_forms_and_oracles_agree_in_any_order(monkeypatch, grid, chunk):
     # whichever of assemble_forms, dense_gramian and dense_constant runs
-    # first on new inputs makes the one unit sweep; the others read it, and
-    # every output keeps its bits, with the unit levels kept (one chunk
-    # holds them) or swept again for the oracle (a prime chunk of 97 values)
+    # first on new inputs sets the forms; every output keeps its bits, with
+    # the unit sweep's chi kept or, with nothing kept, swept again for each
+    # later pass, in one chunk or in many (a prime chunk of 97 values).  The
+    # estimate and the free final state multiply by P, so they see its
+    # memory layout as well as its bits
     if chunk is not None:
         monkeypatch.setattr(pde, "_CHUNK", chunk)
-    cfg, path, pot, _ = _case(*grid)
+    cfg, path, pot, u0 = _case(*grid)
     setup = PhysicalSetup()
     calls = {
         "forms": lambda: pde.propagator(path, pot, cfg, _B).assemble_forms(),
         "gramian": lambda: dense_gramian(path, pot, _B, cfg),
         "constant": lambda: dense_constant(path, pot, setup, cfg, b=_B).constant,
+        "estimate": lambda: estimate_constant(path, pot, setup, cfg, b=_B).constant,
+        "free": lambda: pde.propagator(path, pot, cfg, _B).free_final(u0),
     }
-    results = {}
-    for first in calls:
-        _clear_slot()
-        got = {first: calls[first]()}
-        for name in calls:
-            if name not in got:
-                got[name] = calls[name]()
-        G, P = got["forms"]
-        results[first] = [np.asarray(a).tobytes()
-                          for a in (G, P, got["gramian"], got["constant"])]
-    assert results["forms"] == results["gramian"] == results["constant"]
+    results = []
+    for keep in (pde._KEEP_LEVELS, 0):
+        monkeypatch.setattr(pde, "_KEEP_LEVELS", keep)
+        for first in calls:
+            _clear_slot()
+            got = {first: calls[first]()}
+            for name in calls:
+                if name not in got:
+                    got[name] = calls[name]()
+            G, P = got["forms"]
+            results.append([np.asarray(a).tobytes() for a in
+                            (G, P, got["gramian"], got["constant"], got["estimate"], got["free"])])
+    assert all(r == results[0] for r in results)
 
 
-def test_kept_observation_levels_fit_one_chunk(monkeypatch):
-    # no observation array larger than one chunk outlives the call that
-    # swept it; the Gramian oracle still fills the forms, so a later
-    # assembly makes no solve
-    solves = []
-    solve = pde._solve_implicit
+def _held(prop):
+    """The 3-D arrays a Propagator holds, those of its `_UnitSweep` included,
+    besides the level-major operator diagonals."""
+    unit = prop._unit
+    values = [*vars(prop).values(), *(getattr(unit, name) for name in unit.__slots__)]
+    return [v for v in values if isinstance(v, np.ndarray) and v.ndim == 3]
 
-    def counted(factors, rhs, transposed=False):
-        solves.append(rhs.shape[1])
-        return solve(factors, rhs, transposed)
 
-    def held(prop):
-        return [v for v in vars(prop).values() if isinstance(v, np.ndarray) and v.ndim == 3]
-
+def test_only_the_kept_chi_outlive_a_call(monkeypatch):
+    # the one 3-D array a Propagator holds is its operator set's unit chi,
+    # within _KEEP_LEVELS; the Gramian oracle still sets the forms, so a
+    # later assembly makes no solve
     cfg, path, pot, _ = _case(100, 200)
     prop = Propagator(path, pot, cfg, control_radius=_B)
     prop.assemble_forms()
-    assert prop._unit_levels is None and not held(prop)
+    assert not _held(prop)
 
     _clear_slot()
     cfg, path, pot, _ = _case(64, 128)
     dense_gramian(path, pot, _B, cfg)
     prop = pde.propagator(path, pot, cfg, _B)
-    assert prop._unit_levels is None and not held(prop)
-    monkeypatch.setattr(pde, "_solve_implicit", counted)
+    assert not _held(prop)
+    counts = _count_work(monkeypatch)
     prop.assemble_forms()
-    assert solves == []
+    assert counts == {"build": 0, "unit_steps": 0, "P": 0}
 
-    # a small grid keeps its levels, within one chunk
+    # a small grid keeps its chi, read-only, through the oracle as well
     cfg, path, pot, _ = _case(20, 30)
-    prop = Propagator(path, pot, cfg, control_radius=_B)
+    prop = pde.propagator(path, pot, cfg, _B)
     prop.assemble_forms()
-    assert [a.size for a in held(prop)] == [prop._unit_levels.size]
-    assert prop._unit_levels.size <= pde._CHUNK
+    dense_gramian(path, pot, _B, cfg)
+    assert _held(prop) == [prop._unit.chis]
+    assert prop._unit.chis.shape == (cfg.m, cfg.n - 1, cfg.n - 1)
+    assert prop._unit.chis.size <= pde._KEEP_LEVELS and not prop._unit.chis.flags.writeable
 
 
 def test_oracle_after_the_forms_forms_them_once(monkeypatch):
-    # the unit levels of this grid exceed one chunk, so a Gramian oracle
-    # after assemble_forms sweeps the unit columns again for them; that
-    # sweep forms P no second time, and the forms keep their identity and
-    # their bits
-    formed = []
-    levels = Propagator._levels
-
-    def counted(self, *args, **kwargs):
-        formed.append(args[0])
-        return levels(self, *args, **kwargs)
-
-    monkeypatch.setattr(Propagator, "_levels", counted)
+    # the unit chi of this grid exceed _KEEP_LEVELS, so a Gramian oracle
+    # after assemble_forms sweeps the unit columns again for its levels;
+    # that sweep forms P no second time, keeps nothing, and the forms keep
+    # their identity and their bits
+    counts = _count_work(monkeypatch)
     cfg, path, pot, _ = _case(64, 128)
     prop = pde.propagator(path, pot, cfg, _B)
     G, P = prop.assemble_forms()
     bits = G.tobytes(), P.tobytes()
     dense_gramian(path, pot, _B, cfg)
-    assert prop._unit_levels is None and formed == [0]
+    assert counts == {"build": 1, "unit_steps": 2 * cfg.m, "P": 1}
+    assert not _held(prop)
     again = prop.assemble_forms()
     assert again[0] is G and again[1] is P
     assert (G.tobytes(), P.tobytes()) == bits
@@ -303,9 +308,12 @@ def _digest(call):
         return str(exc)
 
 
-@pytest.mark.parametrize("chunk", [pde._CHUNK, 97])
+# chunks of the unit passes: one; 1 or 2 steps (97 values); 3 to 15 steps
+# at 32x64, 12 to 64 at 16x32 (2883 = 3 * 31^2 values), mostly not dividing
+# m, so that the top chunk is partial
+@pytest.mark.parametrize("chunk", [pde._CHUNK, 97, 2883])
 @pytest.mark.parametrize("grid", [(16, 32), (32, 64)])
-@settings(max_examples=8, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=8)
 @given(theta=st.sampled_from([0.5, 1.0]),
        rungs=st.lists(st.sampled_from(_RUNGS), min_size=3, max_size=5),
        seed=st.integers(0, 2**32 - 1))
@@ -323,33 +331,19 @@ def test_radius_ladder_equals_fresh_builds_bitwise(grid, chunk, theta, rungs, se
                 row.append(_digest(call))
             fresh.append(row)
         _clear_slot()
-        counts = _count_builds_and_assemblies(mp)
+        counts = _count_work(mp)
         ladder = [[_digest(call) for call in _rung_calls(case, radius)] for radius in rungs]
     assert ladder == fresh
-    assert counts["build"] == 1
-
-
-def _count_unit_steps(monkeypatch, cfg):
-    """The transposed (n-1)-column solves, the backward steps of unit sweeps."""
-    steps = []
-    solve = pde._solve_implicit
-
-    def counted(system, rhs, transposed=False):
-        if transposed and rhs.shape[1] == cfg.n - 1:
-            steps.append(1)
-        return solve(system, rhs, transposed)
-
-    monkeypatch.setattr(pde, "_solve_implicit", counted)
-    return steps
+    assert counts["build"] == 1 and counts["P"] <= 1
+    assert counts["unit_steps"] <= case[0].m
 
 
 def test_radius_ladder_costs_one_build_and_one_unit_sweep(monkeypatch):
     # estimate and dense oracle over three radii: the first radius sweeps
     # the unit columns backward and keeps their chi, from which every
     # radius forms its levels; P's free columns sweep forward once
-    counts = _count_builds_and_assemblies(monkeypatch)
+    counts = _count_work(monkeypatch)
     cfg, path, pot, _ = _case(24, 48)
-    unit_steps = _count_unit_steps(monkeypatch, cfg)
     free_sweeps = []
     images = Propagator._gramian_images
 
@@ -363,8 +357,8 @@ def test_radius_ladder_costs_one_build_and_one_unit_sweep(monkeypatch):
     for b in (0.2, 0.3, 0.45):
         estimate_constant(path, pot, setup, cfg, b=b)
         dense_constant(path, pot, setup, cfg, b=b)
-    assert counts["build"] == 1
-    assert len(unit_steps) <= cfg.m
+    assert counts["build"] == 1 and counts["P"] == 1
+    assert counts["unit_steps"] <= cfg.m
     assert free_sweeps == [cfg.n - 1]
 
 
@@ -375,8 +369,8 @@ def test_unit_sweep_chi_kept_within_the_bound(monkeypatch, grid):
     # _KEEP_LEVELS, when m(n-1)^2 fits: a three-rung ladder of estimates
     # and dense oracles then makes one unit sweep in all; above the bound
     # nothing is kept and each radius sweeps the unit columns again
+    counts = _count_work(monkeypatch)
     cfg, path, pot, _ = _case(*grid)
-    unit_steps = _count_unit_steps(monkeypatch, cfg)
     setup = PhysicalSetup()
     props = []
     for b in (0.2, 0.3, 0.45):
@@ -387,15 +381,13 @@ def test_unit_sweep_chi_kept_within_the_bound(monkeypatch, grid):
     unit = props[0]._unit
     assert all(prop._unit is unit for prop in props)
     if cfg.m * (cfg.n - 1) ** 2 <= pde._KEEP_LEVELS:
-        assert len(unit_steps) <= cfg.m
-        assert len(unit.chis) == cfg.m
-        assert all(chi.shape == (cfg.n - 1, cfg.n - 1) and not chi.flags.writeable
-                   for chi in unit.chis)
-        assert sum(chi.size for chi in unit.chis) <= pde._KEEP_LEVELS
-        assert sum(chi.nbytes for chi in unit.chis) <= 512 * 1024
+        assert counts["unit_steps"] <= cfg.m
+        assert unit.chis.shape == (cfg.m, cfg.n - 1, cfg.n - 1)
+        assert not unit.chis.flags.writeable
+        assert unit.chis.size <= pde._KEEP_LEVELS and unit.chis.nbytes <= 512 * 1024
     else:
         assert unit.chis is None
-        assert len(unit_steps) == 3 * cfg.m
+        assert counts["unit_steps"] == 3 * cfg.m
 
 
 def test_derived_propagator_refuses_a_bad_radius():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stefanlab.control import HUMConfig, solve_hum
@@ -33,11 +33,6 @@ from stefanlab.stefan import (
     stefan_rate,
     write_history_csv,
 )
-
-# no shrink phase: shrinking a failing example re-runs whole sweeps over and
-# over, while the unshrunk example, one of the same derandomized ones,
-# reports at once
-_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 # -- nonlinearity ------------------------------------------------------------
@@ -253,7 +248,7 @@ def test_coupled_singular_step_reports_refinement(monkeypatch):
     assert err.value.suggested_steps == 2 * cfg.m
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=60)
 @given(n=st.integers(8, 48), m=st.integers(8, 48), theta=st.floats(0.5, 1.0),
        amp=st.floats(-0.4, 0.4),
        reaction=st.sampled_from([None, 0.8, -1.5]), controlled=st.booleans(),

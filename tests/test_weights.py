@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stefanlab import weights
@@ -41,11 +41,6 @@ from stefanlab.weights import (
     weight_profile,
     weight_profile_dr,
 )
-
-# no shrink phase: shrinking a failing example re-runs whole sweeps over and
-# over, while the unshrunk example, one of the same derandomized ones,
-# reports at once
-_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def test_bump_poly_endpoint_identities():
@@ -208,7 +203,7 @@ def _wobbling_path(horizon, amp, freq, m):
         horizon, m)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=30)
 @given(n=st.integers(8, 40), m=st.integers(8, 48), k=st.integers(1, 5),
        amp=st.floats(0.0, 0.15), margin=st.one_of(st.none(), st.floats(0.0, 0.3)),
        forced=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -237,7 +232,7 @@ def test_block_columns_match_single_fields(n, m, k, amp, margin, forced, seed):
             assert abs(value - want[key]) <= 1e-14 * abs(want[key]), (c, key)
 
 
-@settings(max_examples=20, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=20)
 @given(n=st.integers(8, 32), m=st.integers(8, 40), k=st.integers(1, 4),
        amp=st.floats(0.0, 0.15), margin=st.one_of(st.none(), st.floats(0.0, 0.3)),
        forced=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -512,7 +507,7 @@ def _loop_carleman_sides(phi, forcing, params, setup, path, margin=None):
     )
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=40)
 @given(n=st.integers(8, 40), m=st.integers(8, 48), horizon=st.floats(0.2, 1.0),
        amp=st.floats(0.0, 0.15), freq=st.integers(1, 3),
        margin=st.one_of(st.none(), st.floats(0.0, 0.3)),
