@@ -23,12 +23,12 @@ columns of P the numerator, each column bitwise equal to the single-column
 sweeps it stands for.  The backward sweep of the unit columns is the
 Propagator's unit sweep, shared with `estimate_constant` and
 `control.dense_gramian`: whichever of them passes over the unit levels
-first sets both forms.  Only the seed column sweeps backward of its own, and one blocked forward sweep,
-the step loop of every forward sweep, carries the Gramian columns under
-the control indicator and the free columns of P together.  What the estimate
-computes its own way is still checked: the forward half of the Gramian
-images checks G's accumulated sums, and the forward sweep of P checks the
-duality behind (R(0)/R(T)) P^T P.
+first sets both forms.  The oracle sweeps nothing backward of its own; one
+blocked forward sweep carries the Gramian columns under the control
+indicator and the free columns of P together.  What the estimate computes
+its own way is still checked: the forward half of the Gramian images
+checks G's accumulated sums, and the forward sweep of P checks the duality
+behind (R(0)/R(T)) P^T P.
 
 The observation radius b is not part of the operators.  A ladder of radii
 on one path (`pde.propagator`) shares one operator build, one P and one
@@ -49,8 +49,9 @@ The reported constant is therefore the dominant eigenvalue of
 (A, B + floor * I) with a fixed relative floor: the supremum restricted to
 terminal data whose observation energy is at least `relative_floor` of a
 reference datum's.  The floor scalar is the denominator form evaluated at a
-deterministic seed vector, so both paths solve the same regularized
-problem up to rounding.
+deterministic seed vector s, each path on its own form (s^T G s for the
+estimate, s^T B s on the oracle's symmetrized Gramian columns), so both
+paths solve the same regularized problem up to rounding.
 
 The discrete constant approximates the continuous one with no claimed rate;
 refinement and geometry trends are reported, not limits.
@@ -147,16 +148,16 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
 
     Brute-force oracle for estimate_constant.  Every interior unit column
     goes through an adjoint sweep then a free forward sweep (numerator) and
-    a Gramian apply (denominator), with the seed vector as one more column
-    of the Gramian apply.  The adjoint sweeps of the unit columns are the
-    Propagator's unit sweep (see the module docstring): after
-    estimate_constant on the same inputs, with the operators' chi kept,
-    only the seed column sweeps backward.  The Gramian columns
-    and the free columns of P then share one blocked forward sweep, solved
-    with gtsv; at a later radius on the same path the free columns' images
-    are read back and only the Gramian columns sweep forward.  Each column
-    still costs several sweeps' worth of arithmetic, so the oracle stays
-    capped at small grids.
+    a Gramian apply (denominator); the floor scalar is s^T B s on its own
+    symmetrized denominator, independent of the accumulated G.  The
+    adjoint sweeps are the Propagator's unit sweep (see the module
+    docstring): after estimate_constant on the same inputs, with the
+    operators' chi kept, the oracle makes no backward solve.  The Gramian
+    columns and the free columns of P share one blocked forward sweep,
+    solved with gtsv; at a later radius on the same path the free columns'
+    images are read back and only the Gramian columns sweep forward.  Each
+    column still costs several sweeps' worth of arithmetic, so the oracle
+    stays capped at small grids.
     """
     if cfg.n > _DENSE_NODE_CAP or cfg.m > _DENSE_STEP_CAP:
         raise GridError(
@@ -165,12 +166,11 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
     obs = obs or ObservabilityConfig()
     prop = propagator(path, potential, cfg, control_radius=setup.b if b is None else b)
     n_int = cfg.n - 1
-    s = _seed(n_int)
-    # the Gramian images of the interior unit columns and of the seed, then
-    # the free final states of the columns of P, from one forward sweep
-    images = prop._unit_gramian(s[:, None], with_free=True)
+    # the Gramian images of the interior unit columns, then the free final
+    # states of the columns of P, from one forward sweep
+    images = prop._unit_gramian(with_free=True)
     bmat = images[:, :n_int]
-    amat = images[:, n_int + 1:]
+    amat = images[:, n_int:]
     for name, mat in (("numerator", amat), ("denominator", bmat)):
         gap = float(np.max(np.abs(mat - mat.T)))
         scale = max(float(np.max(np.abs(mat))), 1.0)
@@ -178,9 +178,6 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
             raise GridError(f"{name} form lost symmetry: gap {gap:.3e}")
     amat = 0.5 * (amat + amat.T)
     bmat = 0.5 * (bmat + bmat.T)
-    # s against a strided column: BLAS sums a strided vector in another order
-    # than a contiguous one, and the strided order keeps the constant bitwise
-    # equal to the column loop the tests keep as the reference
-    seed_value = float(s @ images[:, n_int])
-    mu = _dominant(amat, bmat, seed_value, obs.relative_floor, cfg)
+    s = _seed(n_int)
+    mu = _dominant(amat, bmat, float(s @ bmat @ s), obs.relative_floor, cfg)
     return ObservabilityEstimate(constant=mu, iterations=n_int, nodes=cfg.n, steps=cfg.m)

@@ -62,7 +62,8 @@ the new Propagator shares the previous one's operators and their
 `_UnitSweep`.  What a unit sweep leaves behind follows one rule.  Per
 operator set: P, the free images of P's columns and, when its m(n-1)^2
 values fit _KEEP_LEVELS, the sweep's chi, from which every later pass over
-the unit levels, at any radius, slices its chunks with no backward solve.
+the unit levels, at any radius, slices its chunks with no backward solve;
+beside them, the raw implicit rows once a blocked forward sweep needs them.
 Per radius: the mask, its reach and the forms, set by whichever pass over
 the unit levels runs first.  Nothing else is kept; _CHUNK only sizes the
 passes.  So a radius ladder on one path costs one build, one P, one free
@@ -159,20 +160,18 @@ def _explicit_diagonals(cfg, dt, lower, diag, upper):
 
 
 def _implicit_rows(cfg, dt, lower, diag, upper):
-    """(dl, d, du) of I - theta dt L_k on each level of a stencil, one row
-    per level: the raw rows that gttrf factors and gtsv solves with."""
+    """(dl, d, du) of I - theta dt L_k on each level of a stencil, one
+    contiguous row per level (C-ordered arrays, whatever diag's layout)."""
     im = cfg.theta * dt
-    return -im * lower[:, 1:], 1.0 - im * diag, -im * upper[:, :-1]
+    return -im * lower[:, 1:], np.subtract(1.0, im * diag, order="C"), -im * upper[:, :-1]
 
 
 def _implicit_factors(cfg, rows):
     """gttrf factors of the implicit rows (dl, d, du) of `_implicit_rows`,
-    one level per row, which stay as they are; the level in row j closes
-    step j."""
+    one level per row; the level in row j closes step j.  gttrf factors
+    each contiguous row in place, so the rows become the factors."""
     factors = []
-    # gttrf factors one C-ordered copy of the rows in place; a strided row
-    # (the diagonal of a transposed potential) it would copy level by level
-    for j, (dl, d, du) in enumerate(zip(*(r.copy() for r in rows))):
+    for j, (dl, d, du) in enumerate(zip(*rows)):
         dlf, df, duf, du2, ipiv, info = _gttrf(dl, d, du, 1, 1, 1)
         if info != 0:
             raise InstabilityError(f"implicit step {j} is singular (gttrf info={info})",
@@ -294,17 +293,17 @@ def _check_initial(u0, n, block=False):
 
 
 class _UnitSweep:
-    """What the unit sweep of one operator set yields whatever the control
-    radius, shared by every Propagator of those operators (read-only
-    arrays, None until formed): the t = 0 slice P, the free final states
-    of P's columns (`_unit_gramian`), and chis, the (m, n-1, n-1) chi of
-    the backward steps, chi_j in row j, kept when m(n-1)^2 is at most
-    _KEEP_LEVELS (`_chi_chunks`)."""
+    """What one operator set forms whatever the control radius, shared by
+    every Propagator of those operators, None until formed: from the unit
+    sweep, the read-only t = 0 slice P, free final states of P's columns
+    (`_unit_gramian`) and chis, the (m, n-1, n-1) chi_j in row j, kept when
+    m(n-1)^2 is at most _KEEP_LEVELS (`_chi_chunks`); and the raw implicit
+    rows of `_blocked_systems`."""
 
-    __slots__ = ("P", "free", "chis")
+    __slots__ = ("P", "free", "chis", "rows")
 
     def __init__(self):
-        self.P = self.free = self.chis = None
+        self.P = self.free = self.chis = self.rows = None
 
 
 class Propagator:
@@ -324,8 +323,8 @@ class Propagator:
     level per step, and formed outside its loop.  The solvers obtain
     theirs through `propagator`, which reuses a thread's last one.
 
-    Forward sweeps of more than one column solve with gtsv on the raw
-    implicit rows, which the build keeps beside their factors.
+    A build keeps only the factors; forward sweeps of more than one
+    column solve with gtsv on raw rows formed again (`_blocked_systems`).
 
     The control radius sets only the mask, its reach and the forms.
     `propagator` derives the Propagator of another radius from this one
@@ -349,12 +348,12 @@ class Propagator:
         R = path.radii
         # step j, from level j to level j+1, applies the explicit diagonals
         # of level j (level-major, one (m, ., 1) array per diagonal) and
-        # solves with the raw rows (gtsv) or the gttrf factors (gttrs) of
-        # I - theta dt L_{j+1}
+        # solves with the gttrf factors (gttrs) of I - theta dt L_{j+1}, or
+        # with its raw rows (gtsv, `_blocked_systems`)
         lower, diag, upper = _stencil(cfg, self.rho[1:-1], R, path.slopes, self.pot[1:-1].T)
         self._explicit = _explicit_diagonals(cfg, self.dt, lower[:-1], diag[:-1], upper[:-1])
-        self._rows = _implicit_rows(cfg, self.dt, lower[1:], diag[1:], upper[1:])
-        self._factors = _implicit_factors(cfg, self._rows)
+        self._factors = _implicit_factors(
+            cfg, _implicit_rows(cfg, self.dt, lower[1:], diag[1:], upper[1:]))
 
         self.ratio = R[1:] / R[:-1]
         # the backward carry: chi_j enters the transposed solve of step j-1
@@ -475,7 +474,7 @@ class Propagator:
         column with gttrs on the factors (see `_solve_implicit`).
         """
         theta, m, dt = self.cfg.theta, self.m, self.dt
-        systems = list(zip(*self._rows)) if rhs.shape[1] > 1 else self._factors
+        systems = self._blocked_systems() if rhs.shape[1] > 1 else self._factors
         rho_int, radii = self.rho[1:-1, None], self.path.radii
         span, avg = m, None
         if source is not None:
@@ -504,6 +503,16 @@ class Propagator:
                 x = _solve_implicit(systems[j], rhs)
                 rhs = _carry(theta, x, rhs)
                 yield x
+
+    def _blocked_systems(self):
+        """The raw implicit rows of every step, as gtsv takes them, formed
+        in the build's arithmetic once per operator set, shared like P."""
+        unit = self._unit
+        if unit.rows is None:
+            radii, slopes = self.path.radii[1:], self.path.slopes[1:]
+            stencil = _stencil(self.cfg, self.rho[1:-1], radii, slopes, self.pot[1:-1, 1:].T)
+            unit.rows = list(zip(*_implicit_rows(self.cfg, self.dt, *stencil)))
+        return unit.rows
 
     def _backward_steps(self, x, after=None, before=None):
         """Exact transpose steps from level m down to level 0, carrying chi.
@@ -709,12 +718,10 @@ class Propagator:
             G.setflags(write=False)
             self._forms = G, unit.P
 
-    def _observation(self, x, rows, obs=None):
-        """The levels of `_observation_chunks` as one (m+1, rows, k) array,
-        written into obs when given; x None takes the unit levels on the
-        reach rows from `_unit_chunks`."""
-        if obs is None:
-            obs = np.empty((self.m + 1, rows, self.n - 1 if x is None else x.shape[1]))
+    def _observation(self, x, rows):
+        """The levels of `_observation_chunks` as one (m+1, rows, k) array;
+        x None takes the unit levels on the reach rows from `_unit_chunks`."""
+        obs = np.empty((self.m + 1, rows, self.n - 1 if x is None else x.shape[1]))
         chunks = self._unit_chunks() if x is None else self._observation_chunks(x, rows)
         for first, levels, _ in chunks:
             obs[first:first + len(levels)] = levels
@@ -795,26 +802,21 @@ class Propagator:
         self._require_finite("Gramian sweeps", x)
         return x
 
-    def _unit_gramian(self, extra=None, with_free=False):
-        """Interior Gramian images of the interior unit columns, then of the
-        (n-1, e) interior columns extra, then, with_free set, the free final
-        states of the columns of P: one (n-1, n-1 + e [+ n-1]) C-ordered
-        array from one blocked forward sweep, each column bitwise its own
-        `apply_gramian` or `run_forward`.
+    def _unit_gramian(self, with_free=False):
+        """Interior Gramian images of the interior unit columns then, with
+        with_free set, the free final states of the columns of P: one
+        (n-1, n-1 [+ n-1]) C-ordered array from one blocked forward sweep,
+        each column bitwise its own `apply_gramian` or `run_forward`.
 
         The unit levels come from one pass of `_unit_chunks`, which sets
-        the forms if they are unset; only extra's columns sweep backward of
-        their own.  The free final states of P's columns are swept once per
-        operator set and kept, since they do not depend on the radius; a
-        later call sweeps only the Gramian columns, each column keeping its
-        bits in a narrower block.
+        the forms if they are unset.  The free final states of P's columns
+        are swept once per operator set and kept, since they do not depend
+        on the radius; a later call sweeps only the Gramian columns, each
+        column keeping its bits in a narrower block.
         """
         self._require_mask()
-        reach, unit, ni = self._reach, self._unit, self.n - 1
-        obs = np.empty((self.m + 1, reach, ni + (0 if extra is None else extra.shape[1])))
-        self._observation(None, reach, obs[:, :, :ni])
-        if extra is not None:
-            self._observation(extra, reach, obs[:, :, ni:])
+        unit = self._unit
+        obs = self._observation(None, self._reach)
         if not with_free:
             return np.ascontiguousarray(self._gramian_images(obs))
         if unit.free is not None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stefanlab import observability
 from stefanlab.domain import PhysicalSetup, constant_path, path_from_function
 from stefanlab.errors import GridError
 from stefanlab.observability import (
@@ -59,6 +60,34 @@ def test_blocked_matches_dense_on_moving_path(n, m):
         free = estimate_constant(path, potential, setup, cfg, b=b)
         dense = dense_constant(path, potential, setup, cfg, b=b)
         assert abs(free.constant - dense.constant) <= 1e-9 * dense.constant, b
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.8, 1.0])
+@pytest.mark.parametrize("n, m", [(16, 32), (20, 30), (24, 48), (32, 64)])
+def test_oracle_floor_equals_the_estimates(monkeypatch, n, m, theta):
+    # the oracle reads its floor scalar s^T B s from its own Gramian
+    # columns, the estimate s^T G s from the accumulated G: the same form
+    # at the seed, up to rounding
+    floors = []
+    dominant = observability._dominant
+
+    def captured(amat, bmat, seed_value, relative_floor, cfg):
+        floors.append(seed_value)
+        return dominant(amat, bmat, seed_value, relative_floor, cfg)
+
+    monkeypatch.setattr(observability, "_dominant", captured)
+    setup = PhysicalSetup(T=0.5)
+    cfg = SchemeConfig(n=n, m=m, theta=theta)
+    path = path_from_function(lambda t: 1.0 + 0.05 * np.sin(2.0 * np.pi * t),
+                              lambda t: 0.1 * np.pi * np.cos(2.0 * np.pi * t),
+                              setup.T, m)
+    potential = np.random.default_rng(n * m).uniform(-3.0, 3.0, size=(n + 1, m + 1))
+    for b in (0.2, 0.3, 0.45, np.inf):
+        floors.clear()
+        estimate_constant(path, potential, setup, cfg, b=b)
+        dense_constant(path, potential, setup, cfg, b=b)
+        estimate, dense = floors
+        assert abs(dense - estimate) <= 1e-12 * estimate, b
 
 
 def test_constant_nonincreasing_in_window():

@@ -351,9 +351,9 @@ def test_blocked_forms_match_column_oracles(n, m, theta, amp, freq, radius, seed
 def _dense_constant_columns(path, potential, setup, cfg, obs=None, b=None):
     """Reference: the column loop of `dense_constant` before its sweeps took
     blocks (four single-column sweeps per column), verbatim but for the
-    seed's dot product.  That loop's apply_gramian returned a column of the
-    (n+1, m+1) trajectory, a strided vector, which BLAS sums in another
-    order than a contiguous one; a strided copy keeps its bits."""
+    floor scalar, which it reads from its own symmetrized denominator form
+    at the seed, s^T B s, as `dense_constant` does, not from a Gramian
+    apply of the seed."""
     from stefanlab.observability import (
         _DENSE_NODE_CAP,
         _DENSE_STEP_CAP,
@@ -391,9 +391,7 @@ def _dense_constant_columns(path, potential, setup, cfg, obs=None, b=None):
     amat = 0.5 * (amat + amat.T)
     bmat = 0.5 * (bmat + bmat.T)
     s = _seed(n_int)
-    strided = np.zeros((cfg.n + 1, 2))
-    strided[:, 0] = prop.apply_gramian(pad(s))
-    seed_value = float(s @ strided[1:-1, 0])
+    seed_value = float(s @ bmat @ s)
     mu = _dominant(amat, bmat, seed_value, obs.relative_floor, cfg)
     return ObservabilityEstimate(constant=mu, iterations=n_int, nodes=cfg.n, steps=cfg.m)
 

@@ -169,8 +169,9 @@ def test_ladder_costs_one_build_and_one_assembly(monkeypatch):
 
 def test_dense_oracle_reads_the_slice_the_estimate_assembled(monkeypatch):
     # after estimate_constant, dense_constant takes P and the unit columns'
-    # chi, which the operators keep here, from the estimate's unit sweep:
-    # its only transposed solves are the seed column's, one over m steps
+    # chi, which the operators keep here, from the estimate's unit sweep,
+    # and its floor scalar from its own Gramian columns: it makes no
+    # transposed solve
     counts = _count_work(monkeypatch)
     columns = []
     solve = pde._solve_implicit
@@ -187,7 +188,7 @@ def test_dense_oracle_reads_the_slice_the_estimate_assembled(monkeypatch):
     columns.clear()
     dense_constant(path, pot, setup, cfg, b=_B)
     assert counts == {"build": 1, "unit_steps": cfg.m, "P": 1}
-    assert sum(columns) == cfg.m
+    assert columns == []
 
 
 @pytest.mark.parametrize("chunk", [None, 97])
@@ -259,6 +260,29 @@ def test_only_the_kept_chi_outlive_a_call(monkeypatch):
     assert _held(prop) == [prop._unit.chis]
     assert prop._unit.chis.shape == (cfg.m, cfg.n - 1, cfg.n - 1)
     assert prop._unit.chis.size <= pde._KEEP_LEVELS and not prop._unit.chis.flags.writeable
+
+
+def test_raw_rows_formed_once_per_operator_set(monkeypatch):
+    # a build keeps only the gttrf factors of its implicit rows; the first
+    # forward sweep of more than one column forms the raw rows again, one
+    # more stencil pass, and every radius of the operator set shares them
+    passes = []
+    stencil = pde._stencil
+
+    def counted(*args):
+        passes.append(args[2].size)
+        return stencil(*args)
+
+    monkeypatch.setattr(pde, "_stencil", counted)
+    cfg, path, pot, u0 = _case(20, 30)
+    prop = pde.propagator(path, pot, cfg, _B)
+    prop.run_forward(u0)
+    prop.assemble_forms()
+    assert passes == [cfg.m + 1] and prop._unit.rows is None
+    for b in (_B, 0.45):
+        dense_gramian(path, pot, b, cfg)
+    assert passes == [cfg.m + 1, cfg.m]
+    assert pde.propagator(path, pot, cfg, 0.45)._unit.rows is prop._unit.rows
 
 
 def test_oracle_after_the_forms_forms_them_once(monkeypatch):
