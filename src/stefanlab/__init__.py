@@ -85,6 +85,7 @@ from .errors import (
     OutOfDomainError,
     RadiusBoundsError,
     RadiusBreachError,
+    StefanlabError,
 )
 
 __version__ = "0.1.0"

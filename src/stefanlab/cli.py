@@ -27,13 +27,17 @@ under its root (--out-dir, then STEFANLAB_OUT_DIR, then `sweeps`), whatever
 out_dir the config sets, and refuses configs that share a stem.  It runs
 its entries on a pool of --workers threads (at least 1), one by default:
 the runs are mostly Python-level stepping that holds the interpreter lock,
-so more threads contend for it and a sweep gets slower, not faster.  It
+so more threads contend for it and a sweep gets slower, not faster.  Each
+run starts from an empty propagator slot (`pde.propagator`), so what it
+builds does not depend on which run its thread ran before.  It
 collects one row per run, keyed by the config's file name, into
 `sweep.csv` (standard CSV: a cell holding a comma or a quote, such as an
 error message, is quoted), keeps going past individual failures, and
 exits nonzero if any row failed.
 
-Exit codes: 0 success, 1 scenario failure, 2 configuration or usage error.
+Exit codes: 0 success, 1 scenario failure (any `StefanlabError` a run
+raises; an exception from outside the package propagates), 2 configuration
+or usage error.
 """
 
 from __future__ import annotations
@@ -50,38 +54,16 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, pde
 from .control import HUMConfig, solve_hum
 from .domain import PhysicalSetup, constant_path, line_l2_norm, write_field_csv
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DegenerateWeightError,
-    EndpointConditionError,
-    FieldRoleError,
-    GridError,
-    InstabilityError,
-    OutOfDomainError,
-    RadiusBoundsError,
-    RadiusBreachError,
-)
+from .errors import ConfigError, ConvergenceError, StefanlabError
 from .observability import _DENSE_NODE_CAP, _DENSE_STEP_CAP, ObservabilityConfig, dense_constant, estimate_constant
 from .pde import SchemeConfig, boundary_flux, propagator, solve_adjoint, solve_forward, solve_semilinear
 from .stefan import FixedPointConfig, Nonlinearity, coupled_solve, fixed_point_iterate, write_history_csv
 from .weights import CarlemanConfig, CarlemanParams, carleman_sides, check_weight_profile
 
 _ENV_OUT = "STEFANLAB_OUT_DIR"
-_RUN_ERRORS = (
-    GridError,
-    FieldRoleError,
-    EndpointConditionError,
-    OutOfDomainError,
-    DegenerateWeightError,
-    RadiusBoundsError,
-    RadiusBreachError,
-    InstabilityError,
-    ConvergenceError,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +113,6 @@ def _atomic_via(path: str, writer) -> None:
 # ---------------------------------------------------------------------------
 # config parsing with field paths
 
-_SCENARIOS = ("forward", "convergence", "semilinear", "adjoint", "hum",
-              "stefan", "fixedpoint", "carleman", "observability")
 _TOP_KEYS = ("scenario", "physical", "scheme", "hum", "fixedpoint",
              "carleman", "observability", "seed", "out_dir")
 _Z0_KEYS = {"zero": {}, "sine": {"amplitude": float, "mode": int}}
@@ -193,7 +173,7 @@ def _section(raw: dict, name: str, cls, nested: dict | None = None):
         values[key] = reader(body.get(key), f"{name}.{key}", {**defaults, **values})
     try:
         return cls(**values)
-    except (GridError, RadiusBoundsError, OutOfDomainError) as exc:
+    except StefanlabError as exc:
         raise ConfigError(name, str(exc)) from exc
 
 
@@ -227,7 +207,7 @@ def _nonlinearity_from(body, field: str, physical: dict):
             return Nonlinearity.sine(**values)
         return Nonlinearity.from_table(values.get("s", ()), values.get("f", ()),
                                        values.get("slope_at_zero"))
-    except GridError as exc:
+    except StefanlabError as exc:
         raise ConfigError(field, str(exc)) from exc
 
 
@@ -281,9 +261,9 @@ def resolve_config(raw: dict, out_dir: str | None = None,
         if key not in _TOP_KEYS:
             raise ConfigError(key, "unknown key")
     scenario = raw.get("scenario")
-    if scenario not in _SCENARIOS:
+    if not isinstance(scenario, str) or scenario not in _SCENARIO_TABLE:
         raise ConfigError("scenario",
-                          f"expected one of {', '.join(_SCENARIOS)}, got {scenario!r}")
+                          f"expected one of {', '.join(_SCENARIO_TABLE)}, got {scenario!r}")
     if seed is None:
         seed = _value(raw.get("seed", 0), int, "seed")
     if seed < 0:
@@ -574,7 +554,7 @@ def _cmd_run(args) -> int:
         return 2
     try:
         run_experiment(ec)
-    except _RUN_ERRORS as exc:
+    except StefanlabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(os.path.join(ec.out_dir, "summary.json"))
@@ -582,6 +562,8 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_row(path: str, base: str) -> dict:
+    # an empty propagator slot, whichever row this pool thread ran before
+    pde._last.entry = None
     stem = os.path.splitext(os.path.basename(path))[0]
     row = {"config": os.path.basename(path), "scenario": "", "status": "ok", "exit_code": 0,
            "error": ""}
@@ -594,7 +576,7 @@ def _sweep_row(path: str, base: str) -> dict:
         return row
     try:
         summary = run_experiment(ec)
-    except _RUN_ERRORS as exc:
+    except StefanlabError as exc:
         row.update(status="error", exit_code=1, error=f"{type(exc).__name__}: {exc}")
         return row
     for key, value in summary.items():

@@ -21,9 +21,9 @@ three layers.
 * Control: `linearize_and_control` freezes the reaction slope g(s) = f(s)/s
   at z = u/r of a given state iterate, synthesizes the penalized control
   on the frozen path, and pushes the boundary with the controlled flux;
-  `fixed_point_iterate` applies that map repeatedly (Picard) until the
-  state and the boundary stop moving in the sup norm, optionally continuing
-  along a schedule of decreasing penalties.
+  `fixed_point_iterate` applies that map repeatedly (Picard) at each rung
+  of a ladder of decreasing penalties until the state and the boundary
+  stop moving in the sup norm; `_picard`, one rung, is where it gives up.
 
 The minus sign of the law is the melting convention: a warm interior has
 a negative boundary flux, so the boundary advances.
@@ -32,7 +32,7 @@ a negative boundary flux, so the boundary advances.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -441,15 +441,15 @@ def _repeats(rec: IterationRecord, earlier: IterationRecord) -> bool:
         (rec.dRp_sup, earlier.dRp_sup)))
 
 
-def _picard(u0, zbar, rbar, setup, fpc, hum, cfg, history, offset):
-    """Iterate the map from the state field zbar and the path rbar until the
-    pair stops moving; returns (last, count, ok).
+def _picard(u0, zbar, rbar, setup, fpc, hum, cfg, history):
+    """Iterate the map at hum's penalty from the state field zbar and the
+    path rbar until the pair stops moving; returns (last, count).
 
-    A map whose differences repeat those of two iterations back has settled
-    on a period-2 cycle, which no further iteration leaves: that raises
-    `ConvergenceError` with the history at once, not after max_outer maps.
+    Records go on history, numbered on from its length.  The fixed point
+    gives up here alone, raising with the history: after max_outer maps,
+    or once a period-2 cycle shows (differences equal to those two back).
     """
-    lam = None
+    offset = len(history)
     for k in range(1, fpc.max_outer + 1):
         lam = linearize_and_control(zbar, rbar, u0, setup, hum, cfg)
         dz = float(np.max(np.abs(lam.state.values - zbar.values)))
@@ -462,13 +462,16 @@ def _picard(u0, zbar, rbar, setup, fpc, hum, cfg, history, offset):
         ))
         zbar, rbar = lam.state, lam.path
         if max(dz, dR, dRp) < fpc.fp_tol:
-            return lam, k, True
+            return lam, k
         if k >= 3 and _repeats(history[-1], history[-3]):
             raise ConvergenceError(
                 f"fixed point is caught in a period-2 cycle: the differences of outer "
                 f"iteration {offset + k} ({dz:.6e}, {dR:.6e}, {dRp:.6e}) repeat those of "
                 f"iteration {offset + k - 2}", history=history)
-    return lam, fpc.max_outer, False
+    raise ConvergenceError(
+        f"fixed point did not converge at epsilon={hum.epsilon:g} in {fpc.max_outer} "
+        f"outer iterations (last differences {dz:.3e}, {dR:.3e}, {dRp:.3e}, "
+        f"tol {fpc.fp_tol:g})", history=history)
 
 
 def fixed_point_iterate(u0, setup: PhysicalSetup, fpc: FixedPointConfig,
@@ -476,13 +479,13 @@ def fixed_point_iterate(u0, setup: PhysicalSetup, fpc: FixedPointConfig,
     """Picard iteration of the linearize-control-update map.
 
     Starts from the time-constant extension of the initial line field and
-    the constant boundary, iterates until the successive sup-norm
-    differences of state, radius, and slope all drop below the tolerance,
-    then (if a penalty schedule is configured) continues from the converged
-    pair at each scheduled penalty, recording the final-norm decay.
+    the constant boundary and walks the penalty ladder: hum.epsilon, then
+    each scheduled penalty, warm started from the pair the rung before
+    converged to.  Each rung iterates until the successive sup-norm
+    differences of state, radius, and slope all drop below the tolerance.
 
-    Pass u0 = None to sample the setup's initial data.  Non-convergence of
-    any phase raises with the iteration records attached.
+    Pass u0 = None to sample the setup's initial data.  A rung that does
+    not converge raises with every iteration record attached.
     """
     if u0 is None:
         u0 = setup.initial_line_field(cfg.grid)
@@ -491,33 +494,15 @@ def fixed_point_iterate(u0, setup: PhysicalSetup, fpc: FixedPointConfig,
     rbar = constant_path(setup.R0, setup.T, cfg.m)
 
     history: list[IterationRecord] = []
-    lam, count, ok = _picard(u0, zbar, rbar, setup, fpc, hum, cfg, history, 0)
-    if not ok:
-        raise ConvergenceError(
-            f"fixed point did not converge in {fpc.max_outer} outer iterations "
-            f"(last differences {history[-1].dz_sup:.3e}, {history[-1].dR_sup:.3e}, "
-            f"{history[-1].dRp_sup:.3e}, tol {fpc.fp_tol:g})",
-            history=history,
-        )
-    total = count
-
-    eps_records = []
-    for eps in fpc.epsilon_schedule:
-        hum_eps = replace(hum, epsilon=float(eps))
-        lam_eps, count, ok = _picard(u0, lam.state, lam.path, setup, fpc, hum_eps,
-                                     cfg, history, total)
-        total += count
-        eps_records.append(EpsilonRecord(
-            epsilon=float(eps), iterations=count, converged=ok,
-            final_norm=lam_eps.hum.final_norm, cost_ratio=lam_eps.hum.cost_ratio,
+    rungs = []
+    for eps in (hum.epsilon, *fpc.epsilon_schedule):
+        lam, count = _picard(u0, zbar, rbar, setup, fpc, replace(hum, epsilon=float(eps)),
+                             cfg, history)
+        zbar, rbar = lam.state, lam.path
+        rungs.append(EpsilonRecord(
+            epsilon=float(eps), iterations=count, converged=True,
+            final_norm=lam.hum.final_norm, cost_ratio=lam.hum.cost_ratio,
         ))
-        if not ok:
-            raise ConvergenceError(
-                f"fixed point did not reconverge at epsilon={eps:g} within "
-                f"{fpc.max_outer} outer iterations",
-                history=history,
-            )
-        lam = lam_eps
 
     return FixedPointResult(
         state=lam.state,
@@ -525,14 +510,13 @@ def fixed_point_iterate(u0, setup: PhysicalSetup, fpc: FixedPointConfig,
         path=lam.path,
         hum=lam.hum,
         history=tuple(history),
-        eps_history=tuple(eps_records),
+        eps_history=tuple(rungs[1:]),
         converged=True,
-        iterations=total,
+        iterations=len(history),
     )
 
 
-_HISTORY_COLUMNS = ("iteration", "dz_sup", "dR_sup", "dRp_sup",
-                    "final_norm", "cost_ratio", "R_min", "R_max")
+_HISTORY_COLUMNS = tuple(f.name for f in fields(IterationRecord))
 
 
 def write_history_csv(path, history) -> None:

@@ -8,10 +8,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from stefanlab import cli, errors
 from stefanlab.cli import main, resolve_config
 from stefanlab.control import HUMConfig
 from stefanlab.domain import BoundaryPath, read_field_csv
-from stefanlab.pde import SchemeConfig, solve_forward
+from stefanlab.pde import Propagator, SchemeConfig, solve_forward
 from stefanlab.stefan import FixedPointConfig
 from stefanlab.weights import CarlemanConfig, ProfileReport
 
@@ -244,9 +245,13 @@ def test_section_values_take_their_dataclass_types():
 
 
 def test_unknown_scenario_exits_2(tmp_path, capsys):
-    cfg = _write(tmp_path, "bad.json", {"scenario": "warp"})
-    assert main(["run", "--config", cfg]) == 2
-    assert "scenario" in capsys.readouterr().err
+    # an unhashable value too is refused, not looked up
+    for scenario in ("warp", ["hum"]):
+        cfg = _write(tmp_path, "bad.json", {"scenario": scenario})
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "config error: scenario: expected one of forward, convergence, semilinear, "
+            f"adjoint, hum, stefan, fixedpoint, carleman, observability, got {scenario!r}\n")
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -455,3 +460,76 @@ def test_sweep_workers_below_one_exits_2(tmp_path, capsys, workers):
 def test_sweep_empty_glob_exits_2(tmp_path, capsys):
     assert main(["sweep", "--configs", str(tmp_path / "none" / "*.json")]) == 2
     assert "no configs match" in capsys.readouterr().err
+
+
+def test_sweep_rows_start_from_an_empty_propagator_slot(tmp_path, monkeypatch):
+    # a hum and an observability config on one grid key the same operators;
+    # run on one thread, the second row still makes its own build, as it
+    # does when the pool gives it a thread of its own
+    builds = []
+    build = Propagator.__init__
+
+    def counted_build(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Propagator, "__init__", counted_build)
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    for scenario in ("hum", "observability"):
+        _write(cfg_dir, f"{scenario}.json", {"scenario": scenario,
+                                             "scheme": {"n": 24, "m": 48}})
+    assert main(["sweep", "--configs", str(cfg_dir / "*.json"),
+                 "--out-dir", str(tmp_path / "swp"), "--workers", "1"]) == 0
+    assert len(builds) == 2
+
+
+def _package_errors():
+    return [cls for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, Exception)]
+
+
+def test_every_package_error_is_a_stefanlab_error():
+    classes = _package_errors()
+    assert len(classes) == 11
+    assert all(issubclass(cls, errors.StefanlabError) for cls in classes)
+    assert all(issubclass(cls, (ValueError, RuntimeError)) for cls in classes
+               if cls is not errors.StefanlabError)
+
+
+@pytest.mark.parametrize("cls", [cls for cls in _package_errors()
+                                 if cls is not errors.ConfigError], ids=lambda c: c.__name__)
+def test_any_package_error_fails_the_run_with_exit_1(tmp_path, monkeypatch, capsys, cls):
+    def failing(ec):
+        raise cls("it broke, here")
+
+    monkeypatch.setitem(cli._SCENARIO_TABLE, "forward", failing)
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    cfg = _write(cfg_dir, "fwd.json", {"scenario": "forward", "scheme": {"n": 16, "m": 16}})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"{cls.__name__}: it broke, here\n"
+    base = str(tmp_path / "swp")
+    assert main(["sweep", "--configs", str(cfg_dir / "*.json"), "--out-dir", base]) == 1
+    with open(os.path.join(base, "sweep.csv")) as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["status"], row["exit_code"]) == ("error", "1")
+    assert row["error"] == f"{cls.__name__}: it broke, here"
+
+
+def test_config_errors_exit_2_and_foreign_errors_propagate(tmp_path, monkeypatch, capsys):
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    bad = _write(tmp_path, "bad.json", {"scenario": "forward", "scheme": {"n": 2}})
+    assert main(["run", "--config", bad]) == 2
+    assert capsys.readouterr().err.startswith("config error: scheme: ")
+
+    def failing(ec):
+        raise ZeroDivisionError("not the package's")
+
+    monkeypatch.setitem(cli._SCENARIO_TABLE, "forward", failing)
+    cfg = _write(cfg_dir, "fwd.json", {"scenario": "forward", "scheme": {"n": 16, "m": 16}})
+    with pytest.raises(ZeroDivisionError):
+        main(["run", "--config", cfg, "--out-dir", str(tmp_path / "run")])
+    with pytest.raises(ZeroDivisionError):
+        main(["sweep", "--configs", str(cfg_dir / "*.json"), "--out-dir", str(tmp_path / "swp")])

@@ -1,5 +1,9 @@
 """Melting law, coupled marching, and the linearize-control-update loop."""
 
+import csv
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +26,7 @@ from stefanlab.errors import (
     RadiusBreachError,
 )
 from stefanlab import pde, stefan
+from stefanlab.cli import main
 from stefanlab.pde import SchemeConfig, boundary_flux, solve_forward, solve_semilinear
 from stefanlab.stefan import (
     FixedPointConfig,
@@ -422,6 +427,50 @@ def test_fixed_point_period_two_cycle_raises_early(monkeypatch):
     assert unchecked.iterations == 22
     assert result.state.values.tobytes() == unchecked.state.values.tobytes()
     assert result.path.radii.tobytes() == unchecked.path.radii.tobytes()
+
+
+def test_failing_schedule_rung_raises_with_every_record(monkeypatch, tmp_path):
+    # f = -5 sin on a unit sine datum at 30 x 60: the base penalty 1e-1
+    # converges in 22 maps, and the scheduled rung 1e-4, warm started from
+    # there, settles on the period-2 cycle of the test above
+    setup = PhysicalSetup(T=0.5, z0=lambda r: np.sin(np.pi * r),
+                          nonlinearity=Nonlinearity.sine(-5.0))
+    cfg = SchemeConfig(n=30, m=60)
+    hum = HUMConfig(epsilon=1e-1)
+    fpc = FixedPointConfig(fp_tol=1e-10, max_outer=60, epsilon_schedule=(1e-4,))
+    base = fixed_point_iterate(None, setup, replace(fpc, epsilon_schedule=()), hum, cfg)
+    assert base.iterations == 22
+    with pytest.raises(ConvergenceError,
+                       match="period-2 cycle: the differences of outer iteration 49 ") as err:
+        fixed_point_iterate(None, setup, fpc, hum, cfg)
+    history = err.value.history
+    assert [rec.iteration for rec in history] == list(range(1, 50))
+    assert tuple(history[:22]) == base.history
+
+    # with the cycle check off, the rung runs to its cap: 60 more maps
+    with monkeypatch.context() as patch:
+        patch.setattr(stefan, "_repeats", lambda rec, earlier: False)
+        with pytest.raises(ConvergenceError, match=r"did not converge at epsilon=0\.0001 "
+                           r"in 60 outer iterations \(last differences ") as err:
+            fixed_point_iterate(None, setup, fpc, hum, cfg)
+    assert [rec.iteration for rec in err.value.history] == list(range(1, 83))
+    assert tuple(err.value.history[:22]) == base.history
+
+    # the fixedpoint scenario writes every record before it fails
+    out = tmp_path / "fp"
+    config = tmp_path / "rung.json"
+    config.write_text(json.dumps({
+        "scenario": "fixedpoint",
+        "physical": {"z0": {"kind": "sine", "amplitude": 1.0},
+                     "nonlinearity": {"kind": "sine", "amplitude": -5.0}},
+        "scheme": {"n": 30, "m": 60}, "hum": {"epsilon": 1e-1},
+        "fixedpoint": {"fp_tol": 1e-10, "max_outer": 60, "epsilon_schedule": [1e-4]},
+    }))
+    assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 1
+    with open(out / "fixedpoint-history.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["iteration"]) for row in rows] == list(range(1, 50))
+    assert [float(row["dz_sup"]) for row in rows] == [rec.dz_sup for rec in history]
 
 
 def test_write_history_csv(tmp_path):
