@@ -68,11 +68,24 @@ Per radius: the mask, its reach and the forms, set by whichever pass over
 the unit levels runs first.  Nothing else is kept; _CHUNK only sizes the
 passes.  So a radius ladder on one path costs one build, one P, one free
 forward sweep of P's columns and, within _KEEP_LEVELS, one unit sweep.
+
+A wide backward block swept step by step, the unit sweep of a grid past
+_KEEP_LEVELS above all, uses a second core: a block of at least
+_SPLIT_COLUMNS columns, in a process that may run on two CPUs, is swept as
+two column halves, one on a module-level helper thread, which scipy's
+gttrs lets run beside the caller since it releases the interpreter lock
+(`Propagator._chi_chunks`).  gttrs solves column by column and the rest of
+a backward step is elementwise, so every output keeps its bits; the
+forward sweeps, the kept chi and `run_adjoint` run on the calling thread
+alone.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +121,17 @@ _CHUNK = 1 << 15
 # keeps for its later passes: 65 536 values, 512 KiB; 30x60 needs 50 460,
 # 32x64 61 504 and 64x128 508 032
 _KEEP_LEVELS = 1 << 16
+
+# fewest columns of a swept backward block that `_chi_chunks` splits into
+# two halves, one on the helper thread.  On a 2-vCPU host a split unit pass
+# took 1.5 times as long at 48x96 (47 columns), about as long at 60x120,
+# and 0.85 and 0.68 times as long at 100x200 and 150x300: narrower halves
+# cost more in hand-offs than they save
+_SPLIT_COLUMNS = 60
+
+# the helper thread of a split sweep, created on first use
+_helper = None
+_helper_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -290,6 +314,54 @@ def _check_initial(u0, n, block=False):
     blocked = block and np.ndim(u0) > 1
     return checked_values(u0, "initial data", (n + 1, None) if blocked else (n + 1,),
                           endpoints=True, block=blocked)
+
+
+def _usable_cpus():
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+def _helper_pool():
+    """The one-worker executor of split sweeps, shared by every thread."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stefanlab-sweep")
+        return _helper
+
+
+def _advance(steps, ring, span):
+    """Run a `_backward_steps` generator down to its next step j that span
+    divides, writing the first rows of each chi into ring[j % span];
+    returns that step's (j, chi)."""
+    rows = ring.shape[1]
+    for j, chi in steps:
+        ring[j % span] = chi[:rows]
+        if not j % span:
+            return j, chi
+
+
+def _next_chunk(halves, span):
+    """`_advance` on every (steps, ring) pair of a sweep's column halves;
+    (j, chi) with chi the halves' chi joined in column order.
+
+    With two halves the helper thread advances the first, in a copy of the
+    caller's context (so its np.errstate holds there too), while the
+    caller advances the second; the caller waits for the helper before it
+    returns or re-raises, so no helper work outlives the chunk.
+    """
+    if len(halves) == 1:
+        return _advance(*halves[0], span)
+    (first, first_ring), (second, second_ring) = halves
+    future = _helper_pool().submit(contextvars.copy_context().run,
+                                   _advance, first, first_ring, span)
+    try:
+        j, chi = _advance(second, second_ring, span)
+    finally:
+        wait((future,))
+    # gttrs leaves chi column-major, and so does the join of two such halves
+    return j, np.concatenate((future.result()[1], chi), axis=1)
 
 
 class _UnitSweep:
@@ -670,6 +742,14 @@ class Propagator:
         `_UnitSweep.chis` when its operator set keeps them, sliced with no
         per-step work; the first unit sweep of a set whose m(n-1)^2 values
         fit _KEEP_LEVELS runs whole and keeps them.
+
+        A swept block of at least _SPLIT_COLUMNS columns, in a process that
+        may run on two CPUs or more, is swept as two column halves, one
+        chunk at a time, the first on the helper thread (`_next_chunk`),
+        each writing its own columns of the ring.  gttrs solves each column
+        on its own, and every other step of `_backward_steps` is elementwise,
+        so each half carries the bits of its columns in the whole block, and
+        the joined chi is column-major, as gttrs leaves a whole one.
         """
         m, ni, unit = self.m, self.n - 1, self._unit
         if x is None and unit.chis is None and m * ni * ni <= _KEEP_LEVELS:
@@ -683,11 +763,16 @@ class Propagator:
                 yield j, unit.chis[j:j + span, :rows], unit.chis[j]
             return
         x = np.eye(ni) if x is None else x
-        ring = np.empty((min(span, m), rows, x.shape[1]))
-        for j, chi in self._backward_steps(x):
-            ring[j % span] = chi[:rows]
-            if not j % span:
-                yield j, ring[:min(span, m - j)], chi
+        k = x.shape[1]
+        ring = np.empty((min(span, m), rows, k))
+        cuts = [slice(None)]
+        if k >= _SPLIT_COLUMNS and _usable_cpus() > 1:
+            cuts = [slice(None, k // 2), slice(k // 2, None)]
+        halves = [(self._backward_steps(x[:, cut]), ring[:, :, cut]) for cut in cuts]
+        j = m
+        while j:
+            j, chi = _next_chunk(halves, span)
+            yield j, ring[:min(span, m - j)], chi
 
     def _unit_chunks(self):
         """`_observation_chunks` of the interior unit block on the rows the

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from stefanlab.domain import (
     line_l2_norm,
     path_from_function,
 )
-from stefanlab.errors import EndpointConditionError, GridError, InstabilityError
+from stefanlab.errors import EndpointConditionError, GridError, InstabilityError, StefanlabError
 from stefanlab.pde import (
     Propagator,
     SchemeConfig,
@@ -1038,3 +1040,193 @@ def test_adjoint_free_function_wrapper():
     assert field.values.shape == (cfg.n + 1, cfg.m + 1)
     assert np.array_equal(field.values[:, -1], phiT)
     assert np.all(field.values[0] == 0.0) and np.all(field.values[-1] == 0.0)
+
+
+
+# -- swept blocks split into two column halves --------------------------------------
+
+class _CountingPool:
+    """The helper executor, keeping every future it is handed."""
+
+    def __init__(self):
+        self.pool = pde._helper_pool()
+        self.futures = []
+
+    def submit(self, *args):
+        future = self.pool.submit(*args)
+        self.futures.append(future)
+        return future
+
+
+def _split(patch, on, cpus=2):
+    """Every swept block of two columns or more splits (on), or none does,
+    with the CPU gate reading cpus; no operator set keeps its unit chi, so
+    every unit pass sweeps.  Returns the counting helper pool."""
+    pool = _CountingPool()
+    patch.setattr(pde, "_KEEP_LEVELS", 0)
+    patch.setattr(pde, "_SPLIT_COLUMNS", 2 if on else 1 << 30)
+    patch.setattr(pde, "_usable_cpus", lambda: cpus)
+    patch.setattr(pde, "_helper_pool", lambda: pool)
+    return pool
+
+
+def _outcome(call):
+    """The bytes of a call's result, each call from an empty slot."""
+    pde._last = threading.local()
+    try:
+        return np.asarray(call()).tobytes()
+    except StefanlabError as exc:   # a failure must fail the same way
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _split_outputs(path, pot, cfg, radius, block):
+    """Every output a swept backward block feeds: G, P, the observation
+    and the Gramian image of a block, the dense Gramian and both
+    observability constants."""
+    setup = PhysicalSetup()
+
+    def prop():
+        return pde.propagator(path, pot, cfg, radius)
+
+    calls = (lambda: prop().assemble_forms()[0], lambda: prop().assemble_forms()[1],
+             lambda: prop().run_observation(block), lambda: prop().apply_gramian(block),
+             lambda: dense_gramian(path, pot, radius, cfg),
+             lambda: observability.estimate_constant(path, pot, setup, cfg, b=radius).constant,
+             lambda: observability.dense_constant(path, pot, setup, cfg, b=radius).constant)
+    return [_outcome(call) for call in calls]
+
+
+@settings(max_examples=20)
+@given(n=st.integers(8, 40), m=st.integers(8, 40),
+       theta=st.floats(0.5, 1.0), amp=st.floats(0.0, 0.3),
+       freq=st.integers(1, 3), with_potential=st.booleans(),
+       radius=st.sampled_from([0.2, 0.3, 0.45, np.inf]),
+       cols=st.sampled_from([3, 5, 9]), seed=st.integers(0, 2**32 - 1))
+def test_split_sweeps_keep_the_bits(n, m, theta, amp, freq, with_potential, radius, cols, seed):
+    # swept as two column halves, the first on the helper thread, every
+    # output keeps the bits of the block swept whole, for odd and even
+    # widths, in one chunk of steps or in many
+    prop, rng = _moving_setup(n, m, theta, amp, freq, with_potential, radius, seed)
+    block = np.zeros((n + 1, cols))
+    block[1:-1] = rng.standard_normal((n - 1, cols))
+    for chunk in (pde._CHUNK, _SMALL_CHUNK):
+        got = {}
+        for on in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pde, "_CHUNK", chunk)
+                pool = _split(patch, on)
+                got[on] = _split_outputs(prop.path, prop.pot, prop.cfg, radius, block)
+            assert bool(pool.futures) == on
+        assert got[True] == got[False]
+
+
+def _unit_forms(path, pot, cfg, radius):
+    return [a.tobytes() for a in Propagator(path, pot, cfg, control_radius=radius).assemble_forms()]
+
+
+@pytest.mark.parametrize("half", ["helper", "caller"])
+def test_a_failing_half_raises_and_leaves_no_helper_work(monkeypatch, half):
+    # an InstabilityError in either half leaves the sweep, after the helper
+    # has stopped; the next split sweep gives the bits of a whole one
+    prop, _ = _moving_setup(24, 30, 0.5, 0.1, 2, True, 0.45, 5)
+    case = prop.path, prop.pot, prop.cfg, 0.45
+    with pytest.MonkeyPatch.context() as patch:
+        _split(patch, False)
+        want = _unit_forms(*case)
+    pool = _split(monkeypatch, True)
+    caller, solve, steps = threading.current_thread(), pde._solve_implicit, []
+
+    def failing(system, rhs, transposed=False):
+        if transposed and (threading.current_thread() is caller) == (half == "caller"):
+            steps.append(rhs.shape[1])
+            if len(steps) == 7:
+                raise InstabilityError("injected")
+        elif transposed:
+            time.sleep(1e-3)   # the other half is still at work when this one raises
+        return solve(system, rhs, transposed)
+
+    monkeypatch.setattr(pde, "_solve_implicit", failing)
+    with pytest.raises(InstabilityError, match="injected"):
+        _unit_forms(*case)
+    assert pool.futures and all(future.done() for future in pool.futures)
+    monkeypatch.setattr(pde, "_solve_implicit", solve)
+    assert _unit_forms(*case) == want
+
+
+def test_both_halves_run_under_the_callers_errstate(monkeypatch):
+    pool = _split(monkeypatch, True)
+    seen, solve = set(), pde._solve_implicit
+
+    def recording(system, rhs, transposed=False):
+        if transposed:
+            seen.add((threading.current_thread().name, tuple(sorted(np.geterr().items()))))
+        return solve(system, rhs, transposed)
+
+    monkeypatch.setattr(pde, "_solve_implicit", recording)
+    prop, _ = _moving_setup(16, 20, 0.5, 0.1, 2, True, 0.45, 1)
+    with np.errstate(all="ignore", over="raise"):
+        state = tuple(sorted(np.geterr().items()))
+        prop.assemble_forms()
+    assert pool.futures
+    assert len({name for name, _ in seen}) == 2 and {s for _, s in seen} == {state}
+
+
+def test_concurrent_split_sweeps_keep_their_bits(monkeypatch):
+    # two caller threads share the one helper, switching often, a chunk of
+    # one step at a time; each gets the bits of its sweep run whole, alone
+    monkeypatch.setattr(pde, "_CHUNK", _SMALL_CHUNK)
+    cases = []
+    for n, m, theta, with_potential, radius, seed in ((40, 48, 0.5, True, 0.3, 1),
+                                                      (35, 40, 0.8, False, 0.45, 2)):
+        prop, _ = _moving_setup(n, m, theta, 0.1, 2, with_potential, radius, seed)
+        cases.append((prop.path, prop.pot, prop.cfg, radius))
+    with pytest.MonkeyPatch.context() as patch:
+        _split(patch, False)
+        want = [_unit_forms(*case) for case in cases]
+    pool = _split(monkeypatch, True)
+    barrier = threading.Barrier(len(cases), timeout=60)
+    results, errors = [None] * len(cases), []
+
+    def worker(i):
+        try:
+            barrier.wait()
+            results[i] = [_unit_forms(*cases[i]) for _ in range(3)]
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "a split sweep deadlocked"
+    assert not errors
+    assert results == [[forms] * 3 for forms in want]
+    assert pool.futures
+
+
+def test_split_needs_two_usable_cpus_and_the_width(monkeypatch):
+    # only a block of _SPLIT_COLUMNS columns or more splits, and only when
+    # the process may run on two CPUs; otherwise nothing reaches the helper
+    width, gate = pde._SPLIT_COLUMNS, pde._usable_cpus
+    pool = _split(monkeypatch, True)
+    monkeypatch.setattr(pde, "_SPLIT_COLUMNS", width)
+    monkeypatch.setattr(pde, "_usable_cpus", gate)
+
+    def hand_offs(cols):
+        before = len(pool.futures)
+        prop, _ = _moving_setup(cols + 1, 8, 0.5, 0.1, 1, True, 0.45, 0)
+        prop.assemble_forms()
+        return len(pool.futures) - before
+
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        assert gate() == len(cpus)
+        assert hand_offs(width - 1) == 0
+        assert (hand_offs(width) > 0) == (len(cpus) > 1)
