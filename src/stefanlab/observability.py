@@ -94,8 +94,6 @@ class ObservabilityEstimate:
 
     constant: float
     iterations: int
-    nodes: int
-    steps: int
 
 
 def _seed(n_int: int) -> np.ndarray:
@@ -138,7 +136,7 @@ def estimate_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
     amat = (path.radii[0] / path.radii[-1]) * (slice0.T @ slice0)
     s = _seed(cfg.n - 1)
     mu = _dominant(amat, gram, float(s @ gram @ s), obs.relative_floor, cfg)
-    return ObservabilityEstimate(constant=mu, iterations=1, nodes=cfg.n, steps=cfg.m)
+    return ObservabilityEstimate(constant=mu, iterations=1)
 
 
 def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
@@ -180,4 +178,4 @@ def dense_constant(path: BoundaryPath, potential, setup: PhysicalSetup,
     bmat = 0.5 * (bmat + bmat.T)
     s = _seed(n_int)
     mu = _dominant(amat, bmat, float(s @ bmat @ s), obs.relative_floor, cfg)
-    return ObservabilityEstimate(constant=mu, iterations=n_int, nodes=cfg.n, steps=cfg.m)
+    return ObservabilityEstimate(constant=mu, iterations=n_int)

@@ -129,9 +129,9 @@ _KEEP_LEVELS = 1 << 16
 # cost more in hand-offs than they save
 _SPLIT_COLUMNS = 60
 
-# the helper thread of a split sweep, created on first use
-_helper = None
-_helper_lock = threading.Lock()
+# the one-worker executor of split sweeps, shared by every thread; it
+# starts its thread on the first submit
+_helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stefanlab-sweep")
 
 
 @dataclass(frozen=True)
@@ -322,15 +322,6 @@ def _usable_cpus():
     return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
 
-def _helper_pool():
-    """The one-worker executor of split sweeps, shared by every thread."""
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stefanlab-sweep")
-        return _helper
-
-
 def _advance(steps, ring, span):
     """Run a `_backward_steps` generator down to its next step j that span
     divides, writing the first rows of each chi into ring[j % span];
@@ -354,8 +345,7 @@ def _next_chunk(halves, span):
     if len(halves) == 1:
         return _advance(*halves[0], span)
     (first, first_ring), (second, second_ring) = halves
-    future = _helper_pool().submit(contextvars.copy_context().run,
-                                   _advance, first, first_ring, span)
+    future = _helper.submit(contextvars.copy_context().run, _advance, first, first_ring, span)
     try:
         j, chi = _advance(second, second_ring, span)
     finally:

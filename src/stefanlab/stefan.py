@@ -96,21 +96,21 @@ class Nonlinearity:
     """Reaction term f with f(0) = 0 and a global Lipschitz bound.
 
     value(s) evaluates f; slope(s) evaluates the secant g(s) = f(s)/s with
-    the removable singularity closed by f'(0) (supplied, or a symmetric
-    difference when it is not).  The slope is what the linearized problems
-    use as a potential, so a zero nonlinearity must produce exact zeros,
-    which the `zero` kind guarantees bitwise.
+    the removable singularity closed by f'(0).  The slope is what the
+    linearized problems use as a potential, so a zero nonlinearity must
+    produce exact zeros, which the `zero` kind guarantees bitwise.
 
-    Use the constructors (`zero`, `linear`, `sine`, `from_table`) rather
-    than the raw dataclass: they fill in the Lipschitz bound and the slope
-    at zero consistently.
+    The kind fixes f'(0) and the Lipschitz bound: both are 0 for `zero`;
+    f'(0) is the amplitude and the bound its magnitude for `linear` and
+    `sine`; a `table` is bounded by the steepest secant of its samples.
+    Only a table takes slope_at_zero, its f'(0); without one, slope()
+    estimates f'(0) by a symmetric difference.
     """
 
     kind: str
     amplitude: float = 1.0
     samples_s: tuple = ()
     samples_f: tuple = ()
-    lipschitz: float = 0.0
     slope_at_zero: float | None = None
 
     def __post_init__(self):
@@ -120,34 +120,42 @@ class Nonlinearity:
             raise GridError("amplitude must be finite")
         if self.kind == "table":
             _table_samples(self.samples_s, self.samples_f)
-        if self.lipschitz < 0 or not np.isfinite(self.lipschitz):
-            raise GridError(f"Lipschitz bound must be >= 0, got {self.lipschitz}")
+            if not np.isfinite(self.lipschitz):
+                raise GridError(f"table secants must be finite, got {self.lipschitz}")
+        if self.slope_at_zero is not None:
+            if self.kind != "table":
+                raise GridError(f"slope_at_zero applies to a table only, not to {self.kind!r}")
+            if not np.isfinite(self.slope_at_zero):
+                raise GridError(f"slope_at_zero must be finite, got {self.slope_at_zero}")
         if abs(float(np.asarray(self.value(0.0)))) > 1e-12:
             raise GridError("nonlinearity must vanish at zero")
 
     @classmethod
     def zero(cls) -> "Nonlinearity":
-        return cls(kind="zero", amplitude=0.0, lipschitz=0.0, slope_at_zero=0.0)
+        return cls(kind="zero", amplitude=0.0)
 
     @classmethod
     def linear(cls, slope: float = 1.0) -> "Nonlinearity":
-        return cls(kind="linear", amplitude=float(slope),
-                   lipschitz=abs(float(slope)), slope_at_zero=float(slope))
+        return cls(kind="linear", amplitude=float(slope))
 
     @classmethod
     def sine(cls, amplitude: float = 1.0) -> "Nonlinearity":
-        # |d/ds (A sin s)| <= |A| everywhere
-        return cls(kind="sine", amplitude=float(amplitude),
-                   lipschitz=abs(float(amplitude)), slope_at_zero=float(amplitude))
+        return cls(kind="sine", amplitude=float(amplitude))
 
     @classmethod
     def from_table(cls, s, f, slope_at_zero: float | None = None) -> "Nonlinearity":
         """Piecewise-linear f through the samples, constant outside their range."""
         s, f = _table_samples(s, f)
-        lip = float(np.max(np.abs(np.diff(f) / np.diff(s))))
         return cls(kind="table", samples_s=tuple(float(x) for x in s),
-                   samples_f=tuple(float(x) for x in f), lipschitz=lip,
-                   slope_at_zero=slope_at_zero)
+                   samples_f=tuple(float(x) for x in f), slope_at_zero=slope_at_zero)
+
+    @property
+    def lipschitz(self) -> float:
+        """Global Lipschitz bound of f; |d/ds (A sin s)| <= |A| everywhere."""
+        if self.kind == "table":
+            with np.errstate(over="ignore"):   # an infinite secant is refused at construction
+                return float(np.max(np.abs(np.diff(self.samples_f) / np.diff(self.samples_s))))
+        return 0.0 if self.kind == "zero" else abs(self.amplitude)
 
     def value(self, s):
         """f(s), elementwise."""
@@ -165,13 +173,16 @@ class Nonlinearity:
     def slope(self, s):
         """Secant slope g(s) = f(s)/s with g(0) = f'(0), elementwise.
 
-        Arguments below 1e-8 in magnitude take the zero-slope value; when
-        no derivative at zero was supplied it is estimated by a symmetric
-        difference of f across the same threshold.
+        Arguments below 1e-8 in magnitude take the zero-slope value; a
+        table with no slope_at_zero estimates it by a symmetric difference
+        of f across the same threshold.
         """
         arr = np.asarray(s, dtype=float)
-        g0 = self.slope_at_zero
-        if g0 is None:
+        if self.kind != "table":
+            g0 = 0.0 if self.kind == "zero" else self.amplitude
+        elif self.slope_at_zero is not None:
+            g0 = self.slope_at_zero
+        else:
             g0 = float(self.value(_SMALL_ARG) - self.value(-_SMALL_ARG)) / (2.0 * _SMALL_ARG)
         small = np.abs(arr) < _SMALL_ARG
         safe = np.where(small, 1.0, arr)
@@ -340,11 +351,13 @@ class FixedPointConfig:
     """Stopping parameters and penalty schedule of the outer iteration.
 
     The iteration stops once the sup-norm changes of state, radius and slope
-    all drop below fp_tol.  It fails after max_outer applications of the
-    map, or earlier once the three changes repeat those of two iterations
-    back (a period-2 cycle).  The epsilon schedule, when nonempty,
-    continues the converged iteration at each listed penalty (warm
-    started) to record the final-norm decay.
+    all drop below fp_tol.  The epsilon schedule, when nonempty, continues
+    the converged iteration at each listed penalty (warm started) to record
+    the final-norm decay.  max_outer caps each rung of that ladder on its
+    own: a rung fails after max_outer applications of the map, or earlier
+    once the three changes repeat those of two iterations back (a period-2
+    cycle), so a k-entry schedule can apply the map (1 + k) max_outer
+    times before the iteration fails.
     """
 
     fp_tol: float = 1e-6
@@ -364,11 +377,10 @@ class FixedPointConfig:
 class LambdaOutcome:
     """One application of the map.
 
-    state is the controlled state on the frozen path, path the boundary its
-    flux drives, and hum the control solve that produced both.
+    hum is the control solve on the frozen path, whose hum.state is the
+    controlled state, and path the boundary that state's flux drives.
     """
 
-    state: SpaceTimeField
     path: BoundaryPath
     hum: HUMOutcome
 
@@ -389,21 +401,25 @@ class IterationRecord:
 class EpsilonRecord:
     epsilon: float
     iterations: int
-    converged: bool
     final_norm: float
     cost_ratio: float
 
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    state: SpaceTimeField
-    control: SpaceTimeField
+    """The converged pair of the last rung: hum.state and hum.control are
+    the fixed point's state and control, path its boundary.  A result only
+    exists once every rung has converged (`_picard` raises otherwise)."""
+
     path: BoundaryPath
     hum: HUMOutcome
     history: tuple
     eps_history: tuple
-    converged: bool
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        """Applications of the map over every rung."""
+        return len(self.history)
 
 
 def linearize_and_control(zbar, rbar: BoundaryPath, u0, setup: PhysicalSetup,
@@ -431,7 +447,7 @@ def linearize_and_control(zbar, rbar: BoundaryPath, u0, setup: PhysicalSetup,
 
     outcome = solve_hum(u0, rbar, potential, setup.b, hum, cfg)
     new_path = integrate_boundary(outcome.state, rbar, setup)
-    return LambdaOutcome(state=outcome.state, path=new_path, hum=outcome)
+    return LambdaOutcome(path=new_path, hum=outcome)
 
 
 def _repeats(rec: IterationRecord, earlier: IterationRecord) -> bool:
@@ -452,7 +468,7 @@ def _picard(u0, zbar, rbar, setup, fpc, hum, cfg, history):
     offset = len(history)
     for k in range(1, fpc.max_outer + 1):
         lam = linearize_and_control(zbar, rbar, u0, setup, hum, cfg)
-        dz = float(np.max(np.abs(lam.state.values - zbar.values)))
+        dz = float(np.max(np.abs(lam.hum.state.values - zbar.values)))
         dR = float(np.max(np.abs(lam.path.radii - rbar.radii)))
         dRp = float(np.max(np.abs(lam.path.slopes - rbar.slopes)))
         history.append(IterationRecord(
@@ -460,7 +476,7 @@ def _picard(u0, zbar, rbar, setup, fpc, hum, cfg, history):
             final_norm=lam.hum.final_norm, cost_ratio=lam.hum.cost_ratio,
             R_min=float(np.min(lam.path.radii)), R_max=float(np.max(lam.path.radii)),
         ))
-        zbar, rbar = lam.state, lam.path
+        zbar, rbar = lam.hum.state, lam.path
         if max(dz, dR, dRp) < fpc.fp_tol:
             return lam, k
         if k >= 3 and _repeats(history[-1], history[-3]):
@@ -498,22 +514,13 @@ def fixed_point_iterate(u0, setup: PhysicalSetup, fpc: FixedPointConfig,
     for eps in (hum.epsilon, *fpc.epsilon_schedule):
         lam, count = _picard(u0, zbar, rbar, setup, fpc, replace(hum, epsilon=float(eps)),
                              cfg, history)
-        zbar, rbar = lam.state, lam.path
-        rungs.append(EpsilonRecord(
-            epsilon=float(eps), iterations=count, converged=True,
-            final_norm=lam.hum.final_norm, cost_ratio=lam.hum.cost_ratio,
-        ))
+        zbar, rbar = lam.hum.state, lam.path
+        rungs.append(EpsilonRecord(epsilon=float(eps), iterations=count,
+                                   final_norm=lam.hum.final_norm,
+                                   cost_ratio=lam.hum.cost_ratio))
 
-    return FixedPointResult(
-        state=lam.state,
-        control=lam.hum.control,
-        path=lam.path,
-        hum=lam.hum,
-        history=tuple(history),
-        eps_history=tuple(rungs[1:]),
-        converged=True,
-        iterations=len(history),
-    )
+    return FixedPointResult(path=lam.path, hum=lam.hum, history=tuple(history),
+                            eps_history=tuple(rungs[1:]))
 
 
 _HISTORY_COLUMNS = tuple(f.name for f in fields(IterationRecord))

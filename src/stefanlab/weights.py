@@ -287,12 +287,6 @@ class CarlemanReport:
     ratio: float
     margin: float
 
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "lhs_time", "lhs_second", "lhs_gradient", "lhs_zero", "lhs_boundary",
-            "lhs_total", "rhs_observation", "rhs_source", "rhs_total", "ratio",
-            "margin")}
-
 
 def _quadrature_fields(params: CarlemanParams, r_nodes, times, R, quad, tw, inside,
                        b: float, T: float):

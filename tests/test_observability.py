@@ -34,7 +34,7 @@ def test_dense_constant_matches_frozen_anchor():
     setup, cfg, path = _setting(16, 32)
     est = dense_constant(path, None, setup, cfg)
     assert est.constant == pytest.approx(_ANCHOR_16_32, rel=1e-9)
-    assert est.nodes == 16 and est.steps == 32
+    assert est.iterations == 15   # one column per interior node
 
 
 def test_matrix_free_matches_dense():

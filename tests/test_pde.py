@@ -395,7 +395,7 @@ def _dense_constant_columns(path, potential, setup, cfg, obs=None, b=None):
     s = _seed(n_int)
     seed_value = float(s @ bmat @ s)
     mu = _dominant(amat, bmat, seed_value, obs.relative_floor, cfg)
-    return ObservabilityEstimate(constant=mu, iterations=n_int, nodes=cfg.n, steps=cfg.m)
+    return ObservabilityEstimate(constant=mu, iterations=n_int)
 
 
 # a prime number of values per chunk, so sweeps at small grids cross many
@@ -1049,7 +1049,7 @@ class _CountingPool:
     """The helper executor, keeping every future it is handed."""
 
     def __init__(self):
-        self.pool = pde._helper_pool()
+        self.pool = pde._helper
         self.futures = []
 
     def submit(self, *args):
@@ -1066,7 +1066,7 @@ def _split(patch, on, cpus=2):
     patch.setattr(pde, "_KEEP_LEVELS", 0)
     patch.setattr(pde, "_SPLIT_COLUMNS", 2 if on else 1 << 30)
     patch.setattr(pde, "_usable_cpus", lambda: cpus)
-    patch.setattr(pde, "_helper_pool", lambda: pool)
+    patch.setattr(pde, "_helper", pool)
     return pool
 
 

@@ -47,6 +47,10 @@ def test_nonlinearity_kinds_and_validation():
     assert Nonlinearity.zero().kind == "zero"
     assert Nonlinearity.linear(slope=2.0).lipschitz == 2.0
     assert Nonlinearity.sine(amplitude=0.5).lipschitz == 0.5
+    # a direct construction reports the bound of its kind too
+    assert Nonlinearity(kind="linear", amplitude=2.0).lipschitz == 2.0
+    assert Nonlinearity(kind="sine", amplitude=-3.0).lipschitz == 3.0
+    assert Nonlinearity(kind="zero").lipschitz == 0.0
     with pytest.raises(GridError):
         Nonlinearity(kind="cubic")
     with pytest.raises(GridError):
@@ -60,9 +64,20 @@ def test_nonlinearity_kinds_and_validation():
                         ([-1.0, nan, 1.0], [1.0, 0.0, 1.0], "strictly increasing"),
                         ([nan, 0.0, 1.0], [1.0, 0.0, 1.0], "strictly increasing"),
                         ([-1.0, 0.0, 1.0], [nan, 0.0, 1.0], "values must be finite"),
-                        ([-1.0, 0.0], [1.0, 0.0, 1.0], "matching 1-d")):
+                        ([-1.0, 0.0], [1.0, 0.0, 1.0], "matching 1-d"),
+                        ([-1e-308, 0.0, 1e-308], [-1e300, 0.0, 1e300], "secants must be finite")):
         with pytest.raises(GridError, match=match):
             Nonlinearity.from_table(s, f)
+
+
+def test_only_a_table_takes_a_finite_slope_at_zero():
+    # the kind fixes f'(0) of the other kinds; a contradicting one is refused
+    with pytest.raises(GridError, match="slope_at_zero"):
+        Nonlinearity(kind="sine", amplitude=1.0, slope_at_zero=3.0)
+    with pytest.raises(GridError, match="slope_at_zero"):
+        Nonlinearity(kind="zero", slope_at_zero=0.0)
+    with pytest.raises(GridError, match="slope_at_zero"):
+        Nonlinearity.from_table([-1, 0, 1], [-1, 0, 1], slope_at_zero=float("nan"))
 
 
 def test_fixed_point_config_validation():
@@ -88,14 +103,21 @@ def test_nonlinearity_values():
 
 
 def test_nonlinearity_slope_fills_origin():
-    # g(s) = f(s)/s extended by f'(0); sine gives g(0) = 1
+    # g(s) = f(s)/s extended by f'(0), which the kind fixes: the amplitude
+    # for linear and sine, however they are constructed, and 0 for zero
     sine = Nonlinearity.sine()
     s = np.array([-1.0, -1e-12, 0.0, 1e-12, 1.0])
     g = sine.slope(s)
-    assert g[2] == pytest.approx(1.0, abs=1e-6)
+    assert g[2] == 1.0
     assert g[0] == pytest.approx(np.sin(1.0), rel=1e-12)
+    for amplitude in (2.0, -0.7):
+        for nl in (Nonlinearity.linear(amplitude), Nonlinearity.sine(amplitude),
+                   Nonlinearity(kind="linear", amplitude=amplitude),
+                   Nonlinearity(kind="sine", amplitude=amplitude)):
+            assert nl.slope(0.0) == amplitude
     zero = Nonlinearity.zero().slope(s)
     assert np.array_equal(zero, np.zeros(5))   # bitwise zeros
+    assert Nonlinearity(kind="zero").slope(0.0) == 0.0
     table = Nonlinearity.from_table([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0],
                                     slope_at_zero=2.0)
     assert table.slope(np.array([0.0]))[0] == 2.0
@@ -307,13 +329,18 @@ def test_lambda_map_reports_memberships():
     assert outcome.path.radii[0] == setup.R0
 
 
+def _stopped(rec, fp_tol):
+    """Whether an iteration record meets the loop's stopping rule."""
+    return max(rec.dz_sup, rec.dR_sup, rec.dRp_sup) < fp_tol
+
+
 def test_fixed_point_converges_for_small_data():
     setup = PhysicalSetup(T=0.5, z0=lambda r: 0.02 * np.sin(np.pi * r),
                           nonlinearity=Nonlinearity.sine())
     cfg = SchemeConfig(n=20, m=40)
     fpc = FixedPointConfig(fp_tol=1e-6, max_outer=20)
     result = fixed_point_iterate(None, setup, fpc, HUMConfig(epsilon=1e-6), cfg)
-    assert result.converged
+    assert _stopped(result.history[-1], fpc.fp_tol)
     assert result.iterations <= 8
     drops = [rec.dz_sup for rec in result.history]
     assert drops[-1] < 1e-6
@@ -332,12 +359,12 @@ def test_fixed_point_solves_the_semilinear_problem():
     gaps = []
     for n in (30, 60):
         cfg = SchemeConfig(n=n, m=2 * n)
-        result = fixed_point_iterate(None, setup, FixedPointConfig(), HUMConfig(epsilon=1e-4),
-                                     cfg)
-        assert result.converged
+        fpc = FixedPointConfig()
+        result = fixed_point_iterate(None, setup, fpc, HUMConfig(epsilon=1e-4), cfg)
+        assert _stopped(result.history[-1], fpc.fp_tol)
         replay = solve_semilinear(setup.initial_line_field(cfg.grid), result.path, f, cfg,
-                                  control=result.control, control_radius=setup.b)
-        state = result.state.values
+                                  control=result.hum.control, control_radius=setup.b)
+        state = result.hum.state.values
         gaps.append(np.max(np.abs(replay.values - state)) / np.max(np.abs(state)))
     assert gaps[0] <= 3e-3
     assert gaps[1] <= 0.6 * gaps[0]
@@ -352,12 +379,12 @@ def test_fixed_point_control_drives_the_free_boundary_march_to_it():
     radius_gaps, state_gaps = [], []
     for n in (30, 60):
         cfg = SchemeConfig(n=n, m=2 * n)
-        result = fixed_point_iterate(None, setup, FixedPointConfig(fp_tol=1e-10, max_outer=60),
-                                     HUMConfig(epsilon=1e-6), cfg)
-        assert result.converged
-        state, path = coupled_solve(setup.initial_line_field(cfg.grid), setup, result.control,
-                                    cfg)
-        fixed = result.state.values
+        fpc = FixedPointConfig(fp_tol=1e-10, max_outer=60)
+        result = fixed_point_iterate(None, setup, fpc, HUMConfig(epsilon=1e-6), cfg)
+        assert _stopped(result.history[-1], fpc.fp_tol)
+        state, path = coupled_solve(setup.initial_line_field(cfg.grid), setup,
+                                    result.hum.control, cfg)
+        fixed = result.hum.state.values
         radius_gaps.append(np.max(np.abs(path.radii - result.path.radii)))
         state_gaps.append(np.max(np.abs(state.values - fixed)) / np.max(np.abs(fixed)))
     assert radius_gaps[0] <= 6e-4 and state_gaps[0] <= 2e-3
@@ -368,8 +395,9 @@ def test_fixed_point_control_drives_the_free_boundary_march_to_it():
 def test_fixed_point_trivial_data_converges_immediately():
     setup = PhysicalSetup(T=0.5, nonlinearity=Nonlinearity.sine())
     cfg = SchemeConfig(n=16, m=16)
-    result = fixed_point_iterate(None, setup, FixedPointConfig(), HUMConfig(), cfg)
-    assert result.converged
+    fpc = FixedPointConfig()
+    result = fixed_point_iterate(None, setup, fpc, HUMConfig(), cfg)
+    assert _stopped(result.history[-1], fpc.fp_tol)
     assert result.iterations == 1
     assert result.hum.final_norm == 0.0
     assert np.all(result.path.radii == setup.R0)
@@ -382,12 +410,15 @@ def test_fixed_point_epsilon_schedule_warm_start():
     fpc = FixedPointConfig(fp_tol=1e-6, max_outer=20,
                            epsilon_schedule=(1e-4, 1e-6))
     result = fixed_point_iterate(None, setup, fpc, HUMConfig(epsilon=1e-2), cfg)
-    assert result.converged
     # the base phase reports through history; eps_history holds the schedule
     assert [rec.epsilon for rec in result.eps_history] == [1e-4, 1e-6]
     finals = [rec.final_norm for rec in result.eps_history]
     assert finals[0] >= finals[-1]
-    assert all(rec.converged for rec in result.eps_history)
+    # every rung, the base one and each scheduled one, ends on the stopping rule
+    counts = [rec.iterations for rec in result.eps_history]
+    ends = np.cumsum([result.iterations - sum(counts), *counts])
+    assert ends[-1] == len(result.history)
+    assert all(_stopped(result.history[k - 1], fpc.fp_tol) for k in ends)
     assert result.hum.final_norm == finals[-1]
 
 
@@ -421,11 +452,11 @@ def test_fixed_point_period_two_cycle_raises_early(monkeypatch):
     # refined, the same data converges, and the check leaves the run's bits
     cfg = SchemeConfig(n=60, m=120)
     result = fixed_point_iterate(None, setup, fpc, hum, cfg)
-    assert result.converged and result.iterations == 22
+    assert _stopped(result.history[-1], fpc.fp_tol) and result.iterations == 22
     monkeypatch.setattr(stefan, "_repeats", lambda rec, earlier: False)
     unchecked = fixed_point_iterate(None, setup, fpc, hum, cfg)
     assert unchecked.iterations == 22
-    assert result.state.values.tobytes() == unchecked.state.values.tobytes()
+    assert result.hum.state.values.tobytes() == unchecked.hum.state.values.tobytes()
     assert result.path.radii.tobytes() == unchecked.path.radii.tobytes()
 
 

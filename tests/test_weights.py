@@ -1,6 +1,7 @@
 """Weight profile structure and the weighted-energy diagnostic."""
 
 import tracemalloc
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -226,9 +227,9 @@ def test_block_columns_match_single_fields(n, m, k, amp, margin, forced, seed):
     assert len(reports) == k
     for c, got in enumerate(reports):
         field = SpaceTimeField(block[:, :, c], role=ROLE_ADJOINT)
-        want = carleman_sides(field, None if forcing is None else forcing[:, :, c],
-                              params, setup, path, margin=margin).as_dict()
-        for key, value in got.as_dict().items():
+        want = asdict(carleman_sides(field, None if forcing is None else forcing[:, :, c],
+                                     params, setup, path, margin=margin))
+        for key, value in asdict(got).items():
             assert abs(value - want[key]) <= 1e-14 * abs(want[key]), (c, key)
 
 
@@ -254,11 +255,11 @@ def test_parameter_sets_share_one_pass_bitwise(n, m, k, amp, margin, forced, see
     with mock.patch.object(weights, "_CHUNK", (n + 1) * m):
         got = carleman_sides(block, forcing, list(sets), setup, path, margin=margin)
         want = [carleman_sides(block, forcing, p, setup, path, margin=margin) for p in sets]
-    assert [[r.as_dict() for r in reports] for reports in got] == \
-        [[r.as_dict() for r in reports] for reports in want]
+    assert [[asdict(r) for r in reports] for reports in got] == \
+        [[asdict(r) for r in reports] for reports in want]
     got = carleman_sides(field, field_forcing, sets, setup, path, margin=margin)
-    assert [r.as_dict() for r in got] == [
-        carleman_sides(field, field_forcing, p, setup, path, margin=margin).as_dict()
+    assert [asdict(r) for r in got] == [
+        asdict(carleman_sides(field, field_forcing, p, setup, path, margin=margin))
         for p in sets]
     with pytest.raises(GridError, match="at least one parameter set"):
         carleman_sides(field, None, [], setup, path)
@@ -531,8 +532,8 @@ def test_array_diagnostic_matches_level_loop(n, m, horizon, amp, freq, margin,
     forcing = rng.standard_normal((n + 1, m + 1)) if forced else None
     phi = solve_adjoint(phiT, path, None, forcing, cfg)
     for p in (params, params.doubled_s()):
-        got = carleman_sides(phi, forcing, p, setup, path, margin=margin).as_dict()
-        want = _loop_carleman_sides(phi, forcing, p, setup, path, margin=margin).as_dict()
+        got = asdict(carleman_sides(phi, forcing, p, setup, path, margin=margin))
+        want = asdict(_loop_carleman_sides(phi, forcing, p, setup, path, margin=margin))
         for key, value in want.items():
             assert abs(got[key] - value) <= 1e-13 * abs(value), key
 
